@@ -9,12 +9,11 @@ witnesses, all over Z, Q or a prime field, with exact arithmetic.
 from .exactlin import (
     ZZ, QQ, GF, Ring, ExactMatrix, Subquotient,
     smith_normal_form, solve, solve_with_certificate, solve_matrix,
-    kernel_basis, image_basis, column_hermite, quotient_presentation,
-    section_of_surjection, as_vector, zero_vector,
+    kernel_basis, column_hermite, complex_cohomology, as_vector, zero_vector,
 )
 from .simplicial import (
     SimplicialComplex, build_circle, build_sphere, build_torus, product,
-    load_complex, save_complex, make_complex,
+    make_complex,
 )
 from .dga import (
     DgAlgebra, DgModule, cochain_algebra, validate, validate_module,
@@ -30,7 +29,7 @@ from .hochschild import (
     theta, theta_value, verify_cocycle, trivialize, classes_equal,
     load_cochain, save_cochain, zero_cochain, admissible_tuples,
 )
-from .massey import MasseyResult, massey_triple, coset_stable, NotAMasseyTripleError
+from .massey import MasseyResult, massey_triple, NotAMasseyTripleError
 from .gysin import (
     ConeComplex, GysinExtension, SplitSection, mapping_cone, cone_cohomology,
     gysin_extension, beta_from_theta, verify_theorem_th, split_extension,

@@ -63,16 +63,19 @@ def _read_payload(args):
     return payload, {source: digest}
 
 
+def _validated(payload):
+    """(dg-algebra, validation report) of a dg-algebra or section payload."""
+    a = dgamod.dga_from_json(payload["algebra"] if "algebra" in payload else payload)
+    return a, dgamod.validate(a)
+
+
 def _as_dga(payload, ring_name):
     """Accept a complex (building cochains) or a dg-algebra payload."""
     if "facets" in payload:
         k = complex_from_json(payload)
         ring = ring_from_name(ring_name or "Z")
         return dgamod.cochain_algebra(k, ring)
-    if "algebra" in payload:
-        payload = payload["algebra"]
-    a = dgamod.dga_from_json(payload)
-    report = dgamod.validate(a)
+    a, report = _validated(payload)
     if not report.passed:
         raise UsageError(
             "input dg-algebra violates the axioms: "
@@ -94,8 +97,12 @@ def _default_seed(args):
     return int(env) if env else None
 
 
-def _parse_class(token):
-    """deg:[c0,c1,...] -> (degree, coefficient list)."""
+def _parse_class(co, token):
+    """deg:[c0,c1,...] -> (degree, coordinate vector) of a class of co.
+
+    The degree must lie in 0..top, the list must have length co.hr(deg)
+    and each entry is a JSON integer or a "p/q" string the ring accepts.
+    """
     deg, sep, coords = token.partition(":")
     if not sep:
         raise UsageError(f"class literal {token!r} is not of the form deg:[c0,...]")
@@ -104,9 +111,17 @@ def _parse_class(token):
         values = json.loads(coords)
         if not isinstance(values, list):
             raise ValueError("coordinates must be a JSON list")
-    except ValueError as exc:
+        if not 0 <= degree <= co.top:
+            raise ValueError(f"degree {degree} is outside 0..{co.top}")
+        if len(values) != co.hr(degree):
+            raise ValueError(f"H^{degree} has rank {co.hr(degree)}, "
+                             f"got {len(values)} coordinates")
+        if any(isinstance(v, bool) or not isinstance(v, (int, str)) for v in values):
+            raise ValueError('coordinates must be JSON integers or "p/q" strings')
+        vector = as_vector(co.ring, [co.ring.scalar_from_json(v) for v in values])
+    except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad class literal {token!r}: {exc}") from exc
-    return degree, values
+    return degree, vector
 
 
 def _emit(report, exit_code):
@@ -158,10 +173,7 @@ def cmd_validate(args):
     payload, digests = _read_payload(args)
     if "facets" in payload:
         raise UsageError("validate expects a dg-algebra (pipe through cochains)")
-    if "algebra" in payload:
-        payload = payload["algebra"]
-    a = dgamod.dga_from_json(payload)
-    report = dgamod.validate(a)
+    a, report = _validated(payload)
     out = {"command": "validate", "inputs": digests, "report": report.to_json(),
            "checks": [{"name": c.name, "pass": c.passed} for c in report.checks]}
     _summary("validate: " + ("PASS" if report.passed else "FAIL"))
@@ -228,13 +240,12 @@ def cmd_theta_class(args):
 def cmd_massey(args):
     payload, digests = _read_payload(args)
     co = _as_sections(payload, args.ring, _default_seed(args))
-    px, x = _parse_class(args.x)
-    py, y = _parse_class(args.y)
-    pz, z = _parse_class(args.z)
+    px, x = _parse_class(co, args.x)
+    py, y = _parse_class(co, args.y)
+    pz, z = _parse_class(co, args.z)
     ring = co.ring
     try:
-        r = massey_triple(co, px, as_vector(ring, x), py, as_vector(ring, y),
-                          pz, as_vector(ring, z))
+        r = massey_triple(co, px, x, py, y, pz, z)
     except NotAMasseyTripleError as exc:
         raise UsageError(f"NotAMasseyTriple: {exc}") from exc
     out = {"command": "massey", "inputs": digests,
@@ -253,7 +264,7 @@ def cmd_massey(args):
 def cmd_gysin(args):
     payload, digests = _read_payload(args)
     co = _as_sections(payload, args.ring, _default_seed(args))
-    cdeg, ccoords = _parse_class(args.c)
+    cdeg, ccoords = _parse_class(co, args.c)
     a = co.algebra
     ext = gysin_extension(a, cdeg, ccoords, co)
     checks = []
@@ -283,7 +294,13 @@ def cmd_gysin(args):
     return _emit(out, 0 if ok else 1)
 
 
+def _positive_rank(args):
+    if args.n < 1:
+        raise UsageError(f"{args.command} rank --n must be >= 1")
+
+
 def cmd_torus(args):
+    _positive_rank(args)
     ring = ring_from_name(args.ring)
     witness, th, co = torus_theta_trivial(args.n, ring, seed=_default_seed(args))
     sym_zero = symmetrize(th).is_zero()
@@ -303,6 +320,7 @@ def cmd_torus(args):
 
 
 def cmd_monomorphism(args):
+    _positive_rank(args)
     v = verify_monomorphism(args.n, signed=args.signed,
                             ring=ring_from_name(args.ring))
     out = {"command": "monomorphism", **v}
@@ -319,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact secondary-multiplication / Gysin-extension toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    b = sub.add_parser("build", help="emit a fixture complex as .scx.json")
+    b = sub.add_parser("build", help="emit a fixture complex as JSON")
     b.add_argument("what", choices=["circle", "sphere", "torus"])
     b.add_argument("--m", type=int, default=None, help="sphere dimension")
     b.add_argument("--n", type=int, default=None, help="torus rank")
@@ -392,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 USAGE_ERRORS = (UsageError, MalformedComplexError, dgamod.DgaFormatError,
                 dgamod.DgaValidationError, TorsionHomologyError,
                 NotAMasseyTripleError, secmod.NotACocycleError,
-                secmod.ProductNotACoboundaryError)
+                secmod.ProductNotACoboundaryError, secmod.SectionsFormatError)
 
 
 def main(argv=None) -> int:

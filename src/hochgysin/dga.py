@@ -1,15 +1,18 @@
-"""Finite dg-algebras: data model, axiom validation, simplicial cochains.
+"""Finite dg-algebras and right dg-modules: data model, axiom validation,
+simplicial cochains.
 
 A DgAlgebra is a graded module with per-degree bases, differential
-matrices and a sparse multiplication tensor.  The only constructor of
-mathematical interest is ``cochain_algebra``: simplicial cochains with
-the coboundary (d phi)(sigma) = sum_i (-1)^i phi(face_i sigma) and the
-front-face/back-face cup product, which is strictly associative.
+matrices and a sparse multiplication tensor; a DgModule (the mapping
+cone) has the same shape with a sparse action tensor.  The only
+constructor of mathematical interest is ``cochain_algebra``: simplicial
+cochains with the coboundary (d phi)(sigma) = sum_i (-1)^i
+phi(face_i sigma) and the front-face/back-face cup product, which is
+strictly associative.
 
-Multiplication tensors are kept sparse as (i, j, k, coeff) entries per
-degree block; validation walks those entries instead of materializing
-dense triple products, which keeps the axiom suite fast on the torus
-fixtures.
+Tensors are kept sparse as (i, j, k, coeff) entries per degree block.
+One walk over those entries checks d^2 = 0, Leibniz, associativity and
+the right unit of a right dg-module; an algebra is checked as a right
+module over itself, plus its shapes, d(1) = 0 and the left unit.
 """
 
 from __future__ import annotations
@@ -81,12 +84,7 @@ class DgAlgebra:
 
     def multiply(self, p: int, q: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Product C^p x C^q -> C^{p+q} of coordinate vectors."""
-        ring = self.ring
-        out = zero_vector(ring, self.rank(p + q))
-        for i, j, k, c in self.entries(p, q):
-            if u[i] != 0 and v[j] != 0:
-                out[k] = ring.normalize(out[k] + c * u[i] * v[j])
-        return out
+        return _contract(self.ring, self.entries(p, q), self.rank(p + q), u, v)
 
     def bilinear_block(self, p: int, q: int, left: ExactMatrix,
                        right: ExactMatrix) -> ExactMatrix:
@@ -111,11 +109,52 @@ class DgAlgebra:
                 and self._norm_product() == other._norm_product()
                 and list(self.unit) == list(other.unit))
 
+    def as_module(self) -> "DgModule":
+        """The algebra as a right dg-module over itself."""
+        degrees = list(range(self.top_degree + 1))
+        return DgModule(self, degrees, {n: self.rank(n) for n in degrees},
+                        self.diff, self.product)
+
     def _norm_product(self):
         return {pq: sorted((i, j, k, self.ring.scalar_to_json(c)) for i, j, k, c in ent
                            if c != 0)
                 for pq, ent in self.product.items()
                 if any(c != 0 for _, _, _, c in ent)}
+
+
+@dataclass
+class DgModule:
+    """Right dg-module over a DgAlgebra, graded over a contiguous degree range."""
+
+    algebra: DgAlgebra
+    degrees: list                    # ascending, contiguous
+    ranks: dict                      # degree -> rank
+    diff: dict                       # degree -> ExactMatrix M^n -> M^{n+1}
+    action: dict                     # (n, q) -> tuple of (i, j, k, coeff)
+
+    def rank(self, n: int) -> int:
+        return self.ranks.get(n, 0)
+
+    def d(self, n: int) -> ExactMatrix:
+        if n in self.diff:
+            return self.diff[n]
+        return ExactMatrix.zeros(self.algebra.ring, self.rank(n + 1), self.rank(n))
+
+    def entries(self, n: int, q: int):
+        return self.action.get((n, q), ())
+
+    def act(self, n: int, q: int, m: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Right action M^n x C^q -> M^{n+q} of coordinate vectors."""
+        return _contract(self.algebra.ring, self.entries(n, q), self.rank(n + q), m, x)
+
+
+def _contract(ring: Ring, entries, size: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The bilinear map of a sparse (i, j, k, coeff) tensor on (u, v)."""
+    out = zero_vector(ring, size)
+    for i, j, k, c in entries:
+        if u[i] != 0 and v[j] != 0:
+            out[k] = ring.normalize(out[k] + c * u[i] * v[j])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -130,132 +169,126 @@ def _sparse_cols(m: ExactMatrix):
     return cols
 
 
-def _check_d_squared(a: DgAlgebra, checks):
-    for n in range(a.top_degree + 1):
-        dn = _sparse_cols(a.d(n))
-        dn1 = _sparse_cols(a.d(n + 1))
-        for j, col in enumerate(dn):
+def _first_mismatch(ring: Ring, lhs: dict, rhs: dict):
+    for key in set(lhs) | set(rhs):
+        if ring.normalize(lhs.get(key, ring.zero())) != \
+                ring.normalize(rhs.get(key, ring.zero())):
+            return key
+    return None
+
+
+def _d_squared_defect(m: DgModule, cols):
+    """(n, j, row) of the first nonzero entry of d(d(e_j^n)), or None."""
+    ring = m.algebra.ring
+    for n in m.degrees:
+        dn1 = cols(n + 1)
+        for j, col in enumerate(cols(n)):
             acc = {}
             for i, c in col:
                 for i2, c2 in dn1[i]:
-                    acc[i2] = acc.get(i2, a.ring.zero()) + c * c2
-            bad = [k for k, v in acc.items() if a.ring.normalize(v) != 0]
+                    acc[i2] = acc.get(i2, ring.zero()) + c * c2
+            bad = [k for k, v in acc.items() if ring.normalize(v) != 0]
             if bad:
-                checks.append(Check("d_squared", False,
-                                    f"d(d(e_{j}^{n})) has entry at {bad[0]}"))
-                return
-    checks.append(Check("d_squared", True))
+                return n, j, bad[0]
+    return None
 
 
-def _prod_maps(a: DgAlgebra, p, q):
-    m = {}
-    for i, j, k, c in a.entries(p, q):
-        m.setdefault((i, j), []).append((k, c))
-    return m
-
-
-def _check_leibniz(a: DgAlgebra, checks):
+def _leibniz_defect(m: DgModule, cols):
+    """(n, q, (i, j)) where D(e_i e_j) != D(e_i) e_j + (-1)^n e_i d(e_j), or None."""
+    a = m.algebra
     ring = a.ring
-    for (p, q), ent in sorted(a.product.items()):
-        dpq = _sparse_cols(a.d(p + q))
-        dp = _sparse_cols(a.d(p))
-        dq = _sparse_cols(a.d(q))
-        t_up = _prod_maps(a, p + 1, q)
-        t_right = _prod_maps(a, p, q + 1)
+    for (n, q), ent in sorted(m.action.items()):
+        dnq, dn, dq = cols(n + q), cols(n), _sparse_cols(a.d(q))
+        up, right = {}, {}
+        for i, j, k, c in m.entries(n + 1, q):
+            up.setdefault((i, j), []).append((k, c))
+        for i, j, k, c in m.entries(n, q + 1):
+            right.setdefault((i, j), []).append((k, c))
         lhs = {}
         for i, j, k, c in ent:
-            for m, c2 in dpq[k]:
-                key = (i, j, m)
+            for t, c2 in dnq[k]:
+                key = (i, j, t)
                 lhs[key] = lhs.get(key, ring.zero()) + c * c2
         rhs = {}
-        sign = ring.normalize((-1) ** p)
-        for i in range(a.rank(p)):
-            for i2, c in dp[i]:
+        for i in range(m.rank(n)):
+            for i2, c in dn[i]:
                 for j in range(a.rank(q)):
-                    for m, c2 in t_up.get((i2, j), ()):
-                        key = (i, j, m)
+                    for t, c2 in up.get((i2, j), ()):
+                        key = (i, j, t)
                         rhs[key] = rhs.get(key, ring.zero()) + c * c2
+        sign = ring.normalize((-1) ** n)
         for j in range(a.rank(q)):
             for j2, c in dq[j]:
-                for i in range(a.rank(p)):
-                    for m, c2 in t_right.get((i, j2), ()):
-                        key = (i, j, m)
+                for i in range(m.rank(n)):
+                    for t, c2 in right.get((i, j2), ()):
+                        key = (i, j, t)
                         rhs[key] = rhs.get(key, ring.zero()) + sign * c * c2
-        keys = set(lhs) | set(rhs)
-        for key in keys:
-            l = ring.normalize(lhs.get(key, ring.zero()))
-            r = ring.normalize(rhs.get(key, ring.zero()))
-            if l != r:
-                checks.append(Check("leibniz", False,
-                                    f"(p,q)=({p},{q}) basis pair {key[:2]}"))
-                return
-    checks.append(Check("leibniz", True))
+        key = _first_mismatch(ring, lhs, rhs)
+        if key is not None:
+            return n, q, key[:2]
+    return None
 
 
-def _check_associativity(a: DgAlgebra, checks):
+def _associativity_defect(m: DgModule):
+    """(n, p, q, (i, j, l)) where (e_i e_j) e_l != e_i (e_j e_l), or None."""
+    a = m.algebra
     ring = a.ring
-    degs = range(a.top_degree + 1)
-    for p in degs:
-        for q in degs:
-            for r in degs:
-                if p + q + r > a.top_degree:
+    top, hi = a.top_degree, m.degrees[-1]
+    for n in m.degrees:
+        for p in range(top + 1):
+            for q in range(top + 1 - p):
+                if n + p + q > hi:
                     continue
-                left = {}
-                idx = {}
-                for i, j, k, c in a.entries(p, q):
+                left, idx = {}, {}
+                for i, j, k, c in m.entries(n, p):
                     idx.setdefault(k, []).append((i, j, c))
-                for k, l, m, c2 in a.entries(p + q, r):
+                for k, l, t, c2 in m.entries(n + p, q):
                     for i, j, c1 in idx.get(k, ()):
-                        key = (i, j, l, m)
+                        key = (i, j, l, t)
                         left[key] = left.get(key, ring.zero()) + c1 * c2
-                right = {}
-                idx2 = {}
-                for j, l, k, c in a.entries(q, r):
-                    idx2.setdefault(k, []).append((j, l, c))
-                for i, k, m, c2 in a.entries(p, q + r):
-                    for j, l, c1 in idx2.get(k, ()):
-                        key = (i, j, l, m)
+                right, idx = {}, {}
+                for j, l, k, c in a.entries(p, q):
+                    idx.setdefault(k, []).append((j, l, c))
+                for i, k, t, c2 in m.entries(n, p + q):
+                    for j, l, c1 in idx.get(k, ()):
+                        key = (i, j, l, t)
                         right[key] = right.get(key, ring.zero()) + c1 * c2
-                for key in set(left) | set(right):
-                    lv = ring.normalize(left.get(key, ring.zero()))
-                    rv = ring.normalize(right.get(key, ring.zero()))
-                    if lv != rv:
-                        checks.append(Check(
-                            "associativity", False,
-                            f"degrees ({p},{q},{r}) basis triple {key[:3]}"))
-                        return
-    checks.append(Check("associativity", True))
+                key = _first_mismatch(ring, left, right)
+                if key is not None:
+                    return n, p, q, key[:3]
+    return None
 
 
-def _check_unit(a: DgAlgebra, checks):
-    ring = a.ring
-    if a.rank(0) == 0:
-        checks.append(Check("unit", False, "C^0 = 0 cannot contain a unit"))
-        return
-    du = a.d(0).matvec(a.unit)
-    if any(x != 0 for x in du):
-        checks.append(Check("unit", False, "d(1) != 0"))
-        return
-    for p in range(a.top_degree + 1):
-        n = a.rank(p)
-        left = {}
-        for u, i, k, c in a.entries(0, p):
-            if a.unit[u] != 0:
-                left[(i, k)] = left.get((i, k), ring.zero()) + a.unit[u] * c
-        right = {}
-        for i, u, k, c in a.entries(p, 0):
-            if a.unit[u] != 0:
-                right[(i, k)] = right.get((i, k), ring.zero()) + a.unit[u] * c
-        for i in range(n):
-            for k in range(n):
-                want = ring.one() if i == k else ring.zero()
-                if ring.normalize(left.get((i, k), ring.zero())) != want:
-                    checks.append(Check("unit", False, f"1 * e_{i}^{p} != e_{i}^{p}"))
-                    return
-                if ring.normalize(right.get((i, k), ring.zero())) != want:
-                    checks.append(Check("unit", False, f"e_{i}^{p} * 1 != e_{i}^{p}"))
-                    return
-    checks.append(Check("unit", True))
+def _unit_defect(ring: Ring, entries, unit, size: int):
+    """First (i, k), row-major, where e_i * 1 misses e_i, from the (i, u, k, c)
+    entries of the product with degree-0 basis vectors e_u; only the
+    entries present are visited."""
+    acc = {}
+    for i, u, k, c in entries:
+        if unit[u] != 0:
+            acc[(i, k)] = acc.get((i, k), ring.zero()) + unit[u] * c
+    bad = [(i, k) for (i, k), v in acc.items() if i < size and k < size
+           and ring.normalize(v) != (ring.one() if i == k else ring.zero())]
+    bad += [(i, i) for i in range(size) if (i, i) not in acc]
+    return min(bad, default=None)
+
+
+def _module_defects(m: DgModule) -> dict:
+    """The first defect of each right dg-module axiom (None when it holds)."""
+    cache = {}
+
+    def cols(n):
+        if n not in cache:
+            cache[n] = _sparse_cols(m.d(n))
+        return cache[n]
+
+    a = m.algebra
+    units = ((n, _unit_defect(a.ring, m.entries(n, 0), a.unit, m.rank(n)))
+             for n in m.degrees)
+    return {"d_squared": _d_squared_defect(m, cols),
+            "leibniz": _leibniz_defect(m, cols),
+            "associativity": _associativity_defect(m),
+            "unit": next(((n, bad) for n, bad in units if bad is not None), None)}
 
 
 def _check_shapes(a: DgAlgebra, checks):
@@ -279,17 +312,58 @@ def _check_shapes(a: DgAlgebra, checks):
     checks.append(Check("shapes", ok, witness))
 
 
+def _algebra_unit(a: DgAlgebra, right) -> Check:
+    """d(1) = 0 and the two-sided unit; right is the module walk's defect."""
+    if a.rank(0) == 0:
+        return Check("unit", False, "C^0 = 0 cannot contain a unit")
+    if any(x != 0 for x in a.d(0).matvec(a.unit)):
+        return Check("unit", False, "d(1) != 0")
+    for p in range(a.top_degree + 1):
+        swapped = ((i, u, k, c) for u, i, k, c in a.entries(0, p))
+        lbad = _unit_defect(a.ring, swapped, a.unit, a.rank(p))
+        rbad = right[1] if right is not None and right[0] == p else None
+        if lbad is not None and (rbad is None or lbad <= rbad):
+            i = lbad[0]
+            return Check("unit", False, f"1 * e_{i}^{p} != e_{i}^{p}")
+        if rbad is not None:
+            i = rbad[0]
+            return Check("unit", False, f"e_{i}^{p} * 1 != e_{i}^{p}")
+    return Check("unit", True)
+
+
 def validate(a: DgAlgebra) -> ValidationReport:
     """Check every dg-algebra axiom; failures carry a witness."""
     checks = []
     _check_shapes(a, checks)
     if not checks[-1].passed:
         return ValidationReport(checks)
-    _check_d_squared(a, checks)
-    _check_leibniz(a, checks)
-    _check_associativity(a, checks)
-    _check_unit(a, checks)
+    bad = _module_defects(a.as_module())
+    d2, leib, assoc = bad["d_squared"], bad["leibniz"], bad["associativity"]
+    checks.append(Check("d_squared", d2 is None, d2 and
+                        f"d(d(e_{d2[1]}^{d2[0]})) has entry at {d2[2]}"))
+    checks.append(Check("leibniz", leib is None, leib and
+                        f"(p,q)=({leib[0]},{leib[1]}) basis pair {leib[2]}"))
+    checks.append(Check("associativity", assoc is None, assoc and
+                        f"degrees ({assoc[0]},{assoc[1]},{assoc[2]}) "
+                        f"basis triple {assoc[3]}"))
+    checks.append(_algebra_unit(a, bad["unit"]))
     return ValidationReport(checks)
+
+
+def validate_module(m: DgModule) -> ValidationReport:
+    """D^2 = 0, module Leibniz, action associativity and unit action."""
+    bad = _module_defects(m)
+    d2, leib, assoc, unit = (bad[k] for k in
+                             ("d_squared", "leibniz", "associativity", "unit"))
+    return ValidationReport([
+        Check("module_d_squared", d2 is None, d2 and f"D^2 != 0 at degree {d2[0]}"),
+        Check("module_leibniz", leib is None, leib and
+              f"module Leibniz fails at ({leib[0]},{leib[1]}) pair {leib[2]}"),
+        Check("module_associativity", assoc is None, assoc and
+              f"action associativity fails at ({assoc[0]},{assoc[1]},{assoc[2]})"),
+        Check("module_unit", unit is None, unit and
+              f"unit action fails at degree {unit[0]} basis {unit[1][0]}"),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -388,143 +462,3 @@ def load_dga(path) -> DgAlgebra:
     if not report.passed:
         raise DgaValidationError(report)
     return a
-
-
-# ---------------------------------------------------------------------------
-# dg-modules (used by the mapping cone)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DgModule:
-    """Right dg-module over a DgAlgebra, graded over a contiguous degree range."""
-
-    algebra: DgAlgebra
-    degrees: list                    # ascending, contiguous
-    ranks: dict                      # degree -> rank
-    diff: dict                       # degree -> ExactMatrix M^n -> M^{n+1}
-    action: dict                     # (n, q) -> tuple of (i, j, k, coeff)
-
-    def rank(self, n: int) -> int:
-        return self.ranks.get(n, 0)
-
-    def d(self, n: int) -> ExactMatrix:
-        if n in self.diff:
-            return self.diff[n]
-        return ExactMatrix.zeros(self.algebra.ring, self.rank(n + 1), self.rank(n))
-
-    def entries(self, n: int, q: int):
-        return self.action.get((n, q), ())
-
-    def act(self, n: int, q: int, m: np.ndarray, x: np.ndarray) -> np.ndarray:
-        ring = self.algebra.ring
-        out = zero_vector(ring, self.rank(n + q))
-        for i, j, k, c in self.entries(n, q):
-            if m[i] != 0 and x[j] != 0:
-                out[k] = ring.normalize(out[k] + c * m[i] * x[j])
-        return out
-
-
-def validate_module(m: DgModule) -> ValidationReport:
-    """Module Leibniz, action associativity and unit action for a DgModule.
-
-    All checks walk the sparse action tensors, mirroring validate().
-    """
-    ring = m.algebra.ring
-    a = m.algebra
-    checks = []
-    # D^2 = 0
-    ok, witness = True, None
-    for n in m.degrees:
-        comp = m.d(n + 1) @ m.d(n)
-        if not comp.is_zero():
-            ok, witness = False, f"D^2 != 0 at degree {n}"
-            break
-    checks.append(Check("module_d_squared", ok, witness))
-    # Leibniz: D(m x) = D(m) x + (-1)^{|m|} m d(x), as sparse tensor identity
-    ok, witness = True, None
-    for (n, q), ent in sorted(m.action.items()):
-        dnq = _sparse_cols(m.d(n + q))
-        dn = _sparse_cols(m.d(n))
-        dq = _sparse_cols(a.d(q))
-        up = {}
-        for i, j, k, c in m.entries(n + 1, q):
-            up.setdefault((i, j), []).append((k, c))
-        right = {}
-        for i, j, k, c in m.entries(n, q + 1):
-            right.setdefault((i, j), []).append((k, c))
-        lhs = {}
-        for i, j, k, c in ent:
-            for t, c2 in dnq[k]:
-                key = (i, j, t)
-                lhs[key] = lhs.get(key, ring.zero()) + c * c2
-        rhs = {}
-        for i in range(m.rank(n)):
-            for i2, c in dn[i]:
-                for j in range(a.rank(q)):
-                    for t, c2 in up.get((i2, j), ()):
-                        key = (i, j, t)
-                        rhs[key] = rhs.get(key, ring.zero()) + c * c2
-        sign = ring.normalize((-1) ** n)
-        for j in range(a.rank(q)):
-            for j2, c in dq[j]:
-                for i in range(m.rank(n)):
-                    for t, c2 in right.get((i, j2), ()):
-                        key = (i, j, t)
-                        rhs[key] = rhs.get(key, ring.zero()) + sign * c * c2
-        for key in set(lhs) | set(rhs):
-            if ring.normalize(lhs.get(key, ring.zero())) != \
-                    ring.normalize(rhs.get(key, ring.zero())):
-                ok, witness = False, f"module Leibniz fails at ({n},{q}) pair {key[:2]}"
-                break
-        if not ok:
-            break
-    checks.append(Check("module_leibniz", ok, witness))
-    # associativity: (m x) y = m (x y), sparse joins on the middle index
-    ok, witness = True, None
-    for (n, p) in sorted(m.action):
-        if not ok:
-            break
-        for q in range(a.top_degree - p + 1):
-            left = {}
-            idx = {}
-            for i, j, k, c in m.entries(n, p):
-                idx.setdefault(k, []).append((i, j, c))
-            for k, l, t, c2 in m.entries(n + p, q):
-                for i, j, c1 in idx.get(k, ()):
-                    key = (i, j, l, t)
-                    left[key] = left.get(key, ring.zero()) + c1 * c2
-            rightd = {}
-            idx2 = {}
-            for j, l, k, c in a.entries(p, q):
-                idx2.setdefault(k, []).append((j, l, c))
-            for i, k, t, c2 in m.entries(n, p + q):
-                for j, l, c1 in idx2.get(k, ()):
-                    key = (i, j, l, t)
-                    rightd[key] = rightd.get(key, ring.zero()) + c1 * c2
-            for key in set(left) | set(rightd):
-                if ring.normalize(left.get(key, ring.zero())) != \
-                        ring.normalize(rightd.get(key, ring.zero())):
-                    ok, witness = False, f"action associativity fails at ({n},{p},{q})"
-                    break
-            if not ok:
-                break
-    checks.append(Check("module_associativity", ok, witness))
-    # unit acts as identity
-    ok, witness = True, None
-    for n in m.degrees:
-        acc = {}
-        for i, u, k, c in m.entries(n, 0):
-            if a.unit[u] != 0:
-                acc[(i, k)] = acc.get((i, k), ring.zero()) + a.unit[u] * c
-        for i in range(m.rank(n)):
-            for k in range(m.rank(n)):
-                want = ring.one() if i == k else ring.zero()
-                if ring.normalize(acc.get((i, k), ring.zero())) != want:
-                    ok, witness = False, f"unit action fails at degree {n} basis {i}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    checks.append(Check("module_unit", ok, witness))
-    return ValidationReport(checks)

@@ -3,9 +3,9 @@
 Everything downstream (cochain algebras, section packages, Hochschild
 solves, cone cohomology) reduces to the operations in this module:
 Smith normal form with recorded transforms, column Hermite form, exact
-solvers, kernels/images, subquotient presentations, and sections of
-surjections.  No floating point is used anywhere: scalars are Python
-ints, ``fractions.Fraction``, or ints reduced mod p.
+solvers, kernels, subquotient presentations, and the per-degree
+cohomology of a cochain complex.  No floating point is used anywhere:
+scalars are Python ints, ``fractions.Fraction``, or ints reduced mod p.
 
 Matrices are stored densely as 2-D numpy arrays of dtype=object so that
 row/column operations and products run through numpy's C loop while the
@@ -30,14 +30,6 @@ class ExactLinearError(Exception):
 
 
 class DimensionMismatchError(ExactLinearError):
-    pass
-
-
-class NotSurjectiveError(ExactLinearError):
-    pass
-
-
-class TargetNotProjectiveError(ExactLinearError):
     pass
 
 
@@ -181,10 +173,6 @@ class Ring:
     def to_json(self) -> str:
         return self.name
 
-    @staticmethod
-    def from_json(name: str) -> "Ring":
-        return ring_from_name(name)
-
 
 ZZ = Ring("Z")
 QQ = Ring("Q")
@@ -324,9 +312,6 @@ class ExactMatrix:
         c = self.ring.normalize(c)
         return ExactMatrix(self.ring, self.ring.reduce_array(c * self.data))
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.ring, self.data.T.copy())
-
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.rows != other.rows:
             raise DimensionMismatchError("hstack row mismatch")
@@ -350,10 +335,6 @@ class ExactMatrix:
         return (isinstance(other, ExactMatrix) and self.ring == other.ring
                 and self.data.shape == other.data.shape
                 and all(a == b for a, b in zip(self.data.flat, other.data.flat)))
-
-    def __hash__(self):
-        return hash((self.ring, self.data.shape,
-                     tuple(self.ring.scalar_to_json(x) for x in self.data.flat)))
 
     def __repr__(self):
         return f"ExactMatrix({self.ring.name}, {self.rows}x{self.cols})"
@@ -400,9 +381,6 @@ class SNFResult:
     Vinv: ExactMatrix
     rank: int
     divisors: list
-
-    def __iter__(self):
-        return iter((self.U, self.D, self.V))
 
 
 def _find_pivot(ring: Ring, M: np.ndarray, start: int):
@@ -612,7 +590,7 @@ class NoSolutionCertificate:
                 and not ring.divides(self.divisor, val))
 
 
-class _Solver:
+class Solver:
     """Reusable exact solver for M x = b with many right-hand sides."""
 
     def __init__(self, M: ExactMatrix):
@@ -621,6 +599,10 @@ class _Solver:
         self.ring = M.ring
 
     def solve(self, b: np.ndarray):
+        return self.solve_with_certificate(b)[0]
+
+    def solve_with_certificate(self, b: np.ndarray):
+        """(x, None) with M x = b, or (None, NoSolutionCertificate)."""
         ring, s = self.ring, self.snf
         if len(b) != self.M.rows:
             raise DimensionMismatchError("rhs length mismatch")
@@ -630,59 +612,42 @@ class _Solver:
             if i < s.rank:
                 d = s.divisors[i]
                 if not ring.divides(d, c[i]):
-                    return None
+                    return None, NoSolutionCertificate(s.U.data[i].copy(), d, c[i])
                 y[i] = ring.exact_div(c[i], d)
             elif c[i] != 0:
-                return None
-        return s.V.matvec(y)
+                return None, NoSolutionCertificate(s.U.data[i].copy(), ring.zero(), c[i])
+        return s.V.matvec(y), None
 
-    def certificate(self, b: np.ndarray) -> NoSolutionCertificate | None:
-        ring, s = self.ring, self.snf
-        c = s.U.matvec(b)
-        for i in range(self.M.rows):
-            if i < s.rank:
-                if not ring.divides(s.divisors[i], c[i]):
-                    return NoSolutionCertificate(s.U.data[i].copy(), s.divisors[i], c[i])
-            elif c[i] != 0:
-                return NoSolutionCertificate(s.U.data[i].copy(), ring.zero(), c[i])
-        return None
+    def solve_matrix(self, B: ExactMatrix):
+        """X with M @ X == B (columnwise), or None."""
+        cols = []
+        for j in range(B.cols):
+            x = self.solve(B.column(j))
+            if x is None:
+                return None
+            cols.append(x)
+        return ExactMatrix.from_columns(self.ring, cols, nrows=self.M.cols)
 
 
 def solve(M: ExactMatrix, b: np.ndarray):
     """One exact solution of M x = b, or None.  Deterministic."""
-    return _Solver(M).solve(b)
+    return Solver(M).solve(b)
 
 
 def solve_with_certificate(M: ExactMatrix, b: np.ndarray):
     """(solution, None) or (None, NoSolutionCertificate)."""
-    s = _Solver(M)
-    x = s.solve(b)
-    if x is not None:
-        return x, None
-    return None, s.certificate(b)
+    return Solver(M).solve_with_certificate(b)
 
 
 def solve_matrix(M: ExactMatrix, B: ExactMatrix):
     """X with M @ X == B (columnwise), or None."""
-    s = _Solver(M)
-    cols = []
-    for j in range(B.cols):
-        x = s.solve(B.column(j))
-        if x is None:
-            return None
-        cols.append(x)
-    return ExactMatrix.from_columns(M.ring, cols, nrows=M.cols)
+    return Solver(M).solve_matrix(B)
 
 
 def kernel_basis(M: ExactMatrix) -> ExactMatrix:
     """Columns form a basis of Ker(M) (over Z: a basis of the full lattice)."""
     s = smith_normal_form(M)
     return s.V.take_columns(range(s.rank, M.cols))
-
-
-def image_basis(M: ExactMatrix) -> ExactMatrix:
-    """Columns form a basis of the column span (over Z: column Hermite form)."""
-    return column_hermite(M)
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +672,7 @@ class Subquotient:
     reduced_gens: ExactMatrix = None
     orders: list = field(default_factory=list)
     _basis: ExactMatrix = None      # canonical basis of span(generators)
-    _gen_solver: _Solver = None
+    _gen_solver: Solver = None
     _coord_map: ExactMatrix = None  # basis-coords -> reduced coords (U of rel SNF)
     _kept: list = field(default_factory=list)
 
@@ -726,14 +691,10 @@ class Subquotient:
         # their span so the invariant factors describe the actual group
         self._basis = column_hermite(self.generators)
         g = self._basis.cols
-        self._gen_solver = _Solver(self._basis)
-        X = []
-        for j in range(self.relations.cols):
-            x = self._gen_solver.solve(self.relations.column(j))
-            if x is None:
-                raise NotInSpanError("relations not contained in span(generators)")
-            X.append(x)
-        Xm = ExactMatrix.from_columns(self.ring, X, nrows=g)
+        self._gen_solver = Solver(self._basis)
+        Xm = self._gen_solver.solve_matrix(self.relations)
+        if Xm is None:
+            raise NotInSpanError("relations not contained in span(generators)")
         s = smith_normal_form(Xm)
         # presentation matrix diag: the invariant factors of gens/rels
         facs = list(s.divisors) + [self.ring.zero()] * (g - s.rank)
@@ -793,27 +754,41 @@ class Subquotient:
                 "torsion": [self.ring.scalar_to_json(d) for d in self.torsion]}
 
 
-def quotient_presentation(gens: ExactMatrix, rels: ExactMatrix) -> Subquotient:
-    """Subquotient span(gens)/span(rels); raises NotInSpanError when invalid."""
-    if gens.rows != rels.rows:
-        raise DimensionMismatchError("gens/rels ambient mismatch")
-    return Subquotient.from_gens_rels(gens.ring, gens, rels)
+# ---------------------------------------------------------------------------
+# Cohomology of a cochain complex
+# ---------------------------------------------------------------------------
+
+@dataclass
+class CohomologyDegree:
+    """Degree n of a cochain complex: Z^n is spanned by the last columns of
+    V of SNF(d^n), B^n by the divisor-scaled leading columns of Uinv of
+    SNF(d^{n-1})."""
+
+    ring: Ring
+    snf: SNFResult                 # of d^n : C^n -> C^{n+1}
+    prev: SNFResult | None         # of d^{n-1}; None in the lowest degree
+
+    @property
+    def kernel(self) -> ExactMatrix:
+        return self.snf.V.take_columns(range(self.snf.rank, self.snf.V.rows))
+
+    @property
+    def image(self) -> ExactMatrix:
+        p = self.prev
+        cols = [p.divisors[i] * p.Uinv.column(i) for i in range(p.rank)] if p else []
+        return ExactMatrix.from_columns(self.ring, cols, nrows=self.snf.V.rows)
+
+    def group(self) -> Subquotient:
+        """H^n = Z^n / B^n as a presented subquotient (torsion included)."""
+        return Subquotient.from_gens_rels(self.ring, self.kernel, self.image)
 
 
-def section_of_surjection(f: ExactMatrix, target: Subquotient) -> ExactMatrix:
-    """Right inverse s of f onto the target submodule: f @ s = reduced_gens.
-
-    Columns of s are preimages of the target's reduced generators; over Z a
-    torsion target is rejected (no projective splitting exists).
-    """
-    if any(d != 0 for d in target.orders):
-        raise TargetNotProjectiveError(
-            f"target has torsion orders {target.torsion}")
-    solver = _Solver(f)
-    cols = []
-    for j in range(target.reduced_gens.cols):
-        x = solver.solve(target.reduced_gens.column(j))
-        if x is None:
-            raise NotSurjectiveError(f"generator {j} has no preimage")
-        cols.append(x)
-    return ExactMatrix.from_columns(f.ring, cols, nrows=f.cols)
+def complex_cohomology(ring: Ring, degrees, d) -> dict:
+    """{n: CohomologyDegree} for the complex with differentials d(n), n in
+    the ascending, contiguous `degrees`; one SNF per degree."""
+    out, prev = {}, None
+    for n in degrees:
+        snf = smith_normal_form(d(n))
+        out[n] = CohomologyDegree(ring, snf, prev)
+        prev = snf
+    return out

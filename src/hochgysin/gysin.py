@@ -15,7 +15,10 @@ same trivial-shape system for beta_geo and correcting sigma.
 
 Everything here works at two independent levels on purpose: chain-level
 cone computations (preimages solved exactly) versus H-level theta
-blocks; the test suite compares them.
+blocks; the test suite compares them.  Multiplication by a class goes
+through HRing.left_mult / right_mult, cone cohomology through the
+shared complex_cohomology routine, and coordinates on Ann(c) and cone
+preimages through one cached solver per degree of the extension.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ import numpy as np
 
 from .dga import DgAlgebra, DgModule, validate_module
 from .exactlin import (
-    ExactMatrix, Subquotient, as_vector, kernel_basis, smith_normal_form, solve,
-    solve_with_certificate, vec_is_zero, zero_vector,
+    ExactMatrix, Solver, Subquotient, as_vector, complex_cohomology, kernel_basis,
+    kron, solve, solve_with_certificate, vec_is_zero, zero_vector,
 )
 from .hochschild import HochschildCochain
 from .sections import CohomologySections
@@ -44,17 +47,8 @@ class ConeComplex:
     z: np.ndarray                  # chain representative s(c)
     module: DgModule
 
-    def degree_range(self):
-        return self.module.degrees
-
     def rank(self, n: int) -> int:
         return self.module.rank(n)
-
-    def base_rank(self, n: int) -> int:
-        return self.algebra.rank(n)
-
-    def shift_rank(self, n: int) -> int:
-        return self.algebra.rank(n - self.c_degree + 1)
 
     def inject(self, n: int, x: np.ndarray) -> np.ndarray:
         """C^n -> cone^n, first summand."""
@@ -62,14 +56,8 @@ class ConeComplex:
         out[:len(x)] = x
         return out
 
-    def from_parts(self, n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        out = zero_vector(self.algebra.ring, self.rank(n))
-        out[:len(x)] = x
-        out[len(x):] = y
-        return out
-
     def parts(self, n: int, v: np.ndarray):
-        b = self.base_rank(n)
+        b = self.algebra.rank(n)
         return v[:b], v[b:]
 
 
@@ -107,13 +95,9 @@ def mapping_cone(a: DgAlgebra, c_degree: int, c_coords, co: CohomologySections,
     action = {}
     for q in range(a.top_degree + 1):
         for n in degrees:
-            entries = []
-            bn = a.rank(n)
-            bt = a.rank(n + q)
-            for i, j, k, cc in a.entries(n, q):
-                entries.append((i, j, k, cc))
-            for i, j, k, cc in a.entries(n - c_degree + 1, q):
-                entries.append((bn + i, j, bt + k, cc))
+            bn, bt = a.rank(n), a.rank(n + q)
+            entries = list(a.entries(n, q)) + [
+                (bn + i, j, bt + k, cc) for i, j, k, cc in a.entries(n - c_degree + 1, q)]
             if entries:
                 action[(n, q)] = tuple(entries)
 
@@ -142,33 +126,14 @@ class ConeCohomology:
     def classify(self, n: int, v: np.ndarray) -> np.ndarray:
         return self.group(n).classify(v)
 
-    def act(self, n: int, q: int, gen_coords: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Right action of a class h in H^q on a class of H^n(cone)."""
-        chain = self.group(n).lift(gen_coords)
-        sh = self.cone.sections.s_apply(q, h)
-        out = self.cone.module.act(n, q, chain, sh)
-        return self.classify(n + q, out)
-
     def describe(self) -> dict:
         return {str(n): self.groups[n].describe() for n in sorted(self.groups)}
 
 
 def cone_cohomology(cone: ConeComplex) -> ConeCohomology:
-    groups = {}
     module = cone.module
-    ring = cone.algebra.ring
-    prev_image = None
-    for n in module.degrees:
-        s = smith_normal_form(module.d(n))
-        kern = s.V.take_columns(range(s.rank, module.rank(n)))
-        if prev_image is None:
-            rels = ExactMatrix.zeros(ring, module.rank(n), 0)
-        else:
-            rels = prev_image
-        groups[n] = Subquotient.from_gens_rels(ring, kern, rels)
-        cols = [s.divisors[i] * s.Uinv.column(i) for i in range(s.rank)]
-        prev_image = ExactMatrix.from_columns(ring, cols, nrows=module.rank(n + 1))
-    return ConeCohomology(cone, groups)
+    degrees = complex_cohomology(cone.algebra.ring, module.degrees, module.d)
+    return ConeCohomology(cone, {n: g.group() for n, g in degrees.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +152,23 @@ class GysinExtension:
     ann_basis: dict               # H-degree m -> ExactMatrix (h_m x ann rank)
     sigma_chain: dict             # m -> ExactMatrix (cone^{m+|c|-1} x ann rank)
     beta_geo: dict = field(default_factory=dict)   # (m, q) -> ExactMatrix
+    _solvers: dict = field(default_factory=dict, repr=False)
 
     def ann_rank(self, m: int) -> int:
         return self.ann_basis[m].cols if m in self.ann_basis else 0
 
-    def kernel_group(self, n: int) -> Subquotient:
-        return self.kernel[n]
+    def _solver(self, key, matrix) -> Solver:
+        """One solver per system; matrix() builds it on first use."""
+        if key not in self._solvers:
+            self._solvers[key] = Solver(matrix())
+        return self._solvers[key]
+
+    def ann_coords(self, m: int, v: np.ndarray):
+        """Coordinates of v in H^m on the Ann(c) basis, or None outside Ann(c).
+
+        The basis has full column rank, so the coordinates are unique.
+        """
+        return self._solver(("ann", m), lambda: self.ann_basis[m]).solve(v)
 
     def target_degree(self, m: int, q: int) -> int:
         return m + q + self.c_degree - 1
@@ -212,40 +188,16 @@ class GysinExtension:
 def _annihilator_bases(co: CohomologySections, c_degree: int, c_coords):
     """Per degree m, a basis of Ann(c) in H^m = kernel of left multiplication."""
     h = co.h()
-    ring = h.ring
-    out = {}
-    for m in range(h.top + 1):
-        hm = h.rank(m)
-        if hm == 0:
-            continue
-        target = h.rank(m + c_degree)
-        cols = []
-        for b in range(hm):
-            e = zero_vector(ring, hm)
-            e[b] = ring.one()
-            cols.append(h.multiply(c_degree, m, c_coords, e))
-        lmat = ExactMatrix.from_columns(ring, cols, nrows=target)
-        out[m] = kernel_basis(lmat)
-    return out
+    return {m: kernel_basis(h.left_mult(c_degree, c_coords, m))
+            for m in range(h.top + 1) if h.rank(m)}
 
 
 def _kernel_groups(co: CohomologySections, c_degree: int, c_coords):
     """Per degree n, the subquotient H^n/(c H^{n - |c|})."""
     h = co.h()
-    ring = h.ring
-    out = {}
-    for n in range(h.top + 1):
-        hn = h.rank(n)
-        gens = ExactMatrix.identity(ring, hn)
-        src = h.rank(n - c_degree)
-        cols = []
-        for b in range(src):
-            e = zero_vector(ring, src)
-            e[b] = ring.one()
-            cols.append(h.multiply(c_degree, n - c_degree, c_coords, e))
-        rels = ExactMatrix.from_columns(ring, cols, nrows=hn)
-        out[n] = Subquotient.from_gens_rels(ring, gens, rels)
-    return out
+    return {n: Subquotient.from_gens_rels(h.ring, ExactMatrix.identity(h.ring, h.rank(n)),
+                                          h.left_mult(c_degree, c_coords, n - c_degree))
+            for n in range(h.top + 1)}
 
 
 def gysin_extension(a: DgAlgebra, c_degree: int, c_coords,
@@ -259,16 +211,10 @@ def gysin_extension(a: DgAlgebra, c_degree: int, c_coords,
     ann = _annihilator_bases(co, c_degree, c_coords)
 
     # sigma(x) = class of (-q(c, x), s(x)) at cone degree m + |c| - 1
-    sigma_chain = {}
-    for m, basis in ann.items():
-        n = m + c_degree - 1
-        cols = []
-        for j in range(basis.cols):
-            x = basis.column(j)
-            qcx = co.q_pair(c_degree, c_coords, m, x)
-            sx = co.s_apply(m, x)
-            cols.append(cone.from_parts(n, ring.reduce_array(-qcx), sx))
-        sigma_chain[m] = ExactMatrix.from_columns(ring, cols, nrows=cone.rank(n))
+    c_col = ExactMatrix.from_columns(ring, [c_coords], nrows=len(c_coords))
+    sigma_chain = {m: ExactMatrix(ring, np.vstack([
+        (-(co.qpair_block(c_degree, m) @ kron(c_col, basis))).data,
+        (co.s_matrix(m) @ basis).data])) for m, basis in ann.items()}
 
     ext = GysinExtension(a, co, c_degree, c_coords, cone, cone_h, kernel, ann,
                          sigma_chain)
@@ -283,16 +229,41 @@ def _cone_class_preimage(ext: GysinExtension, n: int, w: np.ndarray) -> np.ndarr
     guarantees a solution whenever the projection of [w] vanishes.
     """
     co = ext.sections
-    ring = co.ring
     hn = co.hr(n)
     cone = ext.cone
-    s_cols = [cone.inject(n, co.s_matrix(n).column(j)) for j in range(hn)]
-    s_block = ExactMatrix.from_columns(ring, s_cols, nrows=cone.rank(n))
-    system = s_block.hstack(cone.module.d(n - 1))
-    sol = solve(system, w)
+
+    def system():
+        s_cols = [cone.inject(n, co.s_matrix(n).column(j)) for j in range(hn)]
+        s_block = ExactMatrix.from_columns(co.ring, s_cols, nrows=cone.rank(n))
+        return s_block.hstack(cone.module.d(n - 1))
+    sol = ext._solver(("preimage", n), system).solve(w)
     if sol is None:
         raise AssertionError("cone class has no preimage in H; exactness broken?")
     return sol[:hn]
+
+
+def _beta_blocks(ext: GysinExtension, values) -> dict:
+    """{(m, q): matrix} of a bilinear beta: Ann(c)^m x H^q -> H/(cH).
+
+    Column jx * h_q + jy classifies in H^{m+q+|c|-1}/(cH) the jy-th of the
+    ambient vectors values(m, q, jx) returns for the jx-th Ann(c) basis
+    vector x and the basis classes y = e_jy of H^q.
+    """
+    h = ext.sections.h()
+    out = {}
+    for m, basis in ext.ann_basis.items():
+        if basis.cols == 0:
+            continue
+        for q in range(h.top + 1):
+            nprime = ext.target_degree(m, q)
+            ktarget = ext.kernel.get(nprime)
+            if h.rank(q) == 0 or ktarget is None or h.rank(nprime) == 0:
+                continue
+            cols = [ktarget.classify(v) for jx in range(basis.cols)
+                    for v in values(m, q, jx)]
+            out[(m, q)] = ExactMatrix.from_columns(
+                h.ring, cols, nrows=len(ktarget.orders))
+    return out
 
 
 def _compute_beta_geo(ext: GysinExtension) -> dict:
@@ -301,68 +272,37 @@ def _compute_beta_geo(ext: GysinExtension) -> dict:
     h = co.h()
     ring = h.ring
     cone = ext.cone
-    out = {}
-    for m, basis in ext.ann_basis.items():
-        if basis.cols == 0:
-            continue
-        ncone = m + ext.c_degree - 1
-        for q in range(h.top + 1):
-            hq = h.rank(q)
-            nprime = ext.target_degree(m, q)
-            ktarget = ext.kernel.get(nprime)
-            if hq == 0 or ktarget is None or h.rank(nprime) == 0:
-                continue
-            cols = []
-            for jx in range(basis.cols):
-                x = basis.column(jx)
-                sigma_x = ext.sigma_chain[m].column(jx)
-                for jy in range(hq):
-                    y = zero_vector(ring, hq)
-                    y[jy] = ring.one()
-                    sy = co.s_apply(q, y)
-                    prod = cone.module.act(ncone, q, sigma_x, sy)
-                    xy = h.multiply(m, q, x, y)
-                    if (m + q) in ext.sigma_chain:
-                        xy_ann = solve(ext.ann_basis[m + q], xy)
-                        if xy_ann is None:
-                            raise AssertionError("Ann(c) is not closed under the action")
-                        sig_xy = ext.sigma_chain[m + q].matvec(xy_ann)
-                    else:
-                        sig_xy = zero_vector(ring, cone.rank(nprime))
-                    w = ring.reduce_array(prod - sig_xy)
-                    hclass = _cone_class_preimage(ext, nprime, w)
-                    cols.append(ktarget.classify(hclass))
-            out[(m, q)] = ExactMatrix.from_columns(
-                ring, cols, nrows=len(ktarget.orders))
-    return out
+
+    def values(m, q, jx):
+        ncone, nprime = m + ext.c_degree - 1, ext.target_degree(m, q)
+        sigma_x = ext.sigma_chain[m].column(jx)
+        x_times = h.left_mult(m, ext.ann_basis[m].column(jx), q)
+        s_q = co.s_matrix(q)
+        out = []
+        for jy in range(h.rank(q)):
+            prod = cone.module.act(ncone, q, sigma_x, s_q.column(jy))
+            if (m + q) in ext.sigma_chain:
+                xy_ann = ext.ann_coords(m + q, x_times.column(jy))
+                if xy_ann is None:
+                    raise AssertionError("Ann(c) is not closed under the action")
+                sig_xy = ext.sigma_chain[m + q].matvec(xy_ann)
+            else:
+                sig_xy = zero_vector(ring, cone.rank(nprime))
+            out.append(_cone_class_preimage(ext, nprime, ring.reduce_array(prod - sig_xy)))
+        return out
+    return _beta_blocks(ext, values)
 
 
 def beta_from_theta(th: HochschildCochain, ext: GysinExtension) -> dict:
     """beta_theta(x, y) = theta(c, x, y) mod cH on the same block layout."""
-    co = ext.sections
-    h = co.h()
-    ring = h.ring
-    out = {}
-    for m, basis in ext.ann_basis.items():
-        if basis.cols == 0:
-            continue
-        for q in range(h.top + 1):
-            hq = h.rank(q)
-            nprime = ext.target_degree(m, q)
-            ktarget = ext.kernel.get(nprime)
-            if hq == 0 or ktarget is None or h.rank(nprime) == 0:
-                continue
-            cols = []
-            for jx in range(basis.cols):
-                x = basis.column(jx)
-                for jy in range(hq):
-                    y = zero_vector(ring, hq)
-                    y[jy] = ring.one()
-                    val = th.value((ext.c_degree, m, q), [ext.c_coords, x, y])
-                    cols.append(ktarget.classify(val))
-            out[(m, q)] = ExactMatrix.from_columns(
-                ring, cols, nrows=len(ktarget.orders))
-    return out
+    h = ext.sections.h()
+
+    def values(m, q, jx):
+        x = ext.ann_basis[m].column(jx)
+        ident = ExactMatrix.identity(h.ring, h.rank(q))
+        return [th.value((ext.c_degree, m, q), [ext.c_coords, x, ident.column(jy)])
+                for jy in range(h.rank(q))]
+    return _beta_blocks(ext, values)
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +316,7 @@ def _solve_trivial_shape(ext: GysinExtension, beta: dict):
     slack coefficients absorbing the cH ambiguity per equation block.
     Returns (b_blocks, None) or (None, certificate).
     """
-    co = ext.sections
-    h = co.h()
+    h = ext.sections.h()
     ring = h.ring
     shift = ext.c_degree - 1
     offsets = {}
@@ -389,82 +328,57 @@ def _solve_trivial_shape(ext: GysinExtension, beta: dict):
             offsets[m] = (total, r, ht)
             total += r * ht
 
-    slack_total = 0
-    equations = []
+    equations = []                          # (unknown part, cH relations, rhs)
     for (m, q), block in sorted(beta.items()):
-        nprime = ext.target_degree(m, q)
-        ktarget = ext.kernel[nprime]
+        ktarget = ext.kernel[ext.target_degree(m, q)]
         rels = ktarget.relations            # ambient columns spanning cH
-        r_ann = ext.ann_rank(m)
-        hq = h.rank(q)
-        for jx in range(r_ann):
-            x = ext.ann_basis[m].column(jx)
+        hn, hq = rels.rows, h.rank(q)
+        ident_n, ident_q = ExactMatrix.identity(ring, hn), ExactMatrix.identity(ring, hq)
+        for jx in range(ext.ann_rank(m)):
+            x_times = h.left_mult(m, ext.ann_basis[m].column(jx), q)
             for jy in range(hq):
-                y = zero_vector(ring, hq)
-                y[jy] = ring.one()
-                xy = h.multiply(m, q, x, y)
-                xy_ann = solve(ext.ann_basis[m + q], xy) \
-                    if (m + q) in ext.ann_basis else None
-                beta_amb = ktarget.lift(block.column(jx * hq + jy))
-                equations.append((m, q, jx, jy, xy_ann, beta_amb, nprime,
-                                  slack_total, rels))
-                slack_total += rels.cols
+                eq = ExactMatrix.zeros(ring, hn, total)
+                # + b(xy): unknown block at degree m + q
+                if (m + q) in offsets:
+                    off, r2, _ = offsets[m + q]
+                    xy_ann = ext.ann_coords(m + q, x_times.column(jy))
+                    eq.data[:, off:off + r2 * hn] = \
+                        kron(ExactMatrix.from_rows(ring, [xy_ann]), ident_n).data
+                # - b(x) y: right multiplication of the degree-(m+shift) unknown by e_y
+                if m in offsets:
+                    off, _, ht1 = offsets[m]
+                    cols = slice(off + jx * ht1, off + (jx + 1) * ht1)
+                    eq.data[:, cols] = ring.reduce_array(
+                        eq.data[:, cols] - h.right_mult(m + shift, q, ident_q.column(jy)).data)
+                equations.append((eq, rels, ktarget.lift(block.column(jx * hq + jy))))
 
     if not equations:
         return {m: ExactMatrix.zeros(ring, h.rank(m + shift), ext.ann_rank(m))
                 for m in ext.ann_basis}, None
 
-    nrows = sum(h.rank(nprime) for (_, _, _, _, _, _, nprime, _, _) in equations)
-    system = ExactMatrix.zeros(ring, nrows, total + slack_total)
+    # slack columns - rels * t, one block per equation (working modulo cH)
+    nrows = sum(eq.rows for eq, _, _ in equations)
+    system = ExactMatrix.zeros(ring, nrows, total + sum(r.cols for _, r, _ in equations))
     rhs = zero_vector(ring, nrows)
-    row0 = 0
-    for (m, q, jx, jy, xy_ann, beta_amb, nprime, slack_off, rels) in equations:
-        hn = h.rank(nprime)
-        # + b(xy): unknown block at degree m + q
-        if xy_ann is not None and (m + q) in offsets and not vec_is_zero(xy_ann):
-            off, r2, ht2 = offsets[m + q]
-            for a2 in range(r2):
-                if xy_ann[a2] == 0:
-                    continue
-                for t in range(ht2):
-                    col = off + a2 * ht2 + t
-                    system.data[row0 + t, col] = ring.normalize(
-                        system.data[row0 + t, col] + xy_ann[a2])
-        # - b(x) y: right multiplication of the degree-(m+shift) unknown by e_y
-        if m in offsets:
-            off, r1, ht1 = offsets[m]
-            mult = h.mult_block(m + shift, q)
-            for t_src in range(ht1):
-                col = off + jx * ht1 + t_src
-                mcol = mult.column(t_src * hq + jy)
-                for t in range(hn):
-                    if mcol[t] != 0:
-                        system.data[row0 + t, col] = ring.normalize(
-                            system.data[row0 + t, col] - mcol[t])
-        # slack: - rels * t  (working modulo cH)
-        for sidx in range(rels.cols):
-            col = total + slack_off + sidx
-            rc = rels.column(sidx)
-            for t in range(hn):
-                if rc[t] != 0:
-                    system.data[row0 + t, col] = ring.neg(rc[t])
-        rhs[row0:row0 + hn] = beta_amb
-        row0 += hn
+    row0, col0 = 0, total
+    for eq, rels, beta_amb in equations:
+        rows = slice(row0, row0 + eq.rows)
+        system.data[rows, :total] = eq.data
+        system.data[rows, col0:col0 + rels.cols] = (-rels).data
+        rhs[rows] = beta_amb
+        row0, col0 = row0 + eq.rows, col0 + rels.cols
 
     x, cert = solve_with_certificate(system, rhs)
     if x is None:
         return None, cert
     b_blocks = {}
     for m in sorted(ext.ann_basis):
-        r = ext.ann_rank(m)
-        ht = h.rank(m + shift)
-        blk = ExactMatrix.zeros(ring, ht, r)
+        r, ht = ext.ann_rank(m), h.rank(m + shift)
         if m in offsets:
-            off, _, _ = offsets[m]
-            for a2 in range(r):
-                for t in range(ht):
-                    blk.data[t, a2] = x[off + a2 * ht + t]
-        b_blocks[m] = blk
+            off = offsets[m][0]
+            b_blocks[m] = ExactMatrix(ring, x[off:off + r * ht].reshape(r, ht).T.copy())
+        else:
+            b_blocks[m] = ExactMatrix.zeros(ring, ht, r)
     return b_blocks, None
 
 
@@ -530,15 +444,9 @@ def split_extension(ext: GysinExtension, theta_witness: HochschildCochain = None
 
     seed_blocks = None
     if theta_witness is not None:
-        seed_blocks = {}
-        for m, basis in ext.ann_basis.items():
-            ht = h.rank(m + shift)
-            blk = ExactMatrix.zeros(ring, ht, basis.cols)
-            for jx in range(basis.cols):
-                val = theta_witness.value((ext.c_degree, m),
-                                          [ext.c_coords, basis.column(jx)])
-                blk.data[:, jx] = val
-            seed_blocks[m] = blk
+        c_col = ExactMatrix.from_columns(ring, [ext.c_coords], nrows=len(ext.c_coords))
+        seed_blocks = {m: theta_witness.block_or_zero((ext.c_degree, m)) @ kron(c_col, basis)
+                       for m, basis in ext.ann_basis.items()}
 
     target = ext.beta_geo
     if seed_blocks is not None:
@@ -575,30 +483,21 @@ def split_extension(ext: GysinExtension, theta_witness: HochschildCochain = None
 
 def _trivial_shape_beta(ext: GysinExtension, b: dict) -> dict:
     """The beta blocks b(xy) - b(x) y, classified like beta_geo."""
-    co = ext.sections
-    h = co.h()
+    h = ext.sections.h()
     ring = h.ring
     shift = ext.c_degree - 1
-    out = {}
-    for (m, q) in ext.beta_geo:
-        nprime = ext.target_degree(m, q)
-        kt = ext.kernel[nprime]
-        hq = h.rank(q)
-        cols = []
-        for jx in range(ext.ann_rank(m)):
-            x = ext.ann_basis[m].column(jx)
-            for jy in range(hq):
-                y = zero_vector(ring, hq)
-                y[jy] = ring.one()
-                xy = h.multiply(m, q, x, y)
-                acc = zero_vector(ring, h.rank(nprime))
-                if m + q <= h.top and ext.ann_rank(m + q):
-                    xy_ann = solve(ext.ann_basis[m + q], xy)
-                    acc = acc + b[m + q].matvec(xy_ann)
-                acc = acc - h.multiply(m + shift, q, b[m].column(jx), y)
-                cols.append(kt.classify(ring.reduce_array(acc)))
-        out[(m, q)] = ExactMatrix.from_columns(ring, cols, nrows=len(kt.orders))
-    return out
+
+    def values(m, q, jx):
+        x_times = h.left_mult(m, ext.ann_basis[m].column(jx), q)
+        b_times = h.left_mult(m + shift, b[m].column(jx), q)
+        out = []
+        for jy in range(h.rank(q)):
+            acc = zero_vector(ring, h.rank(ext.target_degree(m, q)))
+            if m + q <= h.top and ext.ann_rank(m + q):
+                acc = acc + b[m + q].matvec(ext.ann_coords(m + q, x_times.column(jy)))
+            out.append(ring.reduce_array(acc - b_times.column(jy)))
+        return out
+    return _beta_blocks(ext, values)
 
 
 def _verify_split(ext: GysinExtension, section: SplitSection) -> None:
@@ -609,26 +508,23 @@ def _verify_split(ext: GysinExtension, section: SplitSection) -> None:
     cone = ext.cone
     for m, basis in ext.ann_basis.items():
         n = m + ext.c_degree - 1
+        if not _projects_to_ann(ext, m, section.sigma_tilde_chain[m]):
+            raise AssertionError("sigma_tilde is not a section of the projection")
         for jx in range(basis.cols):
             w = section.sigma_tilde_chain[m].column(jx)
-            xpart, ypart = cone.parts(n, w)
-            proj = co.pi(m, ypart)
-            if any(u != v for u, v in zip(proj, basis.column(jx))):
-                raise AssertionError("sigma_tilde is not a section of the projection")
             # H-linearity at class level: sigma~(x h) = sigma~(x) h
             for q in range(h.top + 1):
                 hq = h.rank(q)
                 if hq == 0:
                     continue
                 nt = n + q
+                s_q = co.s_matrix(q)
+                x_times = h.left_mult(m, basis.column(jx), q)
                 for jy in range(hq):
-                    y = zero_vector(ring, hq)
-                    y[jy] = ring.one()
                     lhs = ext.cone_h.classify(
-                        nt, cone.module.act(n, q, w, co.s_apply(q, y)))
+                        nt, cone.module.act(n, q, w, s_q.column(jy)))
                     if (m + q) in ext.ann_basis:
-                        xy = h.multiply(m, q, basis.column(jx), y)
-                        xy_ann = solve(ext.ann_basis[m + q], xy)
+                        xy_ann = ext.ann_coords(m + q, x_times.column(jy))
                         rhs_chain = section.sigma_tilde_chain[m + q].matvec(xy_ann)
                         rhs = ext.cone_h.classify(nt, rhs_chain)
                     else:
@@ -645,8 +541,7 @@ def _verify_split(ext: GysinExtension, section: SplitSection) -> None:
 def check_extension_exactness(ext: GysinExtension) -> dict:
     """Per cone degree: injectivity, kernel-image agreement, surjectivity."""
     co = ext.sections
-    h = co.h()
-    ring = h.ring
+    ring = co.ring
     cone = ext.cone
     results = {}
     for n in cone.module.degrees:
@@ -654,49 +549,42 @@ def check_extension_exactness(ext: GysinExtension) -> dict:
         kq = ext.kernel.get(n)
         m = n - ext.c_degree + 1
         ann = ext.ann_basis.get(m)
+        # iota on kernel generators, classified in H^n(cone)
+        gens = kq.reduced_gens if kq is not None else ExactMatrix.zeros(ring, 0, 0)
+        iota = ExactMatrix.from_columns(
+            ring, [nh.classify(cone.inject(n, co.s_apply(n, gens.column(j))))
+                   for j in range(gens.cols)], nrows=len(nh.orders))
+        rels = _order_relations(ring, nh.orders)
         entry = {}
-        # iota on kernel generators
-        if kq is not None and len(kq.orders):
-            imgs = []
-            for j in range(kq.reduced_gens.cols):
-                g = kq.reduced_gens.column(j)
-                imgs.append(nh.classify(cone.inject(n, co.s_apply(n, g))))
-            f = ExactMatrix.from_columns(ring, imgs, nrows=len(nh.orders))
-            entry["iota_injective"] = _presented_map_injective(
-                ring, f, kq.orders, nh.orders)
-        else:
-            entry["iota_injective"] = True
+        entry["iota_injective"] = kq is None or not len(kq.orders) or \
+            _presented_map_injective(iota, rels, _order_relations(ring, kq.orders))
         # image of iota = kernel of projection, and projection surjective
-        entry["exact_at_middle"] = _exactness_at_middle(ext, n)
-        entry["proj_surjective"] = True if ann is None or ann.cols == 0 else \
-            _projection_surjective(ext, n, m)
+        entry["exact_at_middle"] = _exactness_at_middle(ext, n, iota, rels)
+        # sigma supplies a preimage of every Ann(c) basis vector
+        entry["proj_surjective"] = ann is None or ann.cols == 0 or \
+            _projects_to_ann(ext, m, ext.sigma_chain[m])
         results[n] = entry
     return results
 
 
-def _presented_map_injective(ring, f: ExactMatrix, src_orders, dst_orders) -> bool:
-    """Injectivity of a map between presented groups given on generators."""
-    rels = ExactMatrix.zeros(ring, f.rows, 0)
+def _order_relations(ring, orders) -> ExactMatrix:
+    """Columns d_j e_j, one per nonzero order d_j of a presented group."""
     cols = []
-    for j, d in enumerate(dst_orders):
+    for j, d in enumerate(orders):
         if d != 0:
-            col = zero_vector(ring, f.rows)
+            col = zero_vector(ring, len(orders))
             col[j] = ring.normalize(d)
             cols.append(col)
-    if cols:
-        rels = ExactMatrix.from_columns(ring, cols, nrows=f.rows)
-    big = f.hstack(rels) if rels.cols else f
+    return ExactMatrix.from_columns(ring, cols, nrows=len(orders))
+
+
+def _presented_map_injective(f: ExactMatrix, dst_rels: ExactMatrix,
+                             src_rels: ExactMatrix) -> bool:
+    """Injectivity of a map between presented groups given on generators."""
+    big = f.hstack(dst_rels) if dst_rels.cols else f
     kern = kernel_basis(big)
-    src_rel_cols = []
-    for j, d in enumerate(src_orders):
-        if d != 0:
-            col = zero_vector(ring, len(src_orders))
-            col[j] = ring.normalize(d)
-            src_rel_cols.append(col)
-    src_rels = ExactMatrix.from_columns(ring, src_rel_cols,
-                                        nrows=len(src_orders))
     for j in range(kern.cols):
-        xpart = kern.column(j)[:len(src_orders)]
+        xpart = kern.column(j)[:f.cols]
         if vec_is_zero(xpart):
             continue
         if solve(src_rels, xpart) is None:
@@ -704,8 +592,9 @@ def _presented_map_injective(ring, f: ExactMatrix, src_orders, dst_orders) -> bo
     return True
 
 
-def _exactness_at_middle(ext: GysinExtension, n: int) -> bool:
-    """ker(proj) = im(iota) inside H^n(cone)."""
+def _exactness_at_middle(ext: GysinExtension, n: int, iota: ExactMatrix,
+                         rels: ExactMatrix) -> bool:
+    """ker(proj) = im(iota) inside H^n(cone), presented with relations rels."""
     co = ext.sections
     ring = co.ring
     cone = ext.cone
@@ -726,7 +615,7 @@ def _exactness_at_middle(ext: GysinExtension, n: int) -> bool:
                 return False
             pcols.append(zero_vector(ring, 0))
         else:
-            coords = solve(ann, proj)
+            coords = ext.ann_coords(m, proj)
             if coords is None:
                 return False          # projection landed outside Ann(c)
             pcols.append(coords)
@@ -735,38 +624,20 @@ def _exactness_at_middle(ext: GysinExtension, n: int) -> bool:
     else:
         pmat = ExactMatrix.from_columns(ring, pcols, nrows=ann.cols)
         pker = kernel_basis(pmat)
-    # iota image: columns = classes of (s(g), 0) over kernel-group generators
-    kq = ext.kernel.get(n)
-    icols = []
-    if kq is not None:
-        for j in range(kq.reduced_gens.cols):
-            g = kq.reduced_gens.column(j)
-            icols.append(ext.cone_h.classify(n, cone.inject(n, co.s_apply(n, g))))
-    imat = ExactMatrix.from_columns(ring, icols, nrows=len(nh.orders))
-    # relations of the middle presentation
-    rel_cols = []
-    for j, d in enumerate(nh.orders):
-        if d != 0:
-            col = zero_vector(ring, len(nh.orders))
-            col[j] = ring.normalize(d)
-            rel_cols.append(col)
-    rels = ExactMatrix.from_columns(ring, rel_cols, nrows=len(nh.orders))
-    span = imat.hstack(rels) if rels.cols else imat
+    span = iota.hstack(rels) if rels.cols else iota
     for j in range(pker.cols):
         if solve(span, pker.column(j)) is None:
             return False
     return True
 
 
-def _projection_surjective(ext: GysinExtension, n: int, m: int) -> bool:
-    """Every Ann basis vector is hit: sigma supplies the preimage."""
-    co = ext.sections
+def _projects_to_ann(ext: GysinExtension, m: int, chains: ExactMatrix) -> bool:
+    """Column j of chains (in cone^{m+|c|-1}) projects to the j-th Ann(c)
+    basis vector of H^m."""
     ann = ext.ann_basis[m]
-    cone = ext.cone
+    n = m + ext.c_degree - 1
     for j in range(ann.cols):
-        w = ext.sigma_chain[m].column(j)
-        xpart, ypart = cone.parts(n, w)
-        proj = co.pi(m, ypart)
-        if any(u != v for u, v in zip(proj, ann.column(j))):
+        _, ypart = ext.cone.parts(n, chains.column(j))
+        if any(u != v for u, v in zip(ext.sections.pi(m, ypart), ann.column(j))):
             return False
     return True

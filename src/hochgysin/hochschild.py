@@ -43,7 +43,6 @@ class TwistedBimodule:
     degrees shifted up by one."""
 
     base: HRing
-    shift: int = 1
 
 
 @dataclass
@@ -93,19 +92,18 @@ class HochschildCochain:
     def is_zero(self) -> bool:
         return all(b.is_zero() for b in self.blocks.values())
 
-    def __add__(self, other: "HochschildCochain") -> "HochschildCochain":
+    def _blockwise(self, other: "HochschildCochain", op) -> "HochschildCochain":
         out = HochschildCochain(self.arity, self.internal_degree,
                                 list(self.h_ranks), self.ring, {})
         for tup in set(self.blocks) | set(other.blocks):
-            out.set_block(tup, self.block_or_zero(tup) + other.block_or_zero(tup))
+            out.set_block(tup, op(self.block_or_zero(tup), other.block_or_zero(tup)))
         return out
 
+    def __add__(self, other: "HochschildCochain") -> "HochschildCochain":
+        return self._blockwise(other, ExactMatrix.__add__)
+
     def __sub__(self, other: "HochschildCochain") -> "HochschildCochain":
-        out = HochschildCochain(self.arity, self.internal_degree,
-                                list(self.h_ranks), self.ring, {})
-        for tup in set(self.blocks) | set(other.blocks):
-            out.set_block(tup, self.block_or_zero(tup) - other.block_or_zero(tup))
-        return out
+        return self._blockwise(other, ExactMatrix.__sub__)
 
     def __eq__(self, other):
         if not isinstance(other, HochschildCochain):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactlin import ExactMatrix, Subquotient, vec_is_zero, zero_vector
+from .exactlin import Subquotient, vec_is_zero, zero_vector
 from .hochschild import theta_value
 from .sections import CohomologySections
 
@@ -34,9 +34,7 @@ class MasseyResult:
     indeterminacy: Subquotient     # span of x H^{|y|+|z|-1} + H^{|x|+|y|-1} z
 
     def is_zero_coset(self) -> bool:
-        if len(self.representative) == 0:
-            return True
-        return self.indeterminacy.is_member(self.representative)
+        return self.same_coset(zero_vector(self.indeterminacy.ring, len(self.representative)))
 
     def same_coset(self, other_rep: np.ndarray) -> bool:
         if len(self.representative) == 0:
@@ -47,22 +45,10 @@ class MasseyResult:
 
 def indeterminacy_submodule(co: CohomologySections, px: int, x, py: int, y,
                             pz: int, z) -> Subquotient:
+    """x H^{|y|+|z|-1} + H^{|x|+|y|-1} z inside H^{|x|+|y|+|z|-1}."""
     h = co.h()
-    ring = h.ring
-    n = px + py + pz - 1
-    cols = []
-    dy = py + pz - 1
-    for b in range(h.rank(dy)):
-        e = zero_vector(ring, h.rank(dy))
-        e[b] = ring.one()
-        cols.append(h.multiply(px, dy, x, e))
-    dx = px + py - 1
-    for b in range(h.rank(dx)):
-        e = zero_vector(ring, h.rank(dx))
-        e[b] = ring.one()
-        cols.append(h.multiply(dx, pz, e, z))
-    gens = ExactMatrix.from_columns(ring, cols, nrows=h.rank(n))
-    return Subquotient.from_gens_rels(ring, gens)
+    gens = h.left_mult(px, x, py + pz - 1).hstack(h.right_mult(px + py - 1, pz, z))
+    return Subquotient.from_gens_rels(h.ring, gens)
 
 
 def massey_triple(co: CohomologySections, px: int, x, py: int, y,
@@ -81,11 +67,3 @@ def massey_triple(co: CohomologySections, px: int, x, py: int, y,
         zero_vector(co.ring, 0)
     return MasseyResult((px, py, pz), n, rep,
                         indeterminacy_submodule(co, px, x, py, y, pz, z))
-
-
-def coset_stable(co1: CohomologySections, co2: CohomologySections,
-                 px: int, x, py: int, y, pz: int, z) -> bool:
-    """True when the two packages' triple products agree modulo indeterminacy."""
-    r1 = massey_triple(co1, px, x, py, y, pz, z)
-    r2 = massey_triple(co2, px, x, py, y, pz, z)
-    return r1.same_coset(r2.representative)

@@ -25,8 +25,8 @@ import numpy as np
 
 from .dga import DgAlgebra, dga_from_json, dga_to_json
 from .exactlin import (
-    ExactMatrix, Ring, Subquotient, as_vector, smith_normal_form,
-    vec_is_zero, zero_vector,
+    DimensionMismatchError, ExactMatrix, Ring, Subquotient, complex_cohomology, kron,
+    smith_normal_form, vec_is_zero, zero_vector,
 )
 
 
@@ -48,6 +48,10 @@ class ProductNotACoboundaryError(Exception):
 
 
 class UnitNotPrimitiveError(Exception):
+    pass
+
+
+class SectionsFormatError(Exception):
     pass
 
 
@@ -81,8 +85,18 @@ class HRing:
             return zero_vector(self.ring, self.rank(p + q))
         return self.mult_block(p, q).matvec(np.outer(x, y).reshape(len(x) * len(y)))
 
-    def total_rank(self) -> int:
-        return sum(self.ranks)
+    def _column(self, x) -> ExactMatrix:
+        return ExactMatrix.from_columns(self.ring, [x], nrows=len(x))
+
+    def left_mult(self, p: int, x, q: int) -> ExactMatrix:
+        """Matrix of y -> x y on H^q, for the class x in H^p."""
+        ident = ExactMatrix.identity(self.ring, self.rank(q))
+        return self.mult_block(p, q) @ kron(self._column(x), ident)
+
+    def right_mult(self, p: int, q: int, z) -> ExactMatrix:
+        """Matrix of y -> y z on H^p, for the class z in H^q."""
+        ident = ExactMatrix.identity(self.ring, self.rank(p))
+        return self.mult_block(p, q) @ kron(ident, self._column(z))
 
 
 class CohomologySections:
@@ -228,54 +242,33 @@ class CohomologySections:
             self._h = HRing(self.ring, list(self.h_rank), mult)
         return self._h
 
-    def h_product(self, p: int, q: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.h().multiply(p, q, x, y)
-
 
 def compute_cohomology(a: DgAlgebra) -> list[Subquotient]:
     """Ker(d^n)/Im(d^{n-1}) per degree as subquotients (torsion included)."""
-    out = []
-    prev_image = None
-    for n in range(a.top_degree + 1):
-        s = smith_normal_form(a.d(n))
-        kernel = s.V.take_columns(range(s.rank, a.rank(n)))
-        if prev_image is None:
-            rels = ExactMatrix.zeros(a.ring, a.rank(n), 0)
-        else:
-            rels = prev_image
-        out.append(Subquotient.from_gens_rels(a.ring, kernel, rels))
-        cols = [s.divisors[i] * s.Uinv.column(i) for i in range(s.rank)]
-        prev_image = ExactMatrix.from_columns(a.ring, cols, nrows=a.rank(n + 1))
-    return out
+    degrees = complex_cohomology(a.ring, range(a.top_degree + 1), a.d)
+    return [g.group() for g in degrees.values()]
 
 
 def build_sections(a: DgAlgebra, seed=None) -> CohomologySections:
     """Construct the splitting package; TorsionHomologyError over Z with torsion."""
     ring = a.ring
     co = CohomologySections(a, seed)
-    snf = {n: smith_normal_form(a.d(n)) for n in range(a.top_degree + 1)}
-
-    for n in range(a.top_degree + 1):
-        s = snf[n]
-        co._coc_inv[n] = s.Vinv
-        co._coc_rank[n] = s.rank
-        co.kernel_basis[n] = s.V.take_columns(range(s.rank, a.rank(n)))
-        if n > 0:
-            prev = snf[n - 1]
-            cols = [prev.divisors[i] * prev.Uinv.column(i) for i in range(prev.rank)]
-            co.image_basis[n] = ExactMatrix.from_columns(ring, cols, nrows=a.rank(n))
+    for n, g in complex_cohomology(ring, range(a.top_degree + 1), a.d).items():
+        co._coc_inv[n] = g.snf.Vinv
+        co._coc_rank[n] = g.snf.rank
+        co.kernel_basis[n] = g.kernel
+        co.image_basis[n] = g.image
+        prev = g.prev
+        if prev is not None:
             co.q[n] = prev.V.take_columns(range(prev.rank))
             co._im_rows[n] = prev.U.take_rows(range(prev.rank))
             co._im_div[n] = list(prev.divisors)
         else:
-            co.image_basis[0] = ExactMatrix.zeros(ring, a.rank(0), 0)
             co.q[0] = ExactMatrix.zeros(ring, 0, 0)
             co._im_rows[0] = ExactMatrix.zeros(ring, 0, a.rank(0))
             co._im_div[0] = []
-
-    for n in range(a.top_degree + 1):
-        z = co.z_rank(n)
         # coboundaries in kernel coordinates
+        z = co.z_rank(n)
         full = co._coc_inv[n] @ co.image_basis[n]
         r = co._coc_rank[n]
         head = full.take_rows(range(r))
@@ -311,26 +304,16 @@ def _normalize_unit(co: CohomologySections) -> None:
     if not ring.is_unit(s.divisors[0]):
         raise UnitNotPrimitiveError(
             f"unit class {list(u_cls)} is not part of a basis of H^0")
-    w = s.U.copy()
+    w, winv = s.U.copy(), s.Uinv.copy()
     lead = w.matvec(u_cls)[0]
     if lead != ring.one():
         w.data[0] = ring.reduce_array(ring.inv(lead) * w.data[0])
+        winv.data[:, 0] = ring.reduce_array(lead * winv.data[:, 0])
     co._class_map[0] = w @ co._class_map[0]
     # s gets the inverse recombination; then the unit column is pinned to 1
-    co.s[0] = co.s[0] @ _invert_unimodular(w)
+    co.s[0] = co.s[0] @ winv
     co.s[0].data[:, 0] = co.algebra.unit
     co._pi_mat.pop(0, None)
-
-
-def _invert_unimodular(m: ExactMatrix) -> ExactMatrix:
-    s = smith_normal_form(m)
-    if any(not m.ring.is_unit(d) for d in s.divisors) or s.rank != m.rows:
-        raise ValueError("matrix is not invertible over the ring")
-    # m = Uinv D Vinv with D diagonal of units => m^{-1} = V D^{-1} U
-    dinv = ExactMatrix.zeros(m.ring, s.rank, s.rank)
-    for i in range(s.rank):
-        dinv.data[i, i] = m.ring.inv(s.divisors[i])
-    return (s.V @ dinv) @ s.U
 
 
 def _randomize(co: CohomologySections, rng: random.Random) -> None:
@@ -376,6 +359,16 @@ def sections_to_json(co: CohomologySections) -> dict:
 
 
 def sections_from_json(payload: dict) -> CohomologySections:
+    try:
+        co = _sections_fields(payload)
+        _check_package(co)
+    except (KeyError, ValueError, TypeError, IndexError, AttributeError,
+            DimensionMismatchError) as exc:
+        raise SectionsFormatError(f"malformed section package: {exc}") from exc
+    return co
+
+
+def _sections_fields(payload: dict) -> CohomologySections:
     algebra = dga_from_json(payload["algebra"])
     ring = algebra.ring
     co = CohomologySections(algebra, payload.get("seed"))
@@ -398,7 +391,6 @@ def sections_from_json(payload: dict) -> CohomologySections:
                          for x in payload["im_div"].get(str(n), [])]
         co.s[n] = mat("s", n, cn, co.h_rank[n])
         co._class_map[n] = mat("class_map", n, co.h_rank[n], z)
-    _check_package(co)
     return co
 
 

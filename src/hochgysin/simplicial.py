@@ -9,10 +9,8 @@ as iterated products of the 3-vertex circle.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
-from pathlib import Path
 
 
 class MalformedComplexError(Exception):
@@ -117,19 +115,6 @@ def build_torus(n: int) -> SimplicialComplex:
     for _ in range(n - 1):
         t = product(t, build_circle())
     return t
-
-
-def save_complex(k: SimplicialComplex, path) -> None:
-    payload = {"vertex_count": k.vertex_count, "facets": [list(f) for f in k.facets]}
-    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-
-
-def load_complex(path) -> SimplicialComplex:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise MalformedComplexError(f"cannot read complex: {exc}") from exc
-    return complex_from_json(payload)
 
 
 def complex_from_json(payload) -> SimplicialComplex:

@@ -85,14 +85,11 @@ def exterior_iso(co: CohomologySections):
     h = co.h()
     n = h.rank(1)
     ring = h.ring
-    basis1 = [as_vector(ring, [1 if i == j else 0 for j in range(n)])
-              for i in range(n)]
+    basis1 = [ExactMatrix.identity(ring, n).column(i) for i in range(n)]
 
     def wedge_image(subset):
         if not subset:
-            out = zero_vector(ring, h.rank(0))
-            out[0] = ring.one()
-            return out, 0
+            return ExactMatrix.identity(ring, h.rank(0)).column(0), 0
         vec, deg = basis1[subset[0]], 1
         for i in subset[1:]:
             vec = h.multiply(deg, 1, vec, basis1[i])

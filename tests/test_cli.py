@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 FIXTURE = Path(__file__).parent.parent / "src" / "hochgysin" / "fixtures" / \
     "massey_fixture.dga.json"
 
@@ -187,3 +189,44 @@ def test_reports_byte_stable():
     r1 = run_cli(["theta-class", "--in", str(FIXTURE)])
     r2 = run_cli(["theta-class", "--in", str(FIXTURE)])
     assert r1.stdout == r2.stdout
+
+
+def _t2_cochains():
+    from hochgysin.dga import cochain_algebra, dga_to_json
+    from hochgysin.exactlin import ZZ
+    from hochgysin.simplicial import build_torus
+    return json.dumps(dga_to_json(cochain_algebra(build_torus(2), ZZ)))
+
+
+def _sections_without_h_rank():
+    from hochgysin.dga import cochain_algebra
+    from hochgysin.exactlin import ZZ
+    from hochgysin.sections import build_sections, sections_to_json
+    from hochgysin.simplicial import build_circle
+    payload = sections_to_json(build_sections(cochain_algebra(build_circle(), ZZ)))
+    del payload["h_rank"]
+    return json.dumps(payload)
+
+
+MASSEY = ["massey", "--in", str(FIXTURE), "--y", "1:[0,1]"]
+
+# each input once printed a traceback and exited 1 (or 0, reading 1.5 as 1)
+USAGE_CASES = {
+    "torus_n0": (["torus", "--n", "0"], None),
+    "monomorphism_n0": (["monomorphism", "--n", "0"], None),
+    "sections_missing_h_rank": (["theta"], _sections_without_h_rank),
+    "massey_z_too_long": (MASSEY + ["--x", "1:[0,1]", "--z", "1:[0,1,2]"], None),
+    "massey_x_not_a_number": (MASSEY + ["--x", '1:[0,"a"]', "--z", "1:[1,0]"], None),
+    "massey_x_float": (MASSEY + ["--x", "1:[0,1.5]", "--z", "1:[1,0]"], None),
+    "gysin_degree_out_of_range": (["gysin", "--c", "7:[1]"], _t2_cochains),
+    "gysin_wrong_length": (["gysin", "--c", "2:[1,1]"], _t2_cochains),
+}
+
+
+@pytest.mark.parametrize("case", list(USAGE_CASES))
+def test_usage_errors_exit_2_without_traceback(case):
+    argv, stdin = USAGE_CASES[case]
+    res = run_cli(argv, stdin=stdin() if stdin else None)
+    assert res.returncode == 2, (res.stdout, res.stderr)
+    assert "error" in json.loads(res.stdout)
+    assert "Traceback" not in res.stderr

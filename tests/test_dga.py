@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 
@@ -120,3 +121,23 @@ def test_rational_and_modular_coefficients(ring):
     a = cochain_algebra(build_sphere(2), ring)
     assert validate(a).passed
     assert a.ring == ring
+
+
+def test_broken_right_unit_named():
+    a = exterior_square_z()
+    product = dict(a.product)
+    product[(1, 0)] = ((0, 0, 0, 1), (1, 0, 1, 2))      # e_1 * 1 = 2 e_1
+    report = validate(dataclasses.replace(a, product=product))
+    failures = {c.name: c.witness for c in report.failures()}
+    assert failures["unit"] == "e_1^1 * 1 != e_1^1"
+
+
+def test_broken_left_unit_named_first():
+    # both sides fail on e_1^1: the left unit is reported
+    a = exterior_square_z()
+    product = dict(a.product)
+    product[(0, 1)] = ((0, 0, 0, 1), (0, 1, 1, 2))
+    product[(1, 0)] = ((0, 0, 0, 1), (1, 0, 1, 2))
+    report = validate(dataclasses.replace(a, product=product))
+    failures = {c.name: c.witness for c in report.failures()}
+    assert failures["unit"] == "1 * e_1^1 != e_1^1"

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from pathlib import Path
 
@@ -319,3 +320,30 @@ def test_action_well_defined_across_seed(torus2):
                     v1 = cone.module.act(n, q, chain, co.s_apply(q, h))
                     v2 = cone.module.act(n, q, chain, co2.s_apply(q, h))
                     assert ch.group(n + q).classes_equal(v1, v2)
+
+
+def _failures(report):
+    return {c.name: c.witness for c in report.failures()}
+
+
+def test_cone_module_check_catches_corrupt_action(torus2):
+    a, co = torus2
+    module = mapping_cone(a, 2, [1], co).module
+    ent = list(module.action[(1, 1)])
+    i, j, k, c = ent[0]
+    ent[0] = (i, j, k, c + 1)
+    bad = dataclasses.replace(module, action={**module.action, (1, 1): tuple(ent)})
+    failures = _failures(validate_module(bad))
+    assert set(failures) == {"module_leibniz", "module_associativity"}
+    assert failures["module_associativity"] == "action associativity fails at (0,1,1)"
+
+
+def test_cone_module_check_catches_corrupt_differential(torus2):
+    a, co = torus2
+    module = mapping_cone(a, 2, [1], co).module
+    d = module.d(1).copy()
+    d.data[0, 0] += 1
+    bad = dataclasses.replace(module, diff={**module.diff, 1: d})
+    failures = _failures(validate_module(bad))
+    assert failures["module_d_squared"] == "D^2 != 0 at degree 0"
+    assert "module_unit" not in failures and "module_associativity" not in failures
