@@ -27,7 +27,7 @@ from .sections import (
 from .hochschild import (
     HochschildCochain, TwistedBimodule, coboundary, coboundary_matrix,
     theta, theta_value, verify_cocycle, trivialize, classes_equal,
-    load_cochain, save_cochain, zero_cochain, admissible_tuples,
+    save_cochain, zero_cochain, admissible_tuples,
 )
 from .massey import MasseyResult, massey_triple, NotAMasseyTripleError
 from .gysin import (

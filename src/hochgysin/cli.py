@@ -41,10 +41,6 @@ class UsageError(Exception):
     pass
 
 
-class CheckFailure(Exception):
-    """A requested mathematical check failed; report already assembled."""
-
-
 def _read_payload(args):
     if getattr(args, "infile", None):
         with open(args.infile, "rb") as f:

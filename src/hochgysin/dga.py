@@ -198,8 +198,11 @@ def _leibniz_defect(m: DgModule, cols):
     a = m.algebra
     ring = a.ring
     for (n, q), ent in sorted(m.action.items()):
-        dnq, dn, dq = cols(n + q), cols(n), _sparse_cols(a.d(q))
-        up, right = {}, {}
+        dnq = cols(n + q)
+        dn = cols(n)
+        dq = _sparse_cols(a.d(q))
+        up = {}
+        right = {}
         for i, j, k, c in m.entries(n + 1, q):
             up.setdefault((i, j), []).append((k, c))
         for i, j, k, c in m.entries(n, q + 1):
@@ -233,20 +236,23 @@ def _associativity_defect(m: DgModule):
     """(n, p, q, (i, j, l)) where (e_i e_j) e_l != e_i (e_j e_l), or None."""
     a = m.algebra
     ring = a.ring
-    top, hi = a.top_degree, m.degrees[-1]
+    top = a.top_degree
+    hi = m.degrees[-1]
     for n in m.degrees:
         for p in range(top + 1):
             for q in range(top + 1 - p):
                 if n + p + q > hi:
                     continue
-                left, idx = {}, {}
+                left = {}
+                idx = {}
                 for i, j, k, c in m.entries(n, p):
                     idx.setdefault(k, []).append((i, j, c))
                 for k, l, t, c2 in m.entries(n + p, q):
                     for i, j, c1 in idx.get(k, ()):
                         key = (i, j, l, t)
                         left[key] = left.get(key, ring.zero()) + c1 * c2
-                right, idx = {}, {}
+                right = {}
+                idx = {}
                 for j, l, k, c in a.entries(p, q):
                     idx.setdefault(k, []).append((j, l, c))
                 for i, k, t, c2 in m.entries(n, p + q):
@@ -338,7 +344,9 @@ def validate(a: DgAlgebra) -> ValidationReport:
     if not checks[-1].passed:
         return ValidationReport(checks)
     bad = _module_defects(a.as_module())
-    d2, leib, assoc = bad["d_squared"], bad["leibniz"], bad["associativity"]
+    d2 = bad["d_squared"]
+    leib = bad["leibniz"]
+    assoc = bad["associativity"]
     checks.append(Check("d_squared", d2 is None, d2 and
                         f"d(d(e_{d2[1]}^{d2[0]})) has entry at {d2[2]}"))
     checks.append(Check("leibniz", leib is None, leib and

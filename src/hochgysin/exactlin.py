@@ -95,9 +95,6 @@ class Ring:
     def one(self):
         return Fraction(1) if self.tag == "Q" else 1
 
-    def neg(self, x):
-        return self.normalize(-x)
-
     def is_unit(self, x) -> bool:
         x = self.normalize(x)
         if self.tag == "Z":
@@ -786,7 +783,8 @@ class CohomologyDegree:
 def complex_cohomology(ring: Ring, degrees, d) -> dict:
     """{n: CohomologyDegree} for the complex with differentials d(n), n in
     the ascending, contiguous `degrees`; one SNF per degree."""
-    out, prev = {}, None
+    out = {}
+    prev = None
     for n in degrees:
         snf = smith_normal_form(d(n))
         out[n] = CohomologyDegree(ring, snf, prev)

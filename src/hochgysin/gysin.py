@@ -95,9 +95,11 @@ def mapping_cone(a: DgAlgebra, c_degree: int, c_coords, co: CohomologySections,
     action = {}
     for q in range(a.top_degree + 1):
         for n in degrees:
-            bn, bt = a.rank(n), a.rank(n + q)
-            entries = list(a.entries(n, q)) + [
-                (bn + i, j, bt + k, cc) for i, j, k, cc in a.entries(n - c_degree + 1, q)]
+            bn = a.rank(n)
+            bt = a.rank(n + q)
+            entries = list(a.entries(n, q))
+            for i, j, k, cc in a.entries(n - c_degree + 1, q):
+                entries.append((bn + i, j, bt + k, cc))
             if entries:
                 action[(n, q)] = tuple(entries)
 
@@ -242,6 +244,18 @@ def _cone_class_preimage(ext: GysinExtension, n: int, w: np.ndarray) -> np.ndarr
     return sol[:hn]
 
 
+def _through_ann(ext: GysinExtension, maps: dict, m: int, v: np.ndarray,
+                 size: int) -> np.ndarray:
+    """maps[m] applied to the Ann(c) coordinates of v in H^m; the zero
+    vector of length size when H^m has no Ann(c) basis."""
+    if m not in ext.ann_basis:
+        return zero_vector(ext.sections.ring, size)
+    coords = ext.ann_coords(m, v)
+    if coords is None:
+        raise AssertionError("Ann(c) is not closed under the action")
+    return maps[m].matvec(coords)
+
+
 def _beta_blocks(ext: GysinExtension, values) -> dict:
     """{(m, q): matrix} of a bilinear beta: Ann(c)^m x H^q -> H/(cH).
 
@@ -274,20 +288,16 @@ def _compute_beta_geo(ext: GysinExtension) -> dict:
     cone = ext.cone
 
     def values(m, q, jx):
-        ncone, nprime = m + ext.c_degree - 1, ext.target_degree(m, q)
+        ncone = m + ext.c_degree - 1
+        nprime = ext.target_degree(m, q)
         sigma_x = ext.sigma_chain[m].column(jx)
         x_times = h.left_mult(m, ext.ann_basis[m].column(jx), q)
         s_q = co.s_matrix(q)
         out = []
         for jy in range(h.rank(q)):
             prod = cone.module.act(ncone, q, sigma_x, s_q.column(jy))
-            if (m + q) in ext.sigma_chain:
-                xy_ann = ext.ann_coords(m + q, x_times.column(jy))
-                if xy_ann is None:
-                    raise AssertionError("Ann(c) is not closed under the action")
-                sig_xy = ext.sigma_chain[m + q].matvec(xy_ann)
-            else:
-                sig_xy = zero_vector(ring, cone.rank(nprime))
+            sig_xy = _through_ann(ext, ext.sigma_chain, m + q, x_times.column(jy),
+                                  cone.rank(nprime))
             out.append(_cone_class_preimage(ext, nprime, ring.reduce_array(prod - sig_xy)))
         return out
     return _beta_blocks(ext, values)
@@ -319,21 +329,22 @@ def _solve_trivial_shape(ext: GysinExtension, beta: dict):
     h = ext.sections.h()
     ring = h.ring
     shift = ext.c_degree - 1
-    offsets = {}
+    offsets = {}                            # m -> (first column, rank, h rank)
     total = 0
     for m in sorted(ext.ann_basis):
         r = ext.ann_rank(m)
         ht = h.rank(m + shift)
-        if r and ht:
-            offsets[m] = (total, r, ht)
-            total += r * ht
+        offsets[m] = (total, r, ht)
+        total += r * ht
 
     equations = []                          # (unknown part, cH relations, rhs)
     for (m, q), block in sorted(beta.items()):
         ktarget = ext.kernel[ext.target_degree(m, q)]
         rels = ktarget.relations            # ambient columns spanning cH
-        hn, hq = rels.rows, h.rank(q)
-        ident_n, ident_q = ExactMatrix.identity(ring, hn), ExactMatrix.identity(ring, hq)
+        hn = rels.rows
+        hq = h.rank(q)
+        ident_n = ExactMatrix.identity(ring, hn)
+        ident_q = ExactMatrix.identity(ring, hq)
         for jx in range(ext.ann_rank(m)):
             x_times = h.left_mult(m, ext.ann_basis[m].column(jx), q)
             for jy in range(hq):
@@ -352,34 +363,27 @@ def _solve_trivial_shape(ext: GysinExtension, beta: dict):
                         eq.data[:, cols] - h.right_mult(m + shift, q, ident_q.column(jy)).data)
                 equations.append((eq, rels, ktarget.lift(block.column(jx * hq + jy))))
 
-    if not equations:
-        return {m: ExactMatrix.zeros(ring, h.rank(m + shift), ext.ann_rank(m))
-                for m in ext.ann_basis}, None
-
-    # slack columns - rels * t, one block per equation (working modulo cH)
-    nrows = sum(eq.rows for eq, _, _ in equations)
-    system = ExactMatrix.zeros(ring, nrows, total + sum(r.cols for _, r, _ in equations))
-    rhs = zero_vector(ring, nrows)
-    row0, col0 = 0, total
-    for eq, rels, beta_amb in equations:
-        rows = slice(row0, row0 + eq.rows)
-        system.data[rows, :total] = eq.data
-        system.data[rows, col0:col0 + rels.cols] = (-rels).data
-        rhs[rows] = beta_amb
-        row0, col0 = row0 + eq.rows, col0 + rels.cols
-
-    x, cert = solve_with_certificate(system, rhs)
-    if x is None:
-        return None, cert
-    b_blocks = {}
-    for m in sorted(ext.ann_basis):
-        r, ht = ext.ann_rank(m), h.rank(m + shift)
-        if m in offsets:
-            off = offsets[m][0]
-            b_blocks[m] = ExactMatrix(ring, x[off:off + r * ht].reshape(r, ht).T.copy())
-        else:
-            b_blocks[m] = ExactMatrix.zeros(ring, ht, r)
-    return b_blocks, None
+    x = zero_vector(ring, total)
+    if equations:
+        # slack columns - rels * t, one block per equation (working modulo cH)
+        nrows = sum(eq.rows for eq, _, _ in equations)
+        system = ExactMatrix.zeros(ring, nrows,
+                                   total + sum(r.cols for _, r, _ in equations))
+        rhs = zero_vector(ring, nrows)
+        row0 = 0
+        col0 = total
+        for eq, rels, beta_amb in equations:
+            rows = slice(row0, row0 + eq.rows)
+            system.data[rows, :total] = eq.data
+            system.data[rows, col0:col0 + rels.cols] = (-rels).data
+            rhs[rows] = beta_amb
+            row0 += eq.rows
+            col0 += rels.cols
+        x, cert = solve_with_certificate(system, rhs)
+        if x is None:
+            return None, cert
+    return {m: ExactMatrix(ring, x[off:off + r * ht].reshape(r, ht).T.copy())
+            for m, (off, r, ht) in offsets.items()}, None
 
 
 def _beta_difference(ext: GysinExtension, b1: dict, b2: dict) -> dict:
@@ -460,22 +464,16 @@ def split_extension(ext: GysinExtension, theta_witness: HochschildCochain = None
         b = {m: seed_blocks[m] + b_corr[m] for m in b_corr}
 
     # sigma_tilde(x) = sigma(x) + iota(b(x)); verify and classify
-    cone = ext.cone
     chain = {}
     cls = {}
     for m, basis in ext.ann_basis.items():
-        n = m + ext.c_degree - 1
-        cols = []
-        ccols = []
-        for jx in range(basis.cols):
-            v = ext.sigma_chain[m].column(jx)
-            corr = cone.inject(n, co.s_apply(m + shift, b[m].column(jx)))
-            w = ring.reduce_array(v + corr)
-            cols.append(w)
-            ccols.append(ext.cone_h.classify(n, w))
-        chain[m] = ExactMatrix.from_columns(ring, cols, nrows=cone.rank(n))
+        n = m + shift
+        corr = ExactMatrix.zeros(ring, ext.cone.rank(n), basis.cols)
+        corr.data[:co.algebra.rank(n)] = (co.s_matrix(n) @ b[m]).data
+        chain[m] = ext.sigma_chain[m] + corr
         cls[m] = ExactMatrix.from_columns(
-            ring, ccols, nrows=len(ext.cone_h.group(n).orders))
+            ring, [ext.cone_h.classify(n, chain[m].column(j)) for j in range(basis.cols)],
+            nrows=len(ext.cone_h.group(n).orders))
     section = SplitSection(b, chain, cls)
     _verify_split(ext, section)
     return section, None
@@ -492,10 +490,9 @@ def _trivial_shape_beta(ext: GysinExtension, b: dict) -> dict:
         b_times = h.left_mult(m + shift, b[m].column(jx), q)
         out = []
         for jy in range(h.rank(q)):
-            acc = zero_vector(ring, h.rank(ext.target_degree(m, q)))
-            if m + q <= h.top and ext.ann_rank(m + q):
-                acc = acc + b[m + q].matvec(ext.ann_coords(m + q, x_times.column(jy)))
-            out.append(ring.reduce_array(acc - b_times.column(jy)))
+            bxy = _through_ann(ext, b, m + q, x_times.column(jy),
+                               h.rank(ext.target_degree(m, q)))
+            out.append(ring.reduce_array(bxy - b_times.column(jy)))
         return out
     return _beta_blocks(ext, values)
 
@@ -504,7 +501,6 @@ def _verify_split(ext: GysinExtension, section: SplitSection) -> None:
     """projection o sigma_tilde = id and H-linearity, by multiplication."""
     co = ext.sections
     h = co.h()
-    ring = h.ring
     cone = ext.cone
     for m, basis in ext.ann_basis.items():
         n = m + ext.c_degree - 1
@@ -523,12 +519,9 @@ def _verify_split(ext: GysinExtension, section: SplitSection) -> None:
                 for jy in range(hq):
                     lhs = ext.cone_h.classify(
                         nt, cone.module.act(n, q, w, s_q.column(jy)))
-                    if (m + q) in ext.ann_basis:
-                        xy_ann = ext.ann_coords(m + q, x_times.column(jy))
-                        rhs_chain = section.sigma_tilde_chain[m + q].matvec(xy_ann)
-                        rhs = ext.cone_h.classify(nt, rhs_chain)
-                    else:
-                        rhs = zero_vector(ring, len(lhs))
+                    rhs = ext.cone_h.classify(nt, _through_ann(
+                        ext, section.sigma_tilde_chain, m + q, x_times.column(jy),
+                        cone.rank(nt)))
                     if any(u != v for u, v in zip(lhs, rhs)):
                         raise AssertionError(
                             f"sigma_tilde is not H-linear at degrees ({m},{q})")
@@ -638,6 +631,7 @@ def _projects_to_ann(ext: GysinExtension, m: int, chains: ExactMatrix) -> bool:
     n = m + ext.c_degree - 1
     for j in range(ann.cols):
         _, ypart = ext.cone.parts(n, chains.column(j))
-        if any(u != v for u, v in zip(ext.sections.pi(m, ypart), ann.column(j))):
+        proj = ext.sections.pi(m, ypart)
+        if any(u != v for u, v in zip(proj, ann.column(j))):
             return False
     return True

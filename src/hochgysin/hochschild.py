@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product as iproduct
 from pathlib import Path
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from .exactlin import (
     ExactMatrix, Ring, as_vector, kron, ring_from_name, solve_with_certificate,
-    vec_is_zero, zero_vector,
+    zero_vector,
 )
 from .sections import CohomologySections, HRing, NotACocycleError
 
@@ -137,13 +138,6 @@ def admissible_tuples(h: HRing, arity: int, internal_degree: int,
 # The Hochschild coboundary
 # ---------------------------------------------------------------------------
 
-def _kron_chain(ring: Ring, mats) -> ExactMatrix:
-    out = mats[0]
-    for m in mats[1:]:
-        out = kron(out, m)
-    return out
-
-
 def coboundary(a: HochschildCochain, M: TwistedBimodule) -> HochschildCochain:
     """delta a: arity l+1, same internal degree; first term twisted by (-1)^{|x1|}."""
     h = M.base
@@ -171,7 +165,7 @@ def coboundary(a: HochschildCochain, M: TwistedBimodule) -> HochschildCochain:
             mats = [ExactMatrix.identity(ring, h.rank(p)) for p in tup[:i]]
             mats.append(h.mult_block(tup[i], tup[i + 1]))
             mats.extend(ExactMatrix.identity(ring, h.rank(p)) for p in tup[i + 2:])
-            acc = acc + (A @ _kron_chain(ring, mats)).scale((-1) ** (i + 1))
+            acc = acc + (A @ reduce(kron, mats)).scale((-1) ** (i + 1))
             touched = True
         # (-1)^{l+1} a(x_1, ..., x_l) x_{l+1}, ordinary right action
         src = tup[:l]
@@ -269,12 +263,10 @@ class CochainLayout:
     def build(h: HRing, arity: int, internal_degree: int,
               positive_only: bool = False) -> "CochainLayout":
         tuples = admissible_tuples(h, arity, internal_degree, positive_only)
+        shape = zero_cochain(h, arity, internal_degree).shape
         offsets, total = {}, 0
         for tup in tuples:
-            rows = h.rank(sum(tup) + internal_degree)
-            cols = 1
-            for p in tup:
-                cols *= h.rank(p)
+            rows, cols = shape(tup)
             offsets[tup] = (total, rows, cols)
             total += rows * cols
         return CochainLayout(h, arity, internal_degree, tuples, offsets, total)
@@ -401,7 +393,3 @@ def cochain_from_json(payload: dict) -> HochschildCochain:
 def save_cochain(a: HochschildCochain, path) -> None:
     Path(path).write_text(json.dumps(cochain_to_json(a), sort_keys=True),
                           encoding="utf-8")
-
-
-def load_cochain(path) -> HochschildCochain:
-    return cochain_from_json(json.loads(Path(path).read_text(encoding="utf-8")))

@@ -304,7 +304,8 @@ def _normalize_unit(co: CohomologySections) -> None:
     if not ring.is_unit(s.divisors[0]):
         raise UnitNotPrimitiveError(
             f"unit class {list(u_cls)} is not part of a basis of H^0")
-    w, winv = s.U.copy(), s.Uinv.copy()
+    w = s.U.copy()
+    winv = s.Uinv.copy()
     lead = w.matvec(u_cls)[0]
     if lead != ring.one():
         w.data[0] = ring.reduce_array(ring.inv(lead) * w.data[0])
@@ -361,10 +362,10 @@ def sections_to_json(co: CohomologySections) -> dict:
 def sections_from_json(payload: dict) -> CohomologySections:
     try:
         co = _sections_fields(payload)
-        _check_package(co)
     except (KeyError, ValueError, TypeError, IndexError, AttributeError,
             DimensionMismatchError) as exc:
         raise SectionsFormatError(f"malformed section package: {exc}") from exc
+    _check_package(co)
     return co
 
 
@@ -375,8 +376,12 @@ def _sections_fields(payload: dict) -> CohomologySections:
     co.h_rank = [int(x) for x in payload["h_rank"]]
 
     def mat(key, n, rows, cols):
-        return ExactMatrix.from_lists(ring, payload[key].get(str(n), []),
-                                      shape=(rows, cols))
+        m = ExactMatrix.from_lists(ring, payload[key].get(str(n), []),
+                                   shape=(rows, cols))
+        if (m.rows, m.cols) != (rows, cols):
+            raise DimensionMismatchError(
+                f"{key}[{n}] is {m.rows}x{m.cols}, expected {rows}x{cols}")
+        return m
     for n in range(algebra.top_degree + 1):
         cn = algebra.rank(n)
         co._coc_rank[n] = int(payload["coc_rank"][str(n)])

@@ -198,8 +198,6 @@ def verify_monomorphism(n: int, signed: bool = False, ring: Ring = ZZ) -> dict:
     symmetrization variant descends to classes, and if so whether it is
     injective on them.  The verdicts are reported, not assumed.
     """
-    if n < 1:
-        raise ValueError("rank must be >= 1")
     alg = exterior_algebra(n, ring)
     co = build_sections(alg)
     h = co.h()
@@ -233,8 +231,6 @@ def verify_monomorphism(n: int, signed: bool = False, ring: Ring = ZZ) -> dict:
 def torus_theta_trivial(n: int, ring: Ring = ZZ, seed=None):
     """Build the torus-n cochain model, its theta, and an exact witness
     delta a = theta.  Returns (witness, theta, sections)."""
-    if n < 1:
-        raise ValueError("torus rank must be >= 1")
     algebra = cochain_algebra(build_torus(n), ring)
     co = build_sections(algebra, seed=seed)
     th = theta(co)

@@ -198,14 +198,26 @@ def _t2_cochains():
     return json.dumps(dga_to_json(cochain_algebra(build_torus(2), ZZ)))
 
 
-def _sections_without_h_rank():
+def _circle_sections(edit):
     from hochgysin.dga import cochain_algebra
     from hochgysin.exactlin import ZZ
     from hochgysin.sections import build_sections, sections_to_json
     from hochgysin.simplicial import build_circle
     payload = sections_to_json(build_sections(cochain_algebra(build_circle(), ZZ)))
-    del payload["h_rank"]
+    edit(payload)
     return json.dumps(payload)
+
+
+def _sections_without_h_rank():
+    return _circle_sections(lambda payload: payload.pop("h_rank"))
+
+
+def _sections_short_h_rank():
+    return _circle_sections(lambda payload: payload["h_rank"].pop())
+
+
+def _sections_s_missing_a_row():
+    return _circle_sections(lambda payload: payload["s"]["1"].pop())
 
 
 MASSEY = ["massey", "--in", str(FIXTURE), "--y", "1:[0,1]"]
@@ -215,6 +227,8 @@ USAGE_CASES = {
     "torus_n0": (["torus", "--n", "0"], None),
     "monomorphism_n0": (["monomorphism", "--n", "0"], None),
     "sections_missing_h_rank": (["theta"], _sections_without_h_rank),
+    "sections_short_h_rank": (["theta"], _sections_short_h_rank),
+    "sections_s_missing_a_row": (["theta"], _sections_s_missing_a_row),
     "massey_z_too_long": (MASSEY + ["--x", "1:[0,1]", "--z", "1:[0,1,2]"], None),
     "massey_x_not_a_number": (MASSEY + ["--x", '1:[0,"a"]', "--z", "1:[1,0]"], None),
     "massey_x_float": (MASSEY + ["--x", "1:[0,1.5]", "--z", "1:[1,0]"], None),

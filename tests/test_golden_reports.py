@@ -3,10 +3,7 @@
 The expected stdout and exit code of every case live in
 `golden_reports.json`; refactors of the library must leave them
 unchanged.  Large outputs are pinned by their sha256 instead of their
-text.  To regenerate after a deliberate format change (and record it in
-CHANGES.md):
-
-    PYTHONPATH=src python tests/test_golden_reports.py --write
+text.
 """
 
 import hashlib
@@ -82,16 +79,6 @@ def _stdin_of(source, outputs):
     return outputs[source]
 
 
-def run_all():
-    """{case: (exit code, stdout)} in CASES order."""
-    outputs, results = {}, {}
-    for name, (argv, source, _) in CASES.items():
-        proc = _run(argv, _stdin_of(source, outputs))
-        outputs[name] = proc.stdout
-        results[name] = (proc.returncode, proc.stdout)
-    return results
-
-
 def _pinned(name, stdout):
     if CASES[name][2] == "sha256":
         return {"sha256": hashlib.sha256(stdout.encode("utf-8")).hexdigest()}
@@ -100,7 +87,13 @@ def _pinned(name, stdout):
 
 @pytest.fixture(scope="module")
 def actual():
-    return run_all()
+    """{case: (exit code, stdout)}, run in CASES order."""
+    outputs, results = {}, {}
+    for name, (argv, source, _) in CASES.items():
+        proc = _run(argv, _stdin_of(source, outputs))
+        outputs[name] = proc.stdout
+        results[name] = (proc.returncode, proc.stdout)
+    return results
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -110,9 +103,3 @@ def test_report_unchanged(actual, name):
     assert code == expected["exit"]
     assert _pinned(name, stdout) == {k: v for k, v in expected.items() if k != "exit"}
 
-
-if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
-    golden = {name: {"exit": code, **_pinned(name, stdout)}
-              for name, (code, stdout) in run_all().items()}
-    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n",
-                      encoding="utf-8")
