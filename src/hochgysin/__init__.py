@@ -17,12 +17,11 @@ from .simplicial import (
 )
 from .dga import (
     DgAlgebra, DgModule, cochain_algebra, validate, validate_module,
-    load_dga, save_dga,
+    load_dga,
 )
 from .sections import (
     CohomologySections, HRing, compute_cohomology, build_sections,
     TorsionHomologyError, NotACocycleError, ProductNotACoboundaryError,
-    load_sections, save_sections,
 )
 from .hochschild import (
     HochschildCochain, TwistedBimodule, coboundary, coboundary_matrix,

@@ -59,6 +59,14 @@ def _read_payload(args):
     return payload, {source: digest}
 
 
+def _ring(name):
+    """The coefficient ring named by --ring; an unknown name is a usage error."""
+    try:
+        return ring_from_name(name)
+    except ValueError as exc:
+        raise UsageError(f"bad --ring {name!r}: {exc}") from exc
+
+
 def _validated(payload):
     """(dg-algebra, validation report) of a dg-algebra or section payload."""
     a = dgamod.dga_from_json(payload["algebra"] if "algebra" in payload else payload)
@@ -69,7 +77,7 @@ def _as_dga(payload, ring_name):
     """Accept a complex (building cochains) or a dg-algebra payload."""
     if "facets" in payload:
         k = complex_from_json(payload)
-        ring = ring_from_name(ring_name or "Z")
+        ring = _ring(ring_name or "Z")
         return dgamod.cochain_algebra(k, ring)
     a, report = _validated(payload)
     if not report.passed:
@@ -140,6 +148,8 @@ def cmd_build(args):
     elif args.what == "sphere":
         if args.m is None:
             raise UsageError("build sphere requires --m")
+        if args.m < 0:
+            raise UsageError("sphere dimension --m must be >= 0")
         k = build_sphere(args.m)
     elif args.what == "torus":
         if args.n is None:
@@ -159,7 +169,7 @@ def cmd_cochains(args):
     if "facets" not in payload:
         raise UsageError("cochains expects a simplicial complex payload")
     k = complex_from_json(payload)
-    a = dgamod.cochain_algebra(k, ring_from_name(args.ring))
+    a = dgamod.cochain_algebra(k, _ring(args.ring))
     sys.stdout.write(json.dumps(dgamod.dga_to_json(a), sort_keys=True) + "\n")
     _summary(f"cochain algebra over {args.ring}: ranks {a.ranks}")
     return 0
@@ -297,7 +307,7 @@ def _positive_rank(args):
 
 def cmd_torus(args):
     _positive_rank(args)
-    ring = ring_from_name(args.ring)
+    ring = _ring(args.ring)
     witness, th, co = torus_theta_trivial(args.n, ring, seed=_default_seed(args))
     sym_zero = symmetrize(th).is_zero()
     checks = [{"name": "theta_trivialized", "pass": True},
@@ -318,7 +328,7 @@ def cmd_torus(args):
 def cmd_monomorphism(args):
     _positive_rank(args)
     v = verify_monomorphism(args.n, signed=args.signed,
-                            ring=ring_from_name(args.ring))
+                            ring=_ring(args.ring))
     out = {"command": "monomorphism", **v}
     _summary(f"monomorphism probe n={args.n} signed={args.signed}: "
              f"descends={v['descends_to_classes']} injective={v['injective_on_classes']}")

@@ -84,7 +84,11 @@ class DgAlgebra:
 
     def multiply(self, p: int, q: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Product C^p x C^q -> C^{p+q} of coordinate vectors."""
-        return _contract(self.ring, self.entries(p, q), self.rank(p + q), u, v)
+        out = zero_vector(self.ring, self.rank(p + q))
+        for i, j, k, c in self.entries(p, q):
+            if u[i] != 0 and v[j] != 0:
+                out[k] = self.ring.normalize(out[k] + c * u[i] * v[j])
+        return out
 
     def bilinear_block(self, p: int, q: int, left: ExactMatrix,
                        right: ExactMatrix) -> ExactMatrix:
@@ -92,15 +96,7 @@ class DgAlgebra:
 
         left: C^p x A, right: C^q x B; result: C^{p+q} x (A*B).
         """
-        ring = self.ring
-        a, b = left.cols, right.cols
-        out = np.empty((self.rank(p + q), a * b), dtype=object)
-        out[:] = ring.zero()
-        for i, j, k, c in self.entries(p, q):
-            li = left.data[i]
-            rj = right.data[j]
-            out[k] += c * np.outer(li, rj).reshape(a * b)
-        return ExactMatrix(ring, ring.reduce_array(out))
+        return _bilinear_block(self.entries(p, q), self.rank(p + q), left, right)
 
     def __eq__(self, other):
         return (isinstance(other, DgAlgebra) and self.ring == other.ring
@@ -143,18 +139,26 @@ class DgModule:
     def entries(self, n: int, q: int):
         return self.action.get((n, q), ())
 
-    def act(self, n: int, q: int, m: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Right action M^n x C^q -> M^{n+q} of coordinate vectors."""
-        return _contract(self.algebra.ring, self.entries(n, q), self.rank(n + q), m, x)
+    def bilinear_block(self, n: int, q: int, left: ExactMatrix,
+                       right: ExactMatrix) -> ExactMatrix:
+        """Matrix of (a, b) -> left_a . right_b, columns flattened row-major.
+
+        left: M^n x A, right: C^q x B; result: M^{n+q} x (A*B).
+        """
+        return _bilinear_block(self.entries(n, q), self.rank(n + q), left, right)
 
 
-def _contract(ring: Ring, entries, size: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The bilinear map of a sparse (i, j, k, coeff) tensor on (u, v)."""
-    out = zero_vector(ring, size)
+def _bilinear_block(entries, size: int, left: ExactMatrix,
+                    right: ExactMatrix) -> ExactMatrix:
+    """The bilinear map of a sparse (i, j, k, coeff) tensor on the column
+    pairs of left and right, pair (a, b) in column a * right.cols + b."""
+    ring = left.ring
+    a, b = left.cols, right.cols
+    out = np.empty((size, a * b), dtype=object)
+    out[:] = ring.zero()
     for i, j, k, c in entries:
-        if u[i] != 0 and v[j] != 0:
-            out[k] = ring.normalize(out[k] + c * u[i] * v[j])
-    return out
+        out[k] += c * np.outer(left.data[i], right.data[j]).reshape(a * b)
+    return ExactMatrix(ring, ring.reduce_array(out))
 
 
 # ---------------------------------------------------------------------------
@@ -454,10 +458,6 @@ def dga_from_json(payload: dict) -> DgAlgebra:
     except (KeyError, ValueError, TypeError, IndexError) as exc:
         raise DgaFormatError(f"malformed dg-algebra file: {exc}") from exc
     return DgAlgebra(ring, top, ranks, diff, product, unit)
-
-
-def save_dga(a: DgAlgebra, path) -> None:
-    Path(path).write_text(json.dumps(dga_to_json(a), sort_keys=True), encoding="utf-8")
 
 
 def load_dga(path) -> DgAlgebra:

@@ -13,12 +13,19 @@ must agree with beta_theta(x, y) = theta(c, x, y) mod cH up to the
 trivial shapes b(xy) - b(x) y.  Splittings are produced by solving that
 same trivial-shape system for beta_geo and correcting sigma.
 
+The (m, q) part of a bilinear map Ann(c)^m x H^q -> H/(cH) is one
+matrix whose column jx * h_q + jy belongs to the jx-th Ann(c) basis
+vector and the jy-th basis class of H^q.  beta_geo, beta_theta, the
+trivial shapes, the trivial-shape system and the splitting check are all
+built per (m, q) block: products with a whole basis through
+HRing.left_mult, the cone action through the module's bilinear blocks,
+and coordinates on Ann(c) and cone preimages through one cached solver
+per degree of the extension.  Cone cohomology goes through the shared
+complex_cohomology routine.
+
 Everything here works at two independent levels on purpose: chain-level
 cone computations (preimages solved exactly) versus H-level theta
-blocks; the test suite compares them.  Multiplication by a class goes
-through HRing.left_mult / right_mult, cone cohomology through the
-shared complex_cohomology routine, and coordinates on Ann(c) and cone
-preimages through one cached solver per degree of the extension.
+blocks; the test suite compares them.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import numpy as np
 from .dga import DgAlgebra, DgModule, validate_module
 from .exactlin import (
     ExactMatrix, Solver, Subquotient, as_vector, complex_cohomology, kernel_basis,
-    kron, solve, solve_with_certificate, vec_is_zero, zero_vector,
+    kron, solve_matrix, solve_with_certificate, zero_vector,
 )
 from .hochschild import HochschildCochain
 from .sections import CohomologySections
@@ -50,19 +57,9 @@ class ConeComplex:
     def rank(self, n: int) -> int:
         return self.module.rank(n)
 
-    def inject(self, n: int, x: np.ndarray) -> np.ndarray:
-        """C^n -> cone^n, first summand."""
-        out = zero_vector(self.algebra.ring, self.rank(n))
-        out[:len(x)] = x
-        return out
 
-    def parts(self, n: int, v: np.ndarray):
-        b = self.algebra.rank(n)
-        return v[:b], v[b:]
-
-
-def mapping_cone(a: DgAlgebra, c_degree: int, c_coords, co: CohomologySections,
-                 check: bool = True) -> ConeComplex:
+def mapping_cone(a: DgAlgebra, c_degree: int, c_coords,
+                 co: CohomologySections) -> ConeComplex:
     """Build cone(l_{s(c)}); validates D^2 = 0 and the dg-module axioms."""
     ring = a.ring
     c_coords = as_vector(ring, list(c_coords))
@@ -104,12 +101,10 @@ def mapping_cone(a: DgAlgebra, c_degree: int, c_coords, co: CohomologySections,
                 action[(n, q)] = tuple(entries)
 
     module = DgModule(a, degrees, ranks, diff, action)
-    cone = ConeComplex(a, co, c_degree, c_coords, z, module)
-    if check:
-        report = validate_module(module)
-        if not report.passed:
-            raise AssertionError(f"cone failed module axioms: {report.failures()}")
-    return cone
+    report = validate_module(module)
+    if not report.passed:
+        raise AssertionError(f"cone failed module axioms: {report.failures()}")
+    return ConeComplex(a, co, c_degree, c_coords, z, module)
 
 
 @dataclass
@@ -124,9 +119,6 @@ class ConeCohomology:
             return self.groups[n]
         return Subquotient.from_gens_rels(
             self.cone.algebra.ring, ExactMatrix.zeros(self.cone.algebra.ring, 0, 0))
-
-    def classify(self, n: int, v: np.ndarray) -> np.ndarray:
-        return self.group(n).classify(v)
 
     def describe(self) -> dict:
         return {str(n): self.groups[n].describe() for n in sorted(self.groups)}
@@ -165,12 +157,13 @@ class GysinExtension:
             self._solvers[key] = Solver(matrix())
         return self._solvers[key]
 
-    def ann_coords(self, m: int, v: np.ndarray):
-        """Coordinates of v in H^m on the Ann(c) basis, or None outside Ann(c).
+    def ann_coords(self, m: int, V: ExactMatrix):
+        """Coordinates of the columns of V (in H^m) on the Ann(c) basis, or
+        None when a column lies outside Ann(c).
 
         The basis has full column rank, so the coordinates are unique.
         """
-        return self._solver(("ann", m), lambda: self.ann_basis[m]).solve(v)
+        return self._solver(("ann", m), lambda: self.ann_basis[m]).solve_matrix(V)
 
     def target_degree(self, m: int, q: int) -> int:
         return m + q + self.c_degree - 1
@@ -187,18 +180,22 @@ class GysinExtension:
         }
 
 
-def _annihilator_bases(co: CohomologySections, c_degree: int, c_coords):
+def _column(ring, v) -> ExactMatrix:
+    return ExactMatrix.from_columns(ring, [v], nrows=len(v))
+
+
+def _annihilator_bases(co: CohomologySections, c_degree: int, c_col: ExactMatrix):
     """Per degree m, a basis of Ann(c) in H^m = kernel of left multiplication."""
     h = co.h()
-    return {m: kernel_basis(h.left_mult(c_degree, c_coords, m))
+    return {m: kernel_basis(h.left_mult(c_degree, c_col, m))
             for m in range(h.top + 1) if h.rank(m)}
 
 
-def _kernel_groups(co: CohomologySections, c_degree: int, c_coords):
+def _kernel_groups(co: CohomologySections, c_degree: int, c_col: ExactMatrix):
     """Per degree n, the subquotient H^n/(c H^{n - |c|})."""
     h = co.h()
     return {n: Subquotient.from_gens_rels(h.ring, ExactMatrix.identity(h.ring, h.rank(n)),
-                                          h.left_mult(c_degree, c_coords, n - c_degree))
+                                          h.left_mult(c_degree, c_col, n - c_degree))
             for n in range(h.top + 1)}
 
 
@@ -209,11 +206,11 @@ def gysin_extension(a: DgAlgebra, c_degree: int, c_coords,
     c_coords = as_vector(ring, list(c_coords))
     cone = mapping_cone(a, c_degree, c_coords, co)
     cone_h = cone_cohomology(cone)
-    kernel = _kernel_groups(co, c_degree, c_coords)
-    ann = _annihilator_bases(co, c_degree, c_coords)
+    c_col = _column(ring, c_coords)
+    kernel = _kernel_groups(co, c_degree, c_col)
+    ann = _annihilator_bases(co, c_degree, c_col)
 
     # sigma(x) = class of (-q(c, x), s(x)) at cone degree m + |c| - 1
-    c_col = ExactMatrix.from_columns(ring, [c_coords], nrows=len(c_coords))
     sigma_chain = {m: ExactMatrix(ring, np.vstack([
         (-(co.qpair_block(c_degree, m) @ kron(c_col, basis))).data,
         (co.s_matrix(m) @ basis).data])) for m, basis in ann.items()}
@@ -224,44 +221,57 @@ def gysin_extension(a: DgAlgebra, c_degree: int, c_coords,
     return ext
 
 
-def _cone_class_preimage(ext: GysinExtension, n: int, w: np.ndarray) -> np.ndarray:
-    """h in H^n with [(s(h), 0)] = [w] in H^n(cone); defined mod c H^{n-|c|}.
+def _s_in_cone(ext: GysinExtension, n: int, H: ExactMatrix) -> ExactMatrix:
+    """The chains (s(h), 0) in cone^n, one per column h of H (in H^n)."""
+    co = ext.sections
+    out = ExactMatrix.zeros(co.ring, ext.cone.rank(n), H.cols)
+    out.data[:co.algebra.rank(n)] = (co.s_matrix(n) @ H).data
+    return out
+
+
+def _classes(group: Subquotient, chains: ExactMatrix) -> ExactMatrix:
+    """The class coordinates of each column of chains in a presented group."""
+    return ExactMatrix.from_columns(
+        group.ring, [group.classify(chains.column(j)) for j in range(chains.cols)],
+        nrows=len(group.orders))
+
+
+def _cone_class_preimage(ext: GysinExtension, n: int, W: ExactMatrix) -> ExactMatrix:
+    """Columns h in H^n with [(s(h), 0)] = [w] in H^n(cone), one per column w
+    of W; each is defined mod c H^{n-|c|}.
 
     Solves (s(h), 0) - w = D(omega) exactly; exactness of the extension
     guarantees a solution whenever the projection of [w] vanishes.
     """
-    co = ext.sections
-    hn = co.hr(n)
-    cone = ext.cone
+    hn = ext.sections.hr(n)
 
     def system():
-        s_cols = [cone.inject(n, co.s_matrix(n).column(j)) for j in range(hn)]
-        s_block = ExactMatrix.from_columns(co.ring, s_cols, nrows=cone.rank(n))
-        return s_block.hstack(cone.module.d(n - 1))
-    sol = ext._solver(("preimage", n), system).solve(w)
+        ident = ExactMatrix.identity(ext.sections.ring, hn)
+        return _s_in_cone(ext, n, ident).hstack(ext.cone.module.d(n - 1))
+    sol = ext._solver(("preimage", n), system).solve_matrix(W)
     if sol is None:
         raise AssertionError("cone class has no preimage in H; exactness broken?")
-    return sol[:hn]
+    return sol.take_rows(range(hn))
 
 
-def _through_ann(ext: GysinExtension, maps: dict, m: int, v: np.ndarray,
-                 size: int) -> np.ndarray:
-    """maps[m] applied to the Ann(c) coordinates of v in H^m; the zero
-    vector of length size when H^m has no Ann(c) basis."""
+def _through_ann(ext: GysinExtension, maps: dict, m: int, V: ExactMatrix,
+                 size: int) -> ExactMatrix:
+    """maps[m] applied to the Ann(c) coordinates of the columns of V (in
+    H^m); a zero matrix with size rows when H^m has no Ann(c) basis."""
     if m not in ext.ann_basis:
-        return zero_vector(ext.sections.ring, size)
-    coords = ext.ann_coords(m, v)
+        return ExactMatrix.zeros(ext.sections.ring, size, V.cols)
+    coords = ext.ann_coords(m, V)
     if coords is None:
         raise AssertionError("Ann(c) is not closed under the action")
-    return maps[m].matvec(coords)
+    return maps[m] @ coords
 
 
 def _beta_blocks(ext: GysinExtension, values) -> dict:
     """{(m, q): matrix} of a bilinear beta: Ann(c)^m x H^q -> H/(cH).
 
-    Column jx * h_q + jy classifies in H^{m+q+|c|-1}/(cH) the jy-th of the
-    ambient vectors values(m, q, jx) returns for the jx-th Ann(c) basis
-    vector x and the basis classes y = e_jy of H^q.
+    values(m, q) returns the ambient H^{m+q+|c|-1} vectors of the block as
+    columns, column jx * h_q + jy for the jx-th Ann(c) basis vector and the
+    basis class e_jy of H^q; each column is classified in H/(cH).
     """
     h = ext.sections.h()
     out = {}
@@ -273,10 +283,7 @@ def _beta_blocks(ext: GysinExtension, values) -> dict:
             ktarget = ext.kernel.get(nprime)
             if h.rank(q) == 0 or ktarget is None or h.rank(nprime) == 0:
                 continue
-            cols = [ktarget.classify(v) for jx in range(basis.cols)
-                    for v in values(m, q, jx)]
-            out[(m, q)] = ExactMatrix.from_columns(
-                h.ring, cols, nrows=len(ktarget.orders))
+            out[(m, q)] = _classes(ktarget, values(m, q))
     return out
 
 
@@ -284,34 +291,27 @@ def _compute_beta_geo(ext: GysinExtension) -> dict:
     """beta_geo(x, y) = sigma(x) y - sigma(x y), classified in H/(cH)."""
     co = ext.sections
     h = co.h()
-    ring = h.ring
     cone = ext.cone
 
-    def values(m, q, jx):
-        ncone = m + ext.c_degree - 1
+    def values(m, q):
         nprime = ext.target_degree(m, q)
-        sigma_x = ext.sigma_chain[m].column(jx)
-        x_times = h.left_mult(m, ext.ann_basis[m].column(jx), q)
-        s_q = co.s_matrix(q)
-        out = []
-        for jy in range(h.rank(q)):
-            prod = cone.module.act(ncone, q, sigma_x, s_q.column(jy))
-            sig_xy = _through_ann(ext, ext.sigma_chain, m + q, x_times.column(jy),
-                                  cone.rank(nprime))
-            out.append(_cone_class_preimage(ext, nprime, ring.reduce_array(prod - sig_xy)))
-        return out
+        sigma_x_y = cone.module.bilinear_block(m + ext.c_degree - 1, q,
+                                               ext.sigma_chain[m], co.s_matrix(q))
+        sigma_xy = _through_ann(ext, ext.sigma_chain, m + q,
+                                h.left_mult(m, ext.ann_basis[m], q), cone.rank(nprime))
+        return _cone_class_preimage(ext, nprime, sigma_x_y - sigma_xy)
     return _beta_blocks(ext, values)
 
 
 def beta_from_theta(th: HochschildCochain, ext: GysinExtension) -> dict:
     """beta_theta(x, y) = theta(c, x, y) mod cH on the same block layout."""
     h = ext.sections.h()
+    c_col = _column(h.ring, ext.c_coords)
 
-    def values(m, q, jx):
-        x = ext.ann_basis[m].column(jx)
+    def values(m, q):
         ident = ExactMatrix.identity(h.ring, h.rank(q))
-        return [th.value((ext.c_degree, m, q), [ext.c_coords, x, ident.column(jy)])
-                for jy in range(h.rank(q))]
+        return th.block_or_zero((ext.c_degree, m, q)) @ \
+            kron(c_col, kron(ext.ann_basis[m], ident))
     return _beta_blocks(ext, values)
 
 
@@ -337,48 +337,47 @@ def _solve_trivial_shape(ext: GysinExtension, beta: dict):
         offsets[m] = (total, r, ht)
         total += r * ht
 
-    equations = []                          # (unknown part, cH relations, rhs)
+    # one row block per (m, q), rows in (x, y, H-coordinate) order
+    blocks = []                             # (unknown part, slack part, rhs)
     for (m, q), block in sorted(beta.items()):
         ktarget = ext.kernel[ext.target_degree(m, q)]
         rels = ktarget.relations            # ambient columns spanning cH
         hn = rels.rows
         hq = h.rank(q)
-        ident_n = ExactMatrix.identity(ring, hn)
-        ident_q = ExactMatrix.identity(ring, hq)
-        for jx in range(ext.ann_rank(m)):
-            x_times = h.left_mult(m, ext.ann_basis[m].column(jx), q)
-            for jy in range(hq):
-                eq = ExactMatrix.zeros(ring, hn, total)
-                # + b(xy): unknown block at degree m + q
-                if (m + q) in offsets:
-                    off, r2, _ = offsets[m + q]
-                    xy_ann = ext.ann_coords(m + q, x_times.column(jy))
-                    eq.data[:, off:off + r2 * hn] = \
-                        kron(ExactMatrix.from_rows(ring, [xy_ann]), ident_n).data
-                # - b(x) y: right multiplication of the degree-(m+shift) unknown by e_y
-                if m in offsets:
-                    off, _, ht1 = offsets[m]
-                    cols = slice(off + jx * ht1, off + (jx + 1) * ht1)
-                    eq.data[:, cols] = ring.reduce_array(
-                        eq.data[:, cols] - h.right_mult(m + shift, q, ident_q.column(jy)).data)
-                equations.append((eq, rels, ktarget.lift(block.column(jx * hq + jy))))
+        off, r, ht1 = offsets[m]
+        eq = ExactMatrix.zeros(ring, r * hq * hn, total)
+        # + b(xy): kron(A^T, I) for the Ann(c) coordinates A of the products
+        if (m + q) in offsets:
+            off2, r2, _ = offsets[m + q]
+            coords = ext.ann_coords(m + q, h.left_mult(m, ext.ann_basis[m], q))
+            eq.data[:, off2:off2 + r2 * hn] = kron(
+                ExactMatrix(ring, coords.data.T.copy()), ExactMatrix.identity(ring, hn)).data
+        # - b(x) y: R stacks the columns of mult_block(m + shift, q) by y
+        R = h.mult_block(m + shift, q).data.reshape(hn, ht1, hq).transpose(2, 0, 1)
+        right = kron(ExactMatrix.identity(ring, r),
+                     ExactMatrix(ring, R.reshape(hq * hn, ht1)))
+        cols = slice(off, off + r * ht1)
+        eq.data[:, cols] = ring.reduce_array(eq.data[:, cols] - right.data)
+        # slack - rels * t per equation, working modulo cH
+        slack = kron(ExactMatrix.identity(ring, r * hq), -rels)
+        rhs = (ktarget.reduced_gens @ block).data.T.reshape(-1)
+        blocks.append((eq, slack, rhs))
 
     x = zero_vector(ring, total)
-    if equations:
-        # slack columns - rels * t, one block per equation (working modulo cH)
-        nrows = sum(eq.rows for eq, _, _ in equations)
+    if blocks:
+        nrows = sum(eq.rows for eq, _, _ in blocks)
         system = ExactMatrix.zeros(ring, nrows,
-                                   total + sum(r.cols for _, r, _ in equations))
+                                   total + sum(sl.cols for _, sl, _ in blocks))
         rhs = zero_vector(ring, nrows)
         row0 = 0
         col0 = total
-        for eq, rels, beta_amb in equations:
+        for eq, slack, beta_amb in blocks:
             rows = slice(row0, row0 + eq.rows)
             system.data[rows, :total] = eq.data
-            system.data[rows, col0:col0 + rels.cols] = (-rels).data
+            system.data[rows, col0:col0 + slack.cols] = slack.data
             rhs[rows] = beta_amb
             row0 += eq.rows
-            col0 += rels.cols
+            col0 += slack.cols
         x, cert = solve_with_certificate(system, rhs)
         if x is None:
             return None, cert
@@ -448,7 +447,7 @@ def split_extension(ext: GysinExtension, theta_witness: HochschildCochain = None
 
     seed_blocks = None
     if theta_witness is not None:
-        c_col = ExactMatrix.from_columns(ring, [ext.c_coords], nrows=len(ext.c_coords))
+        c_col = _column(ring, ext.c_coords)
         seed_blocks = {m: theta_witness.block_or_zero((ext.c_degree, m)) @ kron(c_col, basis)
                        for m, basis in ext.ann_basis.items()}
 
@@ -466,14 +465,10 @@ def split_extension(ext: GysinExtension, theta_witness: HochschildCochain = None
     # sigma_tilde(x) = sigma(x) + iota(b(x)); verify and classify
     chain = {}
     cls = {}
-    for m, basis in ext.ann_basis.items():
+    for m in ext.ann_basis:
         n = m + shift
-        corr = ExactMatrix.zeros(ring, ext.cone.rank(n), basis.cols)
-        corr.data[:co.algebra.rank(n)] = (co.s_matrix(n) @ b[m]).data
-        chain[m] = ext.sigma_chain[m] + corr
-        cls[m] = ExactMatrix.from_columns(
-            ring, [ext.cone_h.classify(n, chain[m].column(j)) for j in range(basis.cols)],
-            nrows=len(ext.cone_h.group(n).orders))
+        chain[m] = ext.sigma_chain[m] + _s_in_cone(ext, n, b[m])
+        cls[m] = _classes(ext.cone_h.group(n), chain[m])
     section = SplitSection(b, chain, cls)
     _verify_split(ext, section)
     return section, None
@@ -482,18 +477,11 @@ def split_extension(ext: GysinExtension, theta_witness: HochschildCochain = None
 def _trivial_shape_beta(ext: GysinExtension, b: dict) -> dict:
     """The beta blocks b(xy) - b(x) y, classified like beta_geo."""
     h = ext.sections.h()
-    ring = h.ring
-    shift = ext.c_degree - 1
 
-    def values(m, q, jx):
-        x_times = h.left_mult(m, ext.ann_basis[m].column(jx), q)
-        b_times = h.left_mult(m + shift, b[m].column(jx), q)
-        out = []
-        for jy in range(h.rank(q)):
-            bxy = _through_ann(ext, b, m + q, x_times.column(jy),
-                               h.rank(ext.target_degree(m, q)))
-            out.append(ring.reduce_array(bxy - b_times.column(jy)))
-        return out
+    def values(m, q):
+        bxy = _through_ann(ext, b, m + q, h.left_mult(m, ext.ann_basis[m], q),
+                           h.rank(ext.target_degree(m, q)))
+        return bxy - h.left_mult(m + ext.c_degree - 1, b[m], q)
     return _beta_blocks(ext, values)
 
 
@@ -502,29 +490,21 @@ def _verify_split(ext: GysinExtension, section: SplitSection) -> None:
     co = ext.sections
     h = co.h()
     cone = ext.cone
+    chains = section.sigma_tilde_chain
     for m, basis in ext.ann_basis.items():
         n = m + ext.c_degree - 1
-        if not _projects_to_ann(ext, m, section.sigma_tilde_chain[m]):
+        if not _projects_to_ann(ext, m, chains[m]):
             raise AssertionError("sigma_tilde is not a section of the projection")
-        for jx in range(basis.cols):
-            w = section.sigma_tilde_chain[m].column(jx)
-            # H-linearity at class level: sigma~(x h) = sigma~(x) h
-            for q in range(h.top + 1):
-                hq = h.rank(q)
-                if hq == 0:
-                    continue
-                nt = n + q
-                s_q = co.s_matrix(q)
-                x_times = h.left_mult(m, basis.column(jx), q)
-                for jy in range(hq):
-                    lhs = ext.cone_h.classify(
-                        nt, cone.module.act(n, q, w, s_q.column(jy)))
-                    rhs = ext.cone_h.classify(nt, _through_ann(
-                        ext, section.sigma_tilde_chain, m + q, x_times.column(jy),
-                        cone.rank(nt)))
-                    if any(u != v for u, v in zip(lhs, rhs)):
-                        raise AssertionError(
-                            f"sigma_tilde is not H-linear at degrees ({m},{q})")
+        # H-linearity at class level: sigma~(x) y = sigma~(x y)
+        for q in range(h.top + 1):
+            if basis.cols == 0 or h.rank(q) == 0:
+                continue
+            group = ext.cone_h.group(n + q)
+            lhs = cone.module.bilinear_block(n, q, chains[m], co.s_matrix(q))
+            rhs = _through_ann(ext, chains, m + q, h.left_mult(m, basis, q),
+                               cone.rank(n + q))
+            if _classes(group, lhs) != _classes(group, rhs):
+                raise AssertionError(f"sigma_tilde is not H-linear at degrees ({m},{q})")
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +524,7 @@ def check_extension_exactness(ext: GysinExtension) -> dict:
         ann = ext.ann_basis.get(m)
         # iota on kernel generators, classified in H^n(cone)
         gens = kq.reduced_gens if kq is not None else ExactMatrix.zeros(ring, 0, 0)
-        iota = ExactMatrix.from_columns(
-            ring, [nh.classify(cone.inject(n, co.s_apply(n, gens.column(j))))
-                   for j in range(gens.cols)], nrows=len(nh.orders))
+        iota = _classes(nh, _s_in_cone(ext, n, gens))
         rels = _order_relations(ring, nh.orders)
         entry = {}
         entry["iota_injective"] = kq is None or not len(kq.orders) or \
@@ -576,62 +554,44 @@ def _presented_map_injective(f: ExactMatrix, dst_rels: ExactMatrix,
     """Injectivity of a map between presented groups given on generators."""
     big = f.hstack(dst_rels) if dst_rels.cols else f
     kern = kernel_basis(big)
-    for j in range(kern.cols):
-        xpart = kern.column(j)[:f.cols]
-        if vec_is_zero(xpart):
-            continue
-        if solve(src_rels, xpart) is None:
-            return False
-    return True
+    return solve_matrix(src_rels, kern.take_rows(range(f.cols))) is not None
 
 
 def _exactness_at_middle(ext: GysinExtension, n: int, iota: ExactMatrix,
                          rels: ExactMatrix) -> bool:
     """ker(proj) = im(iota) inside H^n(cone), presented with relations rels."""
-    co = ext.sections
-    ring = co.ring
-    cone = ext.cone
+    ring = ext.sections.ring
     nh = ext.cone_h.group(n)
     if not len(nh.orders):
         return True
     m = n - ext.c_degree + 1
     ann = ext.ann_basis.get(m)
     # projection matrix on generators (free target: Ann coordinates)
-    pcols = []
-    for j in range(nh.reduced_gens.cols):
-        g = nh.reduced_gens.column(j)
-        xpart, ypart = cone.parts(n, g)
-        proj = co.pi(m, ypart) if 0 <= m <= co.top else \
-            zero_vector(ring, 0)
-        if ann is None or ann.cols == 0:
-            if not vec_is_zero(proj):
-                return False
-            pcols.append(zero_vector(ring, 0))
-        else:
-            coords = ext.ann_coords(m, proj)
-            if coords is None:
-                return False          # projection landed outside Ann(c)
-            pcols.append(coords)
+    proj = _projection(ext, m, nh.reduced_gens)
     if ann is None or ann.cols == 0:
+        if not proj.is_zero():
+            return False
         pker = ExactMatrix.identity(ring, len(nh.orders))
     else:
-        pmat = ExactMatrix.from_columns(ring, pcols, nrows=ann.cols)
-        pker = kernel_basis(pmat)
+        coords = ext.ann_coords(m, proj)
+        if coords is None:
+            return False          # projection landed outside Ann(c)
+        pker = kernel_basis(coords)
     span = iota.hstack(rels) if rels.cols else iota
-    for j in range(pker.cols):
-        if solve(span, pker.column(j)) is None:
-            return False
-    return True
+    return solve_matrix(span, pker) is not None
+
+
+def _projection(ext: GysinExtension, m: int, chains: ExactMatrix) -> ExactMatrix:
+    """The classes in H^m of the second summands of the columns of chains
+    (in cone^{m+|c|-1}); pi checks that each one is a cocycle."""
+    co = ext.sections
+    first = co.algebra.rank(m + ext.c_degree - 1)
+    return ExactMatrix.from_columns(
+        co.ring, [co.pi(m, chains.data[first:, j]) for j in range(chains.cols)],
+        nrows=co.hr(m))
 
 
 def _projects_to_ann(ext: GysinExtension, m: int, chains: ExactMatrix) -> bool:
     """Column j of chains (in cone^{m+|c|-1}) projects to the j-th Ann(c)
     basis vector of H^m."""
-    ann = ext.ann_basis[m]
-    n = m + ext.c_degree - 1
-    for j in range(ann.cols):
-        _, ypart = ext.cone.parts(n, chains.column(j))
-        proj = ext.sections.pi(m, ypart)
-        if any(u != v for u, v in zip(proj, ann.column(j))):
-            return False
-    return True
+    return _projection(ext, m, chains) == ext.ann_basis[m]

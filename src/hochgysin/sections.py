@@ -16,10 +16,8 @@ itself (degree 0 admits no coboundaries, so seeding preserves this).
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -85,18 +83,17 @@ class HRing:
             return zero_vector(self.ring, self.rank(p + q))
         return self.mult_block(p, q).matvec(np.outer(x, y).reshape(len(x) * len(y)))
 
-    def _column(self, x) -> ExactMatrix:
-        return ExactMatrix.from_columns(self.ring, [x], nrows=len(x))
-
-    def left_mult(self, p: int, x, q: int) -> ExactMatrix:
-        """Matrix of y -> x y on H^q, for the class x in H^p."""
+    def left_mult(self, p: int, X: ExactMatrix, q: int) -> ExactMatrix:
+        """Products of the classes X (columns, in H^p) with the basis of H^q:
+        column jx * h_q + jy is X_jx e_jy."""
         ident = ExactMatrix.identity(self.ring, self.rank(q))
-        return self.mult_block(p, q) @ kron(self._column(x), ident)
+        return self.mult_block(p, q) @ kron(X, ident)
 
     def right_mult(self, p: int, q: int, z) -> ExactMatrix:
         """Matrix of y -> y z on H^p, for the class z in H^q."""
         ident = ExactMatrix.identity(self.ring, self.rank(p))
-        return self.mult_block(p, q) @ kron(ident, self._column(z))
+        z_col = ExactMatrix.from_columns(self.ring, [z], nrows=len(z))
+        return self.mult_block(p, q) @ kron(ident, z_col)
 
 
 class CohomologySections:
@@ -118,6 +115,7 @@ class CohomologySections:
         self._pi_mat: dict = {}        # n -> h_n x C^n (valid on cocycles)
         self._h: HRing | None = None
         self._qpair_cache: dict = {}
+        self._ss_cache: dict = {}      # (p, q) -> s(x)s(y) block, C^{p+q} x h_p*h_q
 
     # -- basic dimensions
 
@@ -203,6 +201,13 @@ class CohomologySections:
         return self.q[n].matvec(self.image_coords(n, w)) if n in self.q else \
             zero_vector(self.ring, self.algebra.rank(n - 1))
 
+    def ss_block(self, p: int, q: int) -> ExactMatrix:
+        """Matrix of (x, y) -> s(x) s(y), C^{p+q} x h_p*h_q."""
+        if (p, q) not in self._ss_cache:
+            self._ss_cache[(p, q)] = self.algebra.bilinear_block(
+                p, q, self.s_matrix(p), self.s_matrix(q))
+        return self._ss_cache[(p, q)]
+
     def qpair_block(self, p: int, q: int) -> ExactMatrix:
         """Matrix of (x, y) -> q(x, y) := q(s(x)s(y) - s(xy)), C^{p+q-1} x h_p*h_q."""
         key = (p, q)
@@ -212,7 +217,7 @@ class CohomologySections:
             if hp == 0 or hq == 0 or p + q > self.top + 1:
                 self._qpair_cache[key] = ExactMatrix.zeros(self.ring, target_rank, hp * hq)
             else:
-                w = self.algebra.bilinear_block(p, q, self.s_matrix(p), self.s_matrix(q))
+                w = self.ss_block(p, q)
                 prod = self.h().mult_block(p, q)
                 if self.algebra.rank(p + q):
                     w = w - self.s_matrix(p + q) @ prod
@@ -236,9 +241,7 @@ class CohomologySections:
                     hp, hq, ht = self.hr(p), self.hr(q), self.hr(p + q)
                     if hp == 0 or hq == 0 or ht == 0:
                         continue
-                    w = self.algebra.bilinear_block(p, q, self.s_matrix(p),
-                                                    self.s_matrix(q))
-                    mult[(p, q)] = self.pi_matrix(p + q) @ w
+                    mult[(p, q)] = self.pi_matrix(p + q) @ self.ss_block(p, q)
             self._h = HRing(self.ring, list(self.h_rank), mult)
         return self._h
 
@@ -332,6 +335,7 @@ def _randomize(co: CohomologySections, rng: random.Random) -> None:
                 ring, [[rng.randint(-2, 2) for _ in range(b)] for _ in range(z_prev)])
             co.q[n] = co.q[n] + co.kernel_basis[n - 1] @ r2
     co._qpair_cache.clear()
+    co._ss_cache.clear()
     co._h = None
 
 
@@ -412,13 +416,3 @@ def _check_package(co: CohomologySections) -> None:
         ps = co.pi_matrix(n) @ co.s_matrix(n)
         if ps != ExactMatrix.identity(co.ring, co.hr(n)):
             raise NotACocycleError(f"loaded package fails pi s = id in degree {n}")
-
-
-def save_sections(co: CohomologySections, path) -> None:
-    Path(path).write_text(json.dumps(sections_to_json(co), sort_keys=True),
-                          encoding="utf-8")
-
-
-def load_sections(path) -> CohomologySections:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return sections_from_json(payload)

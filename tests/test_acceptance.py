@@ -245,18 +245,22 @@ def test_criterion_09_cross_oracle_agreement():
 
 
 def test_criterion_10_monomorphism_probe():
+    # (n, signed) -> (hh3_free_rank, descends, injective); HH^3 is torsion-free
     frozen = {
-        (1, False): (True, True), (2, False): (True, True), (3, False): (True, True),
-        (1, True): (True, True), (2, True): (True, False), (3, True): (False, None),
+        (1, False): (0, True, True), (2, False): (4, True, True),
+        (3, False): (30, True, True), (1, True): (0, True, True),
+        (2, True): (4, True, False), (3, True): (30, False, None),
     }
     all_ok = True
     details = []
-    for (n, signed), (descends, injective) in sorted(frozen.items()):
+    for (n, signed), (free, descends, injective) in sorted(frozen.items()):
         v = verify_monomorphism(n, signed=signed)
-        good = (v["descends_to_classes"] == descends
+        good = (v["hh3_free_rank"] == free and v["hh3_torsion"] == []
+                and v["descends_to_classes"] == descends
                 and v["injective_on_classes"] == injective)
         all_ok = all_ok and good
         details.append(f"n={n}{'s' if signed else 'u'}: "
+                       f"hh3={v['hh3_free_rank']}+{v['hh3_torsion']} "
                        f"descends={v['descends_to_classes']} "
                        f"injective={v['injective_on_classes']}")
     report(10, all_ok, "frozen verdicts reproduced: " + ", ".join(details))

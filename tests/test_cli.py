@@ -198,6 +198,10 @@ def _t2_cochains():
     return json.dumps(dga_to_json(cochain_algebra(build_torus(2), ZZ)))
 
 
+def _circle():
+    return run_cli(["build", "circle"]).stdout
+
+
 def _circle_sections(edit):
     from hochgysin.dga import cochain_algebra
     from hochgysin.exactlin import ZZ
@@ -234,6 +238,10 @@ USAGE_CASES = {
     "massey_x_float": (MASSEY + ["--x", "1:[0,1.5]", "--z", "1:[1,0]"], None),
     "gysin_degree_out_of_range": (["gysin", "--c", "7:[1]"], _t2_cochains),
     "gysin_wrong_length": (["gysin", "--c", "2:[1,1]"], _t2_cochains),
+    "cochains_ring_not_prime": (["cochains", "--ring", "F4"], _circle),
+    "monomorphism_unknown_ring": (["monomorphism", "--n", "1", "--ring", "X"], None),
+    "cochains_ring_garbled": (["cochains", "--ring", "Z7x"], _circle),
+    "build_sphere_negative": (["build", "sphere", "--m", "-1"], None),
 }
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from hochgysin.dga import (
     DgaFormatError, DgaValidationError, cochain_algebra, dga_from_json,
-    dga_to_json, load_dga, save_dga, validate,
+    dga_to_json, load_dga, validate,
 )
 from hochgysin.exactlin import GF, QQ, ZZ, as_vector
 from hochgysin.simplicial import build_circle, build_sphere, build_torus, make_complex
@@ -89,11 +89,9 @@ def test_exterior_algebra_validates():
     assert validate(exterior_square_z()).passed
 
 
-def test_save_load_roundtrip(tmp_path):
+def test_save_load_roundtrip():
     a = cochain_algebra(build_torus(2), ZZ)
-    path = tmp_path / "t2.dga.json"
-    save_dga(a, path)
-    b = load_dga(path)
+    b = dga_from_json(json.loads(json.dumps(dga_to_json(a), sort_keys=True)))
     assert a == b
 
 

@@ -65,6 +65,10 @@ CASES = {
                      "--ring", "F3"], "build_t2", "text"),
     "gysin_fixture": (["gysin", "--c", "1:[0,1]", "--check-th", "--split",
                        "--in", FIXTURE], None, "text"),
+    "gysin_t2_q": (["gysin", "--c", "2:[2]", "--check-th", "--split",
+                    "--ring", "Q"], "build_t2", "text"),
+    "gysin_t2_c1_z": (["gysin", "--c", "1:[1,0]", "--check-th", "--split"],
+                      "build_t2", "text"),
     "torus_2": (["torus", "--n", "2"], None, "text"),
     "monomorphism_2": (["monomorphism", "--n", "2"], None, "text"),
 }

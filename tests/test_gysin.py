@@ -1,12 +1,14 @@
 import dataclasses
 import random
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hochgysin.dga import cochain_algebra, load_dga, validate_module
 from hochgysin.exactlin import (
-    GF, ZZ, ExactMatrix, as_vector, smith_normal_form, vec_is_zero, zero_vector,
+    GF, QQ, ZZ, ExactMatrix, as_vector, ring_from_name, smith_normal_form, zero_vector,
 )
 from hochgysin.gysin import (
     beta_from_theta, check_extension_exactness, cone_cohomology, gysin_extension,
@@ -289,6 +291,36 @@ def test_fixture_other_c_split(heis):
     assert sec3 is not None
 
 
+@pytest.mark.parametrize("ring_name,c_degree,c", [
+    ("Z", 1, [0, 0]), ("F3", 2, [0]), ("Q", 1, [0, 0]), ("fixture", 0, [0]),
+])
+def test_trivial_shape_round_trip(heis, ring_name, c_degree, c):
+    # a random b gives beta = b(xy) - b(x) y; the solve must return a b'
+    # (not necessarily b) whose trivial shape is the same beta.  The zero
+    # class makes Ann(c) = H and H/(cH) = H, so beta is not zero.
+    from hochgysin.gysin import _solve_trivial_shape, _trivial_shape_beta
+    if ring_name == "fixture":
+        a, co = heis
+    else:
+        a = cochain_algebra(build_torus(2), ring_from_name(ring_name))
+        co = build_sections(a)
+    ring = a.ring
+    h = co.h()
+    ext = gysin_extension(a, c_degree, c, co)
+    rng = random.Random(19)
+    b = {}
+    for m, basis in ext.ann_basis.items():
+        b[m] = ExactMatrix.zeros(ring, h.rank(m + c_degree - 1), basis.cols)
+        for i, j in np.ndindex(b[m].data.shape):
+            den = rng.choice([1, 2, 3]) if ring == QQ else 1
+            b[m].data[i, j] = ring.normalize(Fraction(rng.randint(-3, 3), den))
+    beta = _trivial_shape_beta(ext, b)
+    assert any(not block.is_zero() for block in beta.values())
+    solved, cert = _solve_trivial_shape(ext, beta)
+    assert cert is None
+    assert _trivial_shape_beta(ext, solved) == beta
+
+
 def test_cross_oracle_trivial_theta_implies_split(torus2):
     a, co = torus2
     th = theta(co)
@@ -308,18 +340,13 @@ def test_action_well_defined_across_seed(torus2):
     cone = mapping_cone(a, 2, [1], co)
     ch = cone_cohomology(cone)
     for n in (0, 1, 2):
-        g = ch.group(n)
-        for j in range(len(g.orders)):
-            coords = zero_vector(ZZ, len(g.orders))
-            coords[j] = ZZ.one()
-            chain = g.lift(coords)
-            for q in (0, 1):
-                for b in range(co.hr(q)):
-                    h = zero_vector(ZZ, co.hr(q))
-                    h[b] = ZZ.one()
-                    v1 = cone.module.act(n, q, chain, co.s_apply(q, h))
-                    v2 = cone.module.act(n, q, chain, co2.s_apply(q, h))
-                    assert ch.group(n + q).classes_equal(v1, v2)
+        chains = ch.group(n).reduced_gens
+        for q in (0, 1):
+            v1 = cone.module.bilinear_block(n, q, chains, co.s_matrix(q))
+            v2 = cone.module.bilinear_block(n, q, chains, co2.s_matrix(q))
+            assert v1.cols == chains.cols * co.hr(q)
+            for j in range(v1.cols):
+                assert ch.group(n + q).classes_equal(v1.column(j), v2.column(j))
 
 
 def _failures(report):

@@ -11,7 +11,7 @@ from hochgysin.sections import build_sections
 from hochgysin.simplicial import build_torus
 from hochgysin.torus import (
     exterior_algebra, exterior_iso, symmetrize, sym3_monomials,
-    torus_theta_trivial, verify_monomorphism,
+    torus_theta_trivial,
 )
 
 
@@ -117,27 +117,6 @@ def test_symmetrize_of_coboundary_consistent():
                 ZZ, [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]))
         db = coboundary(b, M)
         assert symmetrize(db).is_zero()
-
-
-FROZEN_MONO = {
-    # (n, signed) -> (hh3_free_rank, descends, injective)
-    (1, False): (0, True, True),
-    (1, True): (0, True, True),
-    (2, False): (4, True, True),
-    (2, True): (4, True, False),
-    (3, False): (30, True, True),
-    (3, True): (30, False, None),
-}
-
-
-@pytest.mark.parametrize("n,signed", sorted(FROZEN_MONO))
-def test_verify_monomorphism_frozen(n, signed):
-    v = verify_monomorphism(n, signed=signed)
-    free, descends, injective = FROZEN_MONO[(n, signed)]
-    assert v["hh3_free_rank"] == free
-    assert v["hh3_torsion"] == []
-    assert v["descends_to_classes"] == descends
-    assert v["injective_on_classes"] == injective
 
 
 def test_torus2_theta_trivial_over_z_and_q():
