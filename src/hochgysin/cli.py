@@ -67,6 +67,12 @@ def _ring(name):
         raise UsageError(f"bad --ring {name!r}: {exc}") from exc
 
 
+def _same_ring(ring_name, ring):
+    """A dg-algebra or section input fixes its ring; --ring may only name it."""
+    if ring_name is not None and _ring(ring_name) != ring:
+        raise UsageError(f"--ring {ring_name} differs from the input's ring {ring.name}")
+
+
 def _validated(payload):
     """(dg-algebra, validation report) of a dg-algebra or section payload."""
     a = dgamod.dga_from_json(payload["algebra"] if "algebra" in payload else payload)
@@ -84,12 +90,15 @@ def _as_dga(payload, ring_name):
         raise UsageError(
             "input dg-algebra violates the axioms: "
             + "; ".join(f"{c.name}: {c.witness}" for c in report.failures()))
+    _same_ring(ring_name, a.ring)
     return a
 
 
 def _as_sections(payload, ring_name, seed):
     if "s" in payload and "algebra" in payload:
-        return secmod.sections_from_json(payload)
+        co = secmod.sections_from_json(payload)
+        _same_ring(ring_name, co.ring)
+        return co
     a = _as_dga(payload, ring_name)
     return build_sections(a, seed=seed)
 
@@ -278,13 +287,13 @@ def cmd_gysin(args):
     exact = check_extension_exactness(ext)
     exact_ok = all(all(entry.values()) for entry in exact.values())
     checks.append({"name": "extension_exact", "pass": exact_ok})
+    th = theta(co) if args.check_th or args.split else None
     if args.check_th:
-        ok, witness = verify_theorem_th(a, cdeg, ccoords, co, ext=ext)
+        ok, witness = verify_theorem_th(a, cdeg, ccoords, co, th=th, ext=ext)
         checks.append({"name": "theorem_th", "pass": ok})
         if ok:
             result["th_witness"] = {str(m): b.to_lists() for m, b in witness.items()}
     if args.split:
-        th = theta(co)
         tw, _ = trivialize(th, TwistedBimodule(co.h()))
         sec, cert = split_extension(ext, theta_witness=tw)
         checks.append({"name": "split_found", "pass": sec is not None})
@@ -354,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="input file (default: stdin)")
         if ring:
             sp.add_argument("--ring", default=None,
-                            help="coefficient ring for complex inputs (Z, Q, F2, ...)")
+                            help="coefficient ring (Z, Q, F2, ...); a dg-algebra or "
+                                 "section input must already be over it")
         if seed:
             sp.add_argument("--seed", type=int, default=None,
                             help="section seed (default: HOCHGYSIN_SEED)")

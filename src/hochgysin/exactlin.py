@@ -14,7 +14,12 @@ entries stay exact.
 Pivot rule (fixed for reproducibility): among the nonzero candidates,
 pick the smallest ``ring.pivot_size``; ties broken by lowest (row, col).
 Over Z pivot_size is abs(); over fields every nonzero entry has size 1,
-so the rule degenerates to first-nonzero in scan order.
+so the rule degenerates to first-nonzero in scan order.  The Smith
+normal form clears rows and columns with one Euclidean line reduction:
+a column operation on A is a row operation on A.T, so the column pass
+runs on the transposed views (A.T, V.T, Vinv.T).  Sharing the routine
+changes neither the pivot rule nor the order of operations; tests pin
+U, V and their inverses by digest.
 """
 
 from __future__ import annotations
@@ -132,6 +137,13 @@ class Ring:
         if self.tag == "Q":
             return b / a
         return (b * self.inv(a)) % self.p
+
+    def quo(self, b, a):
+        """Euclidean quotient of b by a != 0: floor division over Z, b / a
+        over a field, so that b - quo(b, a) * a is smaller than a or zero."""
+        if self.tag == "Z":
+            return b // a
+        return self.exact_div(b, a)
 
     def pivot_size(self, x) -> int:
         if self.tag == "Z":
@@ -351,12 +363,7 @@ class ExactMatrix:
 
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Kronecker product, row/col indices flattened row-major."""
-    ring = a.ring
-    out = np.empty((a.rows * b.rows, a.cols * b.cols), dtype=object)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            out[i * b.rows:(i + 1) * b.rows, j * b.cols:(j + 1) * b.cols] = a.data[i, j] * b.data
-    return ExactMatrix(ring, ring.reduce_array(out))
+    return ExactMatrix(a.ring, a.ring.reduce_array(np.kron(a.data, b.data)))
 
 
 # ---------------------------------------------------------------------------
@@ -380,22 +387,22 @@ class SNFResult:
     divisors: list
 
 
-def _find_pivot(ring: Ring, M: np.ndarray, start: int):
-    """Smallest pivot_size among M[start:, start:], ties by lowest (row, col)."""
+def _find_pivot(ring: Ring, A: np.ndarray, t: int):
+    """(row, col) of the smallest pivot_size in A[t:, t:], ties by lowest (row, col)."""
     best = None
-    rows, cols = M.shape
-    for i in range(start, rows):
-        row = M[i]
-        for j in range(start, cols):
-            x = row[j]
-            if x != 0:
-                s = ring.pivot_size(x)
-                if best is None or s < best[0]:
-                    best = (s, i, j)
-                    if s == 1:
-                        return best  # nothing beats a unit-size pivot...
-        # ...except an earlier one in scan order, which we already prefer
-    return best
+    for i in range(t, A.shape[0]):
+        nz = A[i, t:].nonzero()[0]
+        if not len(nz):
+            continue
+        if ring.is_field:
+            return i, t + int(nz[0])
+        sizes = np.abs(A[i, t + nz])
+        k = sizes.argmin()
+        if best is None or sizes[k] < best[0]:
+            best = (sizes[k], i, t + int(nz[k]))
+            if best[0] == 1:
+                return i, best[2]  # nothing beats a unit, except an earlier one
+    return None if best is None else best[1:]
 
 
 def smith_normal_form(M: ExactMatrix) -> SNFResult:
@@ -407,96 +414,60 @@ def smith_normal_form(M: ExactMatrix) -> SNFResult:
     Uinv = ExactMatrix.identity(ring, rows).data
     V = ExactMatrix.identity(ring, cols).data
     Vinv = ExactMatrix.identity(ring, cols).data
+    # a side is (matrix, transform, inverse transform), acted on by line operations
+    row_side, col_side = (A, U, Uinv), (A.T, V.T, Vinv.T)
 
-    def row_axpy(dst, src, q):
-        # row_dst -= q * row_src on A and U; column op on Uinv
-        A[dst] = ring.reduce_array(A[dst] - q * A[src])
-        U[dst] = ring.reduce_array(U[dst] - q * U[src])
-        Uinv[:, src] = ring.reduce_array(Uinv[:, src] + q * Uinv[:, dst])
+    def axpy(side, dst, src, q):
+        # line dst -= q * line src on the matrix and transform; the inverse
+        # transform takes the matching column operation
+        a, T, Tinv = side
+        a[dst] = ring.reduce_array(a[dst] - q * a[src])
+        T[dst] = ring.reduce_array(T[dst] - q * T[src])
+        Tinv[:, src] = ring.reduce_array(Tinv[:, src] + q * Tinv[:, dst])
 
-    def col_axpy(dst, src, q):
-        A[:, dst] = ring.reduce_array(A[:, dst] - q * A[:, src])
-        V[:, dst] = ring.reduce_array(V[:, dst] - q * V[:, src])
-        Vinv[src] = ring.reduce_array(Vinv[src] + q * Vinv[dst])
-
-    def row_swap(i, j):
+    def swap(side, i, j):
         if i != j:
-            A[[i, j]] = A[[j, i]]
-            U[[i, j]] = U[[j, i]]
-            Uinv[:, [i, j]] = Uinv[:, [j, i]]
+            a, T, Tinv = side
+            a[[i, j]] = a[[j, i]]
+            T[[i, j]] = T[[j, i]]
+            Tinv[:, [i, j]] = Tinv[:, [j, i]]
 
-    def col_swap(i, j):
-        if i != j:
-            A[:, [i, j]] = A[:, [j, i]]
-            V[:, [i, j]] = V[:, [j, i]]
-            Vinv[[i, j]] = Vinv[[j, i]]
+    def clear(side, t):
+        # clear line t's pivot column below t; True when a Euclid remainder
+        # was swapped into the pivot line, which restarts the reduction
+        a = side[0]
+        moved = False
+        for i in (t + 1 + a[t + 1:, t].nonzero()[0]).tolist():
+            q = ring.quo(a[i, t], a[t, t])
+            if q:
+                axpy(side, i, t, q)
+            if a[i, t] != 0:
+                swap(side, t, i)
+                moved = True
+        return moved
 
-    def row_scale(i, u):
-        # multiply row i by the unit u
-        A[i] = ring.reduce_array(u * A[i])
-        U[i] = ring.reduce_array(u * U[i])
-        Uinv[:, i] = ring.reduce_array(ring.inv(u) * Uinv[:, i])
+    def fold(t):
+        # the pivot must divide the trailing block: fold the first row it
+        # does not divide into row t, which restarts the reduction
+        if ring.is_unit(A[t, t]):
+            return False
+        bad = np.flatnonzero((A[t + 1:, t + 1:] % A[t, t] != 0).any(axis=1))
+        if len(bad):
+            axpy(row_side, t, t + 1 + bad[0], -1)
+        return len(bad) > 0
 
     t = 0
-    while True:
-        piv = _find_pivot(ring, A, t)
-        if piv is None:
-            break
-        _, pi, pj = piv
-        row_swap(t, pi)
-        col_swap(t, pj)
-        while True:
-            # clear column t below the pivot
-            progress = False
-            for i in range(t + 1, rows):
-                x = A[i, t]
-                if x != 0:
-                    if ring.is_field:
-                        q = ring.exact_div(x, A[t, t])
-                        row_axpy(i, t, q)
-                    else:
-                        q = x // A[t, t]  # floor division keeps |remainder| < |pivot|
-                        if q:
-                            row_axpy(i, t, q)
-                        if A[i, t] != 0:
-                            row_swap(t, i)  # remainder is strictly smaller: Euclid
-                            progress = True
-            if progress:
-                continue
-            for j in range(t + 1, cols):
-                x = A[t, j]
-                if x != 0:
-                    if ring.is_field:
-                        q = ring.exact_div(x, A[t, t])
-                        col_axpy(j, t, q)
-                    else:
-                        q = x // A[t, t]
-                        if q:
-                            col_axpy(j, t, q)
-                        if A[t, j] != 0:
-                            col_swap(t, j)
-                            progress = True
-            if progress:
-                continue
-            # pivot must divide every remaining entry; if not, fold the
-            # offending row in and restart the euclidean reduction
-            if not ring.is_field:
-                offender = None
-                p = A[t, t]
-                for i in range(t + 1, rows):
-                    for j in range(t + 1, cols):
-                        if A[i, j] % p != 0:
-                            offender = i
-                            break
-                    if offender is not None:
-                        break
-                if offender is not None:
-                    row_axpy(t, offender, ring.normalize(-1))
-                    continue
-            break
+    while (piv := _find_pivot(ring, A, t)) is not None:
+        swap(row_side, t, piv[0])
+        swap(col_side, t, piv[1])
+        while clear(row_side, t) or clear(col_side, t) or fold(t):
+            pass
         u = ring.canonical_unit(A[t, t])
         if u != ring.one():
-            row_scale(t, u)
+            # multiply line t by the unit u
+            A[t] = ring.reduce_array(u * A[t])
+            U[t] = ring.reduce_array(u * U[t])
+            Uinv[:, t] = ring.reduce_array(ring.inv(u) * Uinv[:, t])
         t += 1
 
     divisors = [A[i, i] for i in range(min(rows, cols)) if A[i, i] != 0]
@@ -521,7 +492,6 @@ def column_hermite(M: ExactMatrix) -> ExactMatrix:
     A = M.data.copy()
     rows, cols = A.shape
     pivot_col = 0
-    pivots = []
     for r in range(rows):
         if pivot_col >= cols:
             break
@@ -533,10 +503,7 @@ def column_hermite(M: ExactMatrix) -> ExactMatrix:
             nz.sort(key=lambda j: (ring.pivot_size(A[r, j]), j))
             p = nz[0]
             for j in nz[1:]:
-                if ring.is_field:
-                    q = ring.exact_div(A[r, j], A[r, p])
-                else:
-                    q = A[r, j] // A[r, p]
+                q = ring.quo(A[r, j], A[r, p])
                 if q:
                     A[:, j] = ring.reduce_array(A[:, j] - q * A[:, p])
         nz = [j for j in range(pivot_col, cols) if A[r, j] != 0]
@@ -552,16 +519,11 @@ def column_hermite(M: ExactMatrix) -> ExactMatrix:
         for j in range(pivot_col):
             x = A[r, j]
             if x != 0:
-                if ring.is_field:
-                    q = ring.exact_div(x, A[r, pivot_col])
-                else:
-                    q = x // A[r, pivot_col]  # leaves remainder in [0, pivot)
+                q = ring.quo(x, A[r, pivot_col])  # over Z leaves x in [0, pivot)
                 if q:
                     A[:, j] = ring.reduce_array(A[:, j] - q * A[:, pivot_col])
-        pivots.append(pivot_col)
         pivot_col += 1
-    return ExactMatrix(ring, A[:, :pivot_col].copy() if pivot_col else
-                       np.empty((rows, 0), dtype=object))
+    return ExactMatrix(ring, A[:, :pivot_col].copy())
 
 
 @dataclass

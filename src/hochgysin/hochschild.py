@@ -219,12 +219,14 @@ def theta_chain_block(co: CohomologySections, p: int, q: int, r: int) -> ExactMa
     if rows == 0 or hp * hq * hr == 0:
         return block
     ident = lambda n: ExactMatrix.identity(ring, n)
-    term1 = a.bilinear_block(p, q + r - 1, co.s_matrix(p), co.qpair_block(q, r))
-    block = block + term1.scale((-1) ** p)
+    q_yz = co.qpair_block(q, r)
+    if not q_yz.is_zero():
+        block = block + a.bilinear_block(p, q + r - 1, co.s_matrix(p), q_yz).scale((-1) ** p)
     block = block - co.qpair_block(p + q, r) @ kron(h.mult_block(p, q), ident(hr))
     block = block + co.qpair_block(p, q + r) @ kron(ident(hp), h.mult_block(q, r))
-    term4 = a.bilinear_block(p + q - 1, r, co.qpair_block(p, q), co.s_matrix(r))
-    block = block - term4
+    q_xy = co.qpair_block(p, q)
+    if not q_xy.is_zero():
+        block = block - a.bilinear_block(p + q - 1, r, q_xy, co.s_matrix(r))
     return block
 
 

@@ -202,6 +202,13 @@ def _circle():
     return run_cli(["build", "circle"]).stdout
 
 
+def _circle_cochains():
+    from hochgysin.dga import cochain_algebra, dga_to_json
+    from hochgysin.exactlin import ZZ
+    from hochgysin.simplicial import build_circle
+    return json.dumps(dga_to_json(cochain_algebra(build_circle(), ZZ)))
+
+
 def _circle_sections(edit):
     from hochgysin.dga import cochain_algebra
     from hochgysin.exactlin import ZZ
@@ -210,6 +217,10 @@ def _circle_sections(edit):
     payload = sections_to_json(build_sections(cochain_algebra(build_circle(), ZZ)))
     edit(payload)
     return json.dumps(payload)
+
+
+def _sections_intact():
+    return _circle_sections(lambda payload: None)
 
 
 def _sections_without_h_rank():
@@ -226,7 +237,8 @@ def _sections_s_missing_a_row():
 
 MASSEY = ["massey", "--in", str(FIXTURE), "--y", "1:[0,1]"]
 
-# each input once printed a traceback and exited 1 (or 0, reading 1.5 as 1)
+# each input once printed a traceback and exited 1 (or 0, reading 1.5 as 1
+# or ignoring --ring on a dg-algebra or section input)
 USAGE_CASES = {
     "torus_n0": (["torus", "--n", "0"], None),
     "monomorphism_n0": (["monomorphism", "--n", "0"], None),
@@ -242,6 +254,10 @@ USAGE_CASES = {
     "monomorphism_unknown_ring": (["monomorphism", "--n", "1", "--ring", "X"], None),
     "cochains_ring_garbled": (["cochains", "--ring", "Z7x"], _circle),
     "build_sphere_negative": (["build", "sphere", "--m", "-1"], None),
+    "cohomology_unknown_ring_on_dga": (["cohomology", "--ring", "X"], _circle_cochains),
+    "cohomology_other_ring_on_dga": (["cohomology", "--ring", "Q"], _circle_cochains),
+    "theta_unknown_ring_on_sections": (["theta", "--ring", "X"], _sections_intact),
+    "theta_other_ring_on_sections": (["theta", "--ring", "F3"], _sections_intact),
 }
 
 
@@ -252,3 +268,8 @@ def test_usage_errors_exit_2_without_traceback(case):
     assert res.returncode == 2, (res.stdout, res.stderr)
     assert "error" in json.loads(res.stdout)
     assert "Traceback" not in res.stderr
+
+
+def test_ring_of_the_input_is_accepted():
+    assert run_cli(["cohomology", "--ring", "Z"], stdin=_circle_cochains()).returncode == 0
+    assert run_cli(["theta", "--ring", "Z"], stdin=_sections_intact()).returncode == 0

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import zlib
 from fractions import Fraction
@@ -122,6 +124,47 @@ def test_snf_matches_minor_gcd_oracle():
             assert prod == gcds[i], (trial, s.divisors, gcds)
         for i in range(len(s.divisors), len(gcds)):
             assert gcds[i] == 0
+
+
+# The exact operation sequence of smith_normal_form is part of its contract:
+# U, V and their inverses become witnesses, certificates and canonical bases
+# downstream.  These digests were taken from the kernel before its row and
+# column passes were merged; the Z batch reaches the Euclid remainder swap in
+# the row pass and in the column pass, and the divisibility-offender fold.
+SNF_PIN = {
+    "Z": (ZZ, 1000, "a1af6b542565abf76407d3cb180f075569c48024ebc9eee2b89a58e57df4e934"),
+    "Q": (QQ, 1001, "132942da831c7fe24de06094467c734cf33b55c9af62eaa83377feefd7998437"),
+    "F2": (GF(2), 1002, "b45cab8a4b5c886ea7fae6585d14265c9255b7e944655d1132c41692ba108659"),
+    "F5": (GF(5), 1003, "35968f5c4d2c66ac555c0b6c1f1431189f4a866afb5737a2ad48a6848793e4a4"),
+}
+NO_UNITS = [0, 0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9]
+
+
+def pin_matrix(ring, rng, kind):
+    """kind 0: dense small; 1: sparse; 2: no unit entries (over Q: fractions)."""
+    rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+
+    def entry():
+        if kind == 0:
+            return rng.randint(-4, 4)
+        if kind == 1:
+            return 0 if rng.random() < 0.7 else rng.randint(-9, 9)
+        if ring.tag == "Q":
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return rng.choice(NO_UNITS)
+    return ExactMatrix.from_rows(ring, [[entry() for _ in range(cols)] for _ in range(rows)])
+
+
+@pytest.mark.parametrize("name", sorted(SNF_PIN))
+def test_snf_operation_sequence_pinned(name):
+    ring, seed, expected = SNF_PIN[name]
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for k in range(60):
+        s = smith_normal_form(pin_matrix(ring, rng, k % 3))
+        h.update(json.dumps([m.to_lists() for m in (s.U, s.D, s.V, s.Uinv, s.Vinv)]
+                            + [[ring.scalar_to_json(d) for d in s.divisors]]).encode())
+    assert h.hexdigest() == expected
 
 
 # ---------------------------------------------------------------------------
