@@ -129,8 +129,6 @@ def _parse_class(co, token):
         if len(values) != co.hr(degree):
             raise ValueError(f"H^{degree} has rank {co.hr(degree)}, "
                              f"got {len(values)} coordinates")
-        if any(isinstance(v, bool) or not isinstance(v, (int, str)) for v in values):
-            raise ValueError('coordinates must be JSON integers or "p/q" strings')
         vector = as_vector(co.ring, [co.ring.scalar_from_json(v) for v in values])
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad class literal {token!r}: {exc}") from exc

@@ -223,7 +223,8 @@ def _leibniz_defect(m: DgModule, cols):
                     for t, c2 in up.get((i2, j), ()):
                         key = (i, j, t)
                         rhs[key] = rhs.get(key, ring.zero()) + c * c2
-        sign = ring.normalize((-1) ** n)
+        # n < 0 in a shifted module, where (-1) ** n would be a float
+        sign = ring.normalize(-1 if n % 2 else 1)
         for j in range(a.rank(q)):
             for j2, c in dq[j]:
                 for i in range(m.rank(n)):

@@ -5,7 +5,9 @@ solves, cone cohomology) reduces to the operations in this module:
 Smith normal form with recorded transforms, column Hermite form, exact
 solvers, kernels, subquotient presentations, and the per-degree
 cohomology of a cochain complex.  No floating point is used anywhere:
-scalars are Python ints, ``fractions.Fraction``, or ints reduced mod p.
+scalars are Python ints (reduced mod p over F_p), over Q a
+``fractions.Fraction`` only when not integral, so zeros and units cost
+integer arithmetic; the only division is ``Fraction(b) / a`` in Ring.
 
 Matrices are stored densely as 2-D numpy arrays of dtype=object so that
 row/column operations and products run through numpy's C loop while the
@@ -24,6 +26,7 @@ U, V and their inverses by digest.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -46,11 +49,18 @@ class NotInSpanError(ExactLinearError):
 # Coefficient rings
 # ---------------------------------------------------------------------------
 
+# the serialized scalars: a JSON int, or a string "p" or "p/q" (q != 0)
+_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 class Ring:
     """A supported coefficient ring: Z, Q or F_p (p prime).
 
-    Scalars are plain Python values (int / Fraction / int in [0, p)),
-    the Ring object only carries the arithmetic conventions.
+    Scalars are plain Python values: int over Z, int in [0, p) over F_p,
+    and over Q an int when integral, a Fraction otherwise.  normalize()
+    gives that canonical form; arithmetic on Fractions may leave an
+    integral Fraction, which compares, hashes and prints like its int.
+    The Ring object only carries the arithmetic conventions.
     """
 
     __slots__ = ("tag", "p")
@@ -86,19 +96,20 @@ class Ring:
     # -- scalar arithmetic
 
     def normalize(self, x):
-        if self.tag == "Q":
-            return Fraction(x)
-        if isinstance(x, Fraction):
+        if type(x) is not int:
+            x = Fraction(x)
             if x.denominator != 1:
-                raise ValueError(f"{x} is not an integer")
-            x = x.numerator
-        return int(x) if self.tag == "Z" else int(x) % self.p
+                if self.tag != "Q":
+                    raise ValueError(f"{x} is not an integer")
+                return x
+            x = int(x.numerator)
+        return x % self.p if self.tag == "Fp" else x
 
     def zero(self):
-        return Fraction(0) if self.tag == "Q" else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.tag == "Q" else 1
+        return 1
 
     def is_unit(self, x) -> bool:
         x = self.normalize(x)
@@ -113,7 +124,7 @@ class Ring:
                 return x
             raise ZeroDivisionError(f"{x} is not a unit in Z")
         if self.tag == "Q":
-            return Fraction(1) / x
+            return self.normalize(Fraction(1) / x)
         return pow(x, self.p - 2, self.p)
 
     def divides(self, a, b) -> bool:
@@ -135,7 +146,7 @@ class Ring:
         if a == self.zero():
             raise ZeroDivisionError("division by zero")
         if self.tag == "Q":
-            return b / a
+            return self.normalize(Fraction(b) / a)
         return (b * self.inv(a)) % self.p
 
     def quo(self, b, a):
@@ -169,15 +180,18 @@ class Ring:
 
     def scalar_to_json(self, x):
         x = self.normalize(x)
-        if self.tag == "Q":
-            return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-        return int(x)
+        return x if type(x) is int else f"{x.numerator}/{x.denominator}"
 
     def scalar_from_json(self, v):
-        if isinstance(v, str):
-            num, _, den = v.partition("/")
-            return self.normalize(Fraction(int(num), int(den or 1)))
-        return self.normalize(v)
+        """A JSON int (not a bool) or a "p/q" string with q != 0; anything
+        else, floats included, raises ValueError."""
+        if type(v) is int:
+            return self.normalize(v)
+        m = _SCALAR.fullmatch(v) if type(v) is str else None
+        den = int(m[2] or 1) if m else 0
+        if den:
+            return self.normalize(Fraction(int(m[1]), den))
+        raise ValueError(f"{v!r} is not a JSON integer or a \"p/q\" string")
 
     def to_json(self) -> str:
         return self.name

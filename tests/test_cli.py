@@ -209,6 +209,12 @@ def _circle_cochains():
     return json.dumps(dga_to_json(cochain_algebra(build_circle(), ZZ)))
 
 
+def _circle_cochains_float_diff():
+    payload = json.loads(_circle_cochains())
+    payload["diff"]["0"][0][0] = float(payload["diff"]["0"][0][0])
+    return json.dumps(payload)
+
+
 def _circle_sections(edit):
     from hochgysin.dga import cochain_algebra
     from hochgysin.exactlin import ZZ
@@ -235,10 +241,16 @@ def _sections_s_missing_a_row():
     return _circle_sections(lambda payload: payload["s"]["1"].pop())
 
 
+def _sections_fractional_s():
+    def edit(payload):
+        payload["s"]["1"][2][0] = 1.5  # was 1, so reading 1.5 as 1 passed
+    return _circle_sections(edit)
+
+
 MASSEY = ["massey", "--in", str(FIXTURE), "--y", "1:[0,1]"]
 
-# each input once printed a traceback and exited 1 (or 0, reading 1.5 as 1
-# or ignoring --ring on a dg-algebra or section input)
+# each input once printed a traceback and exited 1 (or 0, reading 1.5, -1.0
+# or "1_0" as an integer, or ignoring --ring on a dg-algebra or section input)
 USAGE_CASES = {
     "torus_n0": (["torus", "--n", "0"], None),
     "monomorphism_n0": (["monomorphism", "--n", "0"], None),
@@ -258,6 +270,9 @@ USAGE_CASES = {
     "cohomology_other_ring_on_dga": (["cohomology", "--ring", "Q"], _circle_cochains),
     "theta_unknown_ring_on_sections": (["theta", "--ring", "X"], _sections_intact),
     "theta_other_ring_on_sections": (["theta", "--ring", "F3"], _sections_intact),
+    "validate_float_in_diff": (["validate"], _circle_cochains_float_diff),
+    "theta_float_in_sections": (["theta"], _sections_fractional_s),
+    "gysin_underscore_digit": (["gysin", "--c", '2:["1_0"]'], _t2_cochains),
 }
 
 

@@ -4,10 +4,11 @@ import random
 import zlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hochgysin.exactlin import (
-    ZZ, QQ, GF, ExactMatrix, NotInSpanError, Subquotient, as_vector,
+    ZZ, QQ, GF, ExactMatrix, NotInSpanError, Solver, Subquotient, as_vector,
     column_hermite, kernel_basis, smith_normal_form, solve, solve_matrix,
     solve_with_certificate, vec_is_zero, zero_vector,
 )
@@ -317,3 +318,83 @@ def test_vector_helpers():
     assert vec_is_zero(v)
     w = as_vector(GF(5), [7, -1, 3])
     assert list(w) == [2, 4, 3]
+
+
+# ---------------------------------------------------------------------------
+# Scalars: integral rationals are ints, serialized scalars are strict
+# ---------------------------------------------------------------------------
+
+def test_integral_rationals_are_ints():
+    assert type(QQ.normalize(Fraction(4, 2))) is int
+    half = QQ.exact_div(1, 2)
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
+    assert type(QQ.inv(Fraction(1, 2))) is int
+    assert type(QQ.quo(4, 2)) is int
+    for ring in RINGS:
+        assert (ring.zero(), ring.one()) == (0, 1)
+        assert type(ring.zero()) is int and type(ring.one()) is int
+
+
+def test_scalar_from_json_accepts_only_ints_and_digit_strings():
+    assert QQ.scalar_from_json("-3/6") == Fraction(-1, 2)
+    assert type(QQ.scalar_from_json("4/2")) is int
+    assert ZZ.scalar_from_json("-4/2") == -2 and GF(5).scalar_from_json(-1) == 4
+    for ring in RINGS:
+        for v in (True, False, 1.0, 1.5, -1.0, None, [1], "1_0", " 1", "1/ 2",
+                  "+1", "1/0", "1/", "/2", "1.5", "١"):
+            with pytest.raises(ValueError):
+                ring.scalar_from_json(v)
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle: sympy
+# ---------------------------------------------------------------------------
+
+def _sympy_matrix(sympy, data):
+    """The sympy Matrix of an object array; a vector becomes a column."""
+    data = data.reshape(len(data), -1)
+    return sympy.Matrix(*data.shape, [sympy.Rational(x.numerator, x.denominator)
+                                      for x in data.flat])
+
+
+def _no_floats(*arrays):
+    return not any(type(x) is float for a in arrays for x in np.asarray(a).flat)
+
+
+def test_snf_divisors_match_sympy_over_z():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    rng = random.Random(2024)
+    for trial in range(40):
+        M = pin_matrix(ZZ, rng, trial % 3)
+        s = smith_normal_form(M)
+        full = s.divisors + [0] * (min(M.rows, M.cols) - s.rank)
+        expected = invariant_factors(_sympy_matrix(sympy, M.data), domain=sympy.ZZ)
+        assert full == [int(d) for d in expected], (trial, M.to_lists())
+        assert _no_floats(*(m.data for m in (s.U, s.D, s.V, s.Uinv, s.Vinv)))
+
+
+def test_rank_and_solutions_match_sympy_over_q():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2025)
+
+    def entry():
+        return rng.choice([0, 0, rng.randint(-3, 3),
+                           Fraction(rng.randint(-5, 5), rng.randint(2, 4))])
+    for trial in range(40):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        M = ExactMatrix.from_rows(QQ, [[entry() for _ in range(cols)] for _ in range(rows)])
+        s = smith_normal_form(M)
+        sM = _sympy_matrix(sympy, M.data)
+        assert s.rank == sM.rank(), (trial, M.to_lists())
+        assert _no_floats(*(m.data for m in (s.U, s.D, s.V, s.Uinv, s.Vinv)))
+        solver = Solver(M)
+        for b in (M.matvec(as_vector(QQ, [entry() for _ in range(cols)])),
+                  as_vector(QQ, [entry() for _ in range(rows)])):
+            x, cert = solver.solve_with_certificate(b)
+            sb = _sympy_matrix(sympy, b)
+            if x is None:
+                assert cert.check(M, b) and sM.row_join(sb).rank() > sM.rank()
+            else:
+                assert _no_floats(x) and sM * _sympy_matrix(sympy, x) == sb

@@ -69,6 +69,8 @@ CASES = {
                     "--ring", "Q"], "build_t2", "text"),
     "gysin_t2_c1_z": (["gysin", "--c", "1:[1,0]", "--check-th", "--split"],
                       "build_t2", "text"),
+    "gysin_t2_q_half": (["gysin", "--c", '2:["1/2"]', "--check-th", "--split",
+                         "--ring", "Q"], "build_t2", "text"),
     "torus_2": (["torus", "--n", "2"], None, "text"),
     "monomorphism_2": (["monomorphism", "--n", "2"], None, "text"),
 }
