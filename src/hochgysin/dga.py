@@ -23,7 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .exactlin import ExactMatrix, Ring, as_vector, ring_from_name, zero_vector
+from .exactlin import (
+    ExactMatrix, Ring, as_vector, int_from_json, ints_from_key, ring_from_name, zero_vector,
+)
 from .simplicial import SimplicialComplex
 
 
@@ -443,18 +445,18 @@ def dga_to_json(a: DgAlgebra) -> dict:
 def dga_from_json(payload: dict) -> DgAlgebra:
     try:
         ring = ring_from_name(payload["ring"])
-        top = int(payload["top_degree"])
-        ranks = [int(r) for r in payload["ranks"]]
+        top = int_from_json(payload["top_degree"])
+        ranks = [int_from_json(r) for r in payload["ranks"]]
         diff = {}
         for key, rows in payload.get("diff", {}).items():
-            n = int(key)
+            (n,) = ints_from_key(key)
             shape = (ranks[n + 1] if n + 1 <= top else 0, ranks[n])
             diff[n] = ExactMatrix.from_lists(ring, rows, shape=shape)
         product = {}
         for key, ent in payload.get("product", {}).items():
-            p, q = (int(x) for x in key.split(","))
-            product[(p, q)] = tuple((int(i), int(j), int(k), ring.scalar_from_json(c))
-                                    for i, j, k, c in ent)
+            p, q = ints_from_key(key)
+            product[(p, q)] = tuple((int_from_json(i), int_from_json(j), int_from_json(k),
+                                     ring.scalar_from_json(c)) for i, j, k, c in ent)
         unit = as_vector(ring, [ring.scalar_from_json(x) for x in payload["unit"]])
     except (KeyError, ValueError, TypeError, IndexError) as exc:
         raise DgaFormatError(f"malformed dg-algebra file: {exc}") from exc

@@ -4,8 +4,10 @@ Everything downstream (cochain algebras, section packages, Hochschild
 solves, cone cohomology) reduces to the operations in this module:
 Smith normal form with recorded transforms, column Hermite form, exact
 solvers, kernels, subquotient presentations, and the per-degree
-cohomology of a cochain complex.  No floating point is used anywhere:
-scalars are Python ints (reduced mod p over F_p), over Q a
+cohomology of a cochain complex.  Solvers and class maps take a matrix
+of columns, a vector being its one-column case (as_columns/shaped_like);
+one back-substitution serves all of them.  No floating point is used
+anywhere: scalars are Python ints (reduced mod p over F_p), over Q a
 ``fractions.Fraction`` only when not integral, so zeros and units cost
 integer arithmetic; the only division is ``Fraction(b) / a`` in Ring.
 
@@ -26,6 +28,7 @@ U, V and their inverses by digest.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -215,16 +218,26 @@ def ring_from_name(name: str) -> Ring:
     raise ValueError(f"unknown ring name {name!r}")
 
 
+def int_from_json(v) -> int:
+    """A JSON int (not a bool); anything else, floats and digit strings
+    included, raises ValueError."""
+    if type(v) is not int:
+        raise ValueError(f"{v!r} is not a JSON integer")
+    return v
+
+
+def ints_from_key(key: str) -> list:
+    """The integers of an object key such as "1,2": JSON ints, comma-separated."""
+    return [int_from_json(x) for x in json.loads(f"[{key}]")]
+
+
 # ---------------------------------------------------------------------------
 # Matrices and vectors
 # ---------------------------------------------------------------------------
 
 def as_vector(ring: Ring, entries) -> np.ndarray:
     """1-D object array of normalized scalars."""
-    v = np.empty(len(entries), dtype=object)
-    for i, x in enumerate(entries):
-        v[i] = ring.normalize(x)
-    return v
+    return _object_rows([entries], ring.normalize)[0]
 
 
 def zero_vector(ring: Ring, n: int) -> np.ndarray:
@@ -252,15 +265,7 @@ class ExactMatrix:
 
     @staticmethod
     def from_rows(ring: Ring, rows) -> "ExactMatrix":
-        rows = list(rows)
-        ncols = len(rows[0]) if rows else 0
-        m = np.empty((len(rows), ncols), dtype=object)
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for j, x in enumerate(row):
-                m[i, j] = ring.normalize(x)
-        return ExactMatrix(ring, m)
+        return ExactMatrix(ring, _object_rows(rows, ring.normalize))
 
     @staticmethod
     def zeros(ring: Ring, rows: int, cols: int) -> "ExactMatrix":
@@ -283,12 +288,7 @@ class ExactMatrix:
             if nrows is None:
                 raise ValueError("need nrows for an empty column list")
             return ExactMatrix.zeros(ring, nrows, 0)
-        n = len(cols[0])
-        m = ExactMatrix.zeros(ring, n, len(cols))
-        for j, c in enumerate(cols):
-            for i, x in enumerate(c):
-                m.data[i, j] = ring.normalize(x)
-        return m
+        return ExactMatrix(ring, _object_rows(cols, ring.normalize).T.copy())
 
     # -- shape
 
@@ -316,11 +316,7 @@ class ExactMatrix:
         raise TypeError("use matvec for vectors")
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        if self.cols != len(v):
-            raise DimensionMismatchError(f"{self.rows}x{self.cols} @ len-{len(v)}")
-        if self.cols == 0:
-            return zero_vector(self.ring, self.rows)
-        return self.ring.reduce_array(self.data @ v)
+        return shaped_like(v, self @ as_columns(self.ring, v))
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         return ExactMatrix(self.ring, self.ring.reduce_array(self.data + other.data))
@@ -371,8 +367,30 @@ class ExactMatrix:
     def from_lists(ring: Ring, rows, shape=None) -> "ExactMatrix":
         if shape is not None and not rows:
             return ExactMatrix.zeros(ring, shape[0], shape[1])
-        return ExactMatrix.from_rows(ring, [[ring.scalar_from_json(x) for x in row]
-                                            for row in rows])
+        return ExactMatrix(ring, _object_rows(rows, ring.scalar_from_json))
+
+
+def _object_rows(rows, scalar) -> np.ndarray:
+    """2-D object array of scalar(x) for the entries x of the rows."""
+    rows = list(rows)
+    m = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
+    for i, row in enumerate(rows):
+        if len(row) != m.shape[1]:
+            raise ValueError("ragged rows")
+        m[i] = [scalar(x) for x in row]
+    return m
+
+
+def as_columns(ring: Ring, V) -> "ExactMatrix":
+    """V itself when it is a matrix of columns; a vector as its one column."""
+    if isinstance(V, ExactMatrix):
+        return V
+    return ExactMatrix(ring, np.asarray(V, dtype=object).reshape(len(V), 1))
+
+
+def shaped_like(V, X: "ExactMatrix"):
+    """X for a matrix V; for a vector V, the one column of X as a vector."""
+    return X if isinstance(V, ExactMatrix) else X.data[:, 0]
 
 
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -563,43 +581,49 @@ class NoSolutionCertificate:
                 and not ring.divides(self.divisor, val))
 
 
+def divide_rows(C: ExactMatrix, divisors):
+    """(Y, bad) for diag(divisors) Y = C: Y is the leading rows of C divided
+    by the divisors, bad marks the entries without a quotient (indivisible,
+    or nonzero past the divisors).  Over a field every SNF divisor is 1, so
+    Y is those rows in canonical form (integral Fractions become ints)."""
+    r = len(divisors)
+    head = C.data[:r]
+    bad = C.data != 0
+    bad[:r] = False
+    if C.ring.tag == "Z":
+        d = np.array(divisors, dtype=object).reshape(r, 1)
+        bad[:r] = head % d != 0
+        head = head // d
+    else:
+        head = np.frompyfunc(C.ring.normalize, 1, 1)(head)
+    return ExactMatrix(C.ring, head), bad
+
+
 class Solver:
-    """Reusable exact solver for M x = b with many right-hand sides."""
+    """Reusable exact solver for M X = B; B is a matrix of right-hand sides,
+    or one vector as its one-column case, and X comes back in that form."""
 
     def __init__(self, M: ExactMatrix):
         self.M = M
         self.snf = smith_normal_form(M)
         self.ring = M.ring
 
-    def solve(self, b: np.ndarray):
-        return self.solve_with_certificate(b)[0]
+    def solve_with_certificate(self, B):
+        """(X, None) with M X = B, or (None, NoSolutionCertificate) for the
+        first column of B without a solution, at its first failing row."""
+        s = self.snf
+        C = s.U @ as_columns(self.ring, B)
+        Y, bad = divide_rows(C, s.divisors)
+        if bad.any():
+            j = bad.any(axis=0).argmax()
+            i = bad[:, j].argmax()
+            divisor = s.divisors[i] if i < s.rank else self.ring.zero()
+            return None, NoSolutionCertificate(s.U.data[i].copy(), divisor, C.data[i, j])
+        return shaped_like(B, s.V.take_columns(range(s.rank)) @ Y), None
 
-    def solve_with_certificate(self, b: np.ndarray):
-        """(x, None) with M x = b, or (None, NoSolutionCertificate)."""
-        ring, s = self.ring, self.snf
-        if len(b) != self.M.rows:
-            raise DimensionMismatchError("rhs length mismatch")
-        c = s.U.matvec(b)
-        y = zero_vector(ring, self.M.cols)
-        for i in range(self.M.rows):
-            if i < s.rank:
-                d = s.divisors[i]
-                if not ring.divides(d, c[i]):
-                    return None, NoSolutionCertificate(s.U.data[i].copy(), d, c[i])
-                y[i] = ring.exact_div(c[i], d)
-            elif c[i] != 0:
-                return None, NoSolutionCertificate(s.U.data[i].copy(), ring.zero(), c[i])
-        return s.V.matvec(y), None
-
-    def solve_matrix(self, B: ExactMatrix):
-        """X with M @ X == B (columnwise), or None."""
-        cols = []
-        for j in range(B.cols):
-            x = self.solve(B.column(j))
-            if x is None:
-                return None
-            cols.append(x)
-        return ExactMatrix.from_columns(self.ring, cols, nrows=self.M.cols)
+    def solve(self, B):
+        """X with M X = B, or None when a column of B has no solution."""
+        return self.solve_with_certificate(B)[0]
 
 
 def solve(M: ExactMatrix, b: np.ndarray):
@@ -607,14 +631,14 @@ def solve(M: ExactMatrix, b: np.ndarray):
     return Solver(M).solve(b)
 
 
-def solve_with_certificate(M: ExactMatrix, b: np.ndarray):
-    """(solution, None) or (None, NoSolutionCertificate)."""
-    return Solver(M).solve_with_certificate(b)
+def solve_with_certificate(M: ExactMatrix, B):
+    """(solution, None) or (None, NoSolutionCertificate); see Solver."""
+    return Solver(M).solve_with_certificate(B)
 
 
 def solve_matrix(M: ExactMatrix, B: ExactMatrix):
-    """X with M @ X == B (columnwise), or None."""
-    return Solver(M).solve_matrix(B)
+    """X with M @ X == B, or None when a column of B has no solution."""
+    return Solver(M).solve(B)
 
 
 def kernel_basis(M: ExactMatrix) -> ExactMatrix:
@@ -646,8 +670,7 @@ class Subquotient:
     orders: list = field(default_factory=list)
     _basis: ExactMatrix = None      # canonical basis of span(generators)
     _gen_solver: Solver = None
-    _coord_map: ExactMatrix = None  # basis-coords -> reduced coords (U of rel SNF)
-    _kept: list = field(default_factory=list)
+    _coord_map: ExactMatrix = None  # basis-coords -> reduced coords (kept rows of U)
 
     @staticmethod
     def from_gens_rels(ring: Ring, generators: ExactMatrix,
@@ -665,7 +688,7 @@ class Subquotient:
         self._basis = column_hermite(self.generators)
         g = self._basis.cols
         self._gen_solver = Solver(self._basis)
-        Xm = self._gen_solver.solve_matrix(self.relations)
+        Xm = self._gen_solver.solve(self.relations)
         if Xm is None:
             raise NotInSpanError("relations not contained in span(generators)")
         s = smith_normal_form(Xm)
@@ -676,10 +699,9 @@ class Subquotient:
         newgens = self._basis @ s.Uinv
         kept = [i for i in range(g)
                 if facs[i] == 0 or not self.ring.is_unit(facs[i])]
-        self._kept = kept
         self.reduced_gens = newgens.take_columns(kept)
         self.orders = [facs[i] for i in kept]
-        self._coord_map = s.U
+        self._coord_map = s.U.take_rows(kept)
 
     # -- queries
 
@@ -694,33 +716,23 @@ class Subquotient:
     def is_member(self, v: np.ndarray) -> bool:
         return self._gen_solver.solve(v) is not None
 
-    def classify(self, v: np.ndarray):
-        """Coordinates of [v] on reduced_gens (torsion coords reduced mod order).
-
-        Raises NotInSpanError when v is not in span(generators).
-        """
-        x = self._gen_solver.solve(v)
-        if x is None:
+    def classify(self, V):
+        """Coordinates on reduced_gens of the classes of the columns of V (or
+        of one vector), torsion ones reduced mod their orders; NotInSpanError
+        when a column is not in span(generators)."""
+        X = self._gen_solver.solve(as_columns(self.ring, V))
+        if X is None:
             raise NotInSpanError("vector not in span(generators)")
-        y = self._coord_map.matvec(x)
-        out = []
-        for pos, i in enumerate(self._kept):
-            c = y[i]
-            d = self.orders[pos]
-            if d != 0:
-                c = c % d if self.ring.tag == "Z" else self.ring.normalize(c)
-            out.append(c)
-        return as_vector(self.ring, out)
+        return shaped_like(V, self.reduce(self._coord_map @ X))
 
-    def class_is_zero(self, v: np.ndarray) -> bool:
-        return vec_is_zero(self.classify(v))
-
-    def classes_equal(self, v: np.ndarray, w: np.ndarray) -> bool:
-        return vec_is_zero(self.ring.reduce_array(self.classify(v) - self.classify(w)))
-
-    def lift(self, coords: np.ndarray) -> np.ndarray:
-        """Ambient representative of the class with the given reduced coords."""
-        return self.reduced_gens.matvec(coords)
+    def reduce(self, Y: ExactMatrix) -> ExactMatrix:
+        """Class coordinates Y (one row per reduced generator) with each
+        torsion row reduced modulo its order."""
+        orders = np.array(self.orders, dtype=object).reshape(-1, 1)
+        torsion = orders[:, 0] != 0
+        out = Y.data.copy()
+        out[torsion] = out[torsion] % orders[torsion]
+        return ExactMatrix(self.ring, out)
 
     def describe(self) -> dict:
         return {"free_rank": self.free_rank,
@@ -748,8 +760,10 @@ class CohomologyDegree:
     @property
     def image(self) -> ExactMatrix:
         p = self.prev
-        cols = [p.divisors[i] * p.Uinv.column(i) for i in range(p.rank)] if p else []
-        return ExactMatrix.from_columns(self.ring, cols, nrows=self.snf.V.rows)
+        if p is None:
+            return ExactMatrix.zeros(self.ring, self.snf.V.rows, 0)
+        scale = np.array(p.divisors, dtype=object)
+        return ExactMatrix(self.ring, p.Uinv.data[:, :p.rank] * scale)
 
     def group(self) -> Subquotient:
         """H^n = Z^n / B^n as a presented subquotient (torsion included)."""

@@ -36,8 +36,8 @@ import numpy as np
 
 from .dga import DgAlgebra, DgModule, validate_module
 from .exactlin import (
-    ExactMatrix, Solver, Subquotient, as_vector, complex_cohomology, kernel_basis,
-    kron, solve_matrix, solve_with_certificate, zero_vector,
+    ExactMatrix, Solver, Subquotient, as_columns, as_vector, complex_cohomology,
+    kernel_basis, kron, solve_matrix, solve_with_certificate, zero_vector,
 )
 from .hochschild import HochschildCochain
 from .sections import CohomologySections
@@ -163,7 +163,7 @@ class GysinExtension:
 
         The basis has full column rank, so the coordinates are unique.
         """
-        return self._solver(("ann", m), lambda: self.ann_basis[m]).solve_matrix(V)
+        return self._solver(("ann", m), lambda: self.ann_basis[m]).solve(V)
 
     def target_degree(self, m: int, q: int) -> int:
         return m + q + self.c_degree - 1
@@ -178,10 +178,6 @@ class GysinExtension:
             "annihilator_ranks": {str(m): self.ann_rank(m)
                                   for m in sorted(self.ann_basis)},
         }
-
-
-def _column(ring, v) -> ExactMatrix:
-    return ExactMatrix.from_columns(ring, [v], nrows=len(v))
 
 
 def _annihilator_bases(co: CohomologySections, c_degree: int, c_col: ExactMatrix):
@@ -206,7 +202,7 @@ def gysin_extension(a: DgAlgebra, c_degree: int, c_coords,
     c_coords = as_vector(ring, list(c_coords))
     cone = mapping_cone(a, c_degree, c_coords, co)
     cone_h = cone_cohomology(cone)
-    c_col = _column(ring, c_coords)
+    c_col = as_columns(ring, c_coords)
     kernel = _kernel_groups(co, c_degree, c_col)
     ann = _annihilator_bases(co, c_degree, c_col)
 
@@ -229,13 +225,6 @@ def _s_in_cone(ext: GysinExtension, n: int, H: ExactMatrix) -> ExactMatrix:
     return out
 
 
-def _classes(group: Subquotient, chains: ExactMatrix) -> ExactMatrix:
-    """The class coordinates of each column of chains in a presented group."""
-    return ExactMatrix.from_columns(
-        group.ring, [group.classify(chains.column(j)) for j in range(chains.cols)],
-        nrows=len(group.orders))
-
-
 def _cone_class_preimage(ext: GysinExtension, n: int, W: ExactMatrix) -> ExactMatrix:
     """Columns h in H^n with [(s(h), 0)] = [w] in H^n(cone), one per column w
     of W; each is defined mod c H^{n-|c|}.
@@ -248,7 +237,7 @@ def _cone_class_preimage(ext: GysinExtension, n: int, W: ExactMatrix) -> ExactMa
     def system():
         ident = ExactMatrix.identity(ext.sections.ring, hn)
         return _s_in_cone(ext, n, ident).hstack(ext.cone.module.d(n - 1))
-    sol = ext._solver(("preimage", n), system).solve_matrix(W)
+    sol = ext._solver(("preimage", n), system).solve(W)
     if sol is None:
         raise AssertionError("cone class has no preimage in H; exactness broken?")
     return sol.take_rows(range(hn))
@@ -283,7 +272,7 @@ def _beta_blocks(ext: GysinExtension, values) -> dict:
             ktarget = ext.kernel.get(nprime)
             if h.rank(q) == 0 or ktarget is None or h.rank(nprime) == 0:
                 continue
-            out[(m, q)] = _classes(ktarget, values(m, q))
+            out[(m, q)] = ktarget.classify(values(m, q))
     return out
 
 
@@ -306,7 +295,7 @@ def _compute_beta_geo(ext: GysinExtension) -> dict:
 def beta_from_theta(th: HochschildCochain, ext: GysinExtension) -> dict:
     """beta_theta(x, y) = theta(c, x, y) mod cH on the same block layout."""
     h = ext.sections.h()
-    c_col = _column(h.ring, ext.c_coords)
+    c_col = as_columns(h.ring, ext.c_coords)
 
     def values(m, q):
         ident = ExactMatrix.identity(h.ring, h.rank(q))
@@ -395,12 +384,8 @@ def _beta_difference(ext: GysinExtension, b1: dict, b2: dict) -> dict:
         cols = ext.ann_rank(m) * ext.sections.h().rank(q)
         a1 = b1.get(key, ExactMatrix.zeros(ring, rows, cols))
         a2 = b2.get(key, ExactMatrix.zeros(ring, rows, cols))
-        diff = a1 - a2
         # classified coordinates live modulo the torsion orders
-        for i, d in enumerate(kt.orders):
-            if d != 0 and ring.tag == "Z":
-                diff.data[i, :] = diff.data[i, :] % d
-        out[key] = diff
+        out[key] = kt.reduce(a1 - a2)
     return out
 
 
@@ -447,7 +432,7 @@ def split_extension(ext: GysinExtension, theta_witness: HochschildCochain = None
 
     seed_blocks = None
     if theta_witness is not None:
-        c_col = _column(ring, ext.c_coords)
+        c_col = as_columns(ring, ext.c_coords)
         seed_blocks = {m: theta_witness.block_or_zero((ext.c_degree, m)) @ kron(c_col, basis)
                        for m, basis in ext.ann_basis.items()}
 
@@ -468,7 +453,7 @@ def split_extension(ext: GysinExtension, theta_witness: HochschildCochain = None
     for m in ext.ann_basis:
         n = m + shift
         chain[m] = ext.sigma_chain[m] + _s_in_cone(ext, n, b[m])
-        cls[m] = _classes(ext.cone_h.group(n), chain[m])
+        cls[m] = ext.cone_h.group(n).classify(chain[m])
     section = SplitSection(b, chain, cls)
     _verify_split(ext, section)
     return section, None
@@ -503,7 +488,7 @@ def _verify_split(ext: GysinExtension, section: SplitSection) -> None:
             lhs = cone.module.bilinear_block(n, q, chains[m], co.s_matrix(q))
             rhs = _through_ann(ext, chains, m + q, h.left_mult(m, basis, q),
                                cone.rank(n + q))
-            if _classes(group, lhs) != _classes(group, rhs):
+            if group.classify(lhs) != group.classify(rhs):
                 raise AssertionError(f"sigma_tilde is not H-linear at degrees ({m},{q})")
 
 
@@ -524,7 +509,7 @@ def check_extension_exactness(ext: GysinExtension) -> dict:
         ann = ext.ann_basis.get(m)
         # iota on kernel generators, classified in H^n(cone)
         gens = kq.reduced_gens if kq is not None else ExactMatrix.zeros(ring, 0, 0)
-        iota = _classes(nh, _s_in_cone(ext, n, gens))
+        iota = nh.classify(_s_in_cone(ext, n, gens))
         rels = _order_relations(ring, nh.orders)
         entry = {}
         entry["iota_injective"] = kq is None or not len(kq.orders) or \
@@ -540,13 +525,8 @@ def check_extension_exactness(ext: GysinExtension) -> dict:
 
 def _order_relations(ring, orders) -> ExactMatrix:
     """Columns d_j e_j, one per nonzero order d_j of a presented group."""
-    cols = []
-    for j, d in enumerate(orders):
-        if d != 0:
-            col = zero_vector(ring, len(orders))
-            col[j] = ring.normalize(d)
-            cols.append(col)
-    return ExactMatrix.from_columns(ring, cols, nrows=len(orders))
+    diag = np.diag(np.array(orders, dtype=object))
+    return ExactMatrix(ring, diag[:, [j for j, d in enumerate(orders) if d != 0]])
 
 
 def _presented_map_injective(f: ExactMatrix, dst_rels: ExactMatrix,
@@ -584,11 +564,8 @@ def _exactness_at_middle(ext: GysinExtension, n: int, iota: ExactMatrix,
 def _projection(ext: GysinExtension, m: int, chains: ExactMatrix) -> ExactMatrix:
     """The classes in H^m of the second summands of the columns of chains
     (in cone^{m+|c|-1}); pi checks that each one is a cocycle."""
-    co = ext.sections
-    first = co.algebra.rank(m + ext.c_degree - 1)
-    return ExactMatrix.from_columns(
-        co.ring, [co.pi(m, chains.data[first:, j]) for j in range(chains.cols)],
-        nrows=co.hr(m))
+    first = ext.sections.algebra.rank(m + ext.c_degree - 1)
+    return ext.sections.pi(m, chains.take_rows(range(first, chains.rows)))
 
 
 def _projects_to_ann(ext: GysinExtension, m: int, chains: ExactMatrix) -> bool:

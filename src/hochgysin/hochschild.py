@@ -32,8 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from .exactlin import (
-    ExactMatrix, Ring, as_vector, kron, ring_from_name, solve_with_certificate,
-    zero_vector,
+    ExactMatrix, Ring, as_vector, int_from_json, ints_from_key, kron, ring_from_name,
+    solve_with_certificate, zero_vector,
 )
 from .sections import CohomologySections, HRing, NotACocycleError
 
@@ -384,10 +384,11 @@ def cochain_to_json(a: HochschildCochain) -> dict:
 
 def cochain_from_json(payload: dict) -> HochschildCochain:
     ring = ring_from_name(payload["ring"])
-    out = HochschildCochain(int(payload["arity"]), int(payload["internal_degree"]),
-                            [int(r) for r in payload["h_ranks"]], ring, {})
+    out = HochschildCochain(int_from_json(payload["arity"]),
+                            int_from_json(payload["internal_degree"]),
+                            [int_from_json(r) for r in payload["h_ranks"]], ring, {})
     for key, rows in payload["blocks"].items():
-        tup = tuple(int(x) for x in key.split(","))
+        tup = tuple(ints_from_key(key))
         out.set_block(tup, ExactMatrix.from_lists(ring, rows, shape=out.shape(tup)))
     return out
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactlin import ExactMatrix, Subquotient, vec_is_zero, zero_vector
+from .exactlin import Subquotient, as_columns, vec_is_zero, zero_vector
 from .hochschild import theta_value
 from .sections import CohomologySections
 
@@ -47,7 +47,7 @@ def indeterminacy_submodule(co: CohomologySections, px: int, x, py: int, y,
                             pz: int, z) -> Subquotient:
     """x H^{|y|+|z|-1} + H^{|x|+|y|-1} z inside H^{|x|+|y|+|z|-1}."""
     h = co.h()
-    x_col = ExactMatrix.from_columns(h.ring, [x], nrows=len(x))
+    x_col = as_columns(h.ring, x)
     gens = h.left_mult(px, x_col, py + pz - 1).hstack(h.right_mult(px + py - 1, pz, z))
     return Subquotient.from_gens_rels(h.ring, gens)
 

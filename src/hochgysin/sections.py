@@ -3,8 +3,10 @@
 From the Smith normal forms of the differentials we extract, per degree:
 a basis of cocycles, a basis of coboundaries, a basis of cohomology with
 chosen cocycle representatives s, a section q of d onto its image, and
-the class projection pi.  The decomposition requires H to be projective
-over the coefficient ring: over Z, torsion in any degree is a hard error.
+the class projection pi.  pi, q_of and image_coords take a matrix of
+columns (a vector is its one-column case) and re-verify what they
+return.  The decomposition requires H to be projective over the
+coefficient ring: over Z, torsion in any degree is a hard error.
 
 The canonical (seedless) package is fully determined by the fixed pivot
 rule.  A seed perturbs s by coboundaries and q by cocycle-valued
@@ -23,8 +25,9 @@ import numpy as np
 
 from .dga import DgAlgebra, dga_from_json, dga_to_json
 from .exactlin import (
-    DimensionMismatchError, ExactMatrix, Ring, Subquotient, complex_cohomology, kron,
-    smith_normal_form, vec_is_zero, zero_vector,
+    DimensionMismatchError, ExactMatrix, Ring, Subquotient, as_columns, complex_cohomology,
+    divide_rows, int_from_json, kron, shaped_like, smith_normal_form, vec_is_zero,
+    zero_vector,
 )
 
 
@@ -92,8 +95,7 @@ class HRing:
     def right_mult(self, p: int, q: int, z) -> ExactMatrix:
         """Matrix of y -> y z on H^p, for the class z in H^q."""
         ident = ExactMatrix.identity(self.ring, self.rank(p))
-        z_col = ExactMatrix.from_columns(self.ring, [z], nrows=len(z))
-        return self.mult_block(p, q) @ kron(ident, z_col)
+        return self.mult_block(p, q) @ kron(ident, as_columns(self.ring, z))
 
 
 class CohomologySections:
@@ -138,24 +140,15 @@ class CohomologySections:
 
     # -- core maps
 
-    def cocycle_coords(self, n: int, v: np.ndarray) -> np.ndarray:
-        """Coordinates of a cocycle on kernel_basis[n]; NotACocycleError otherwise."""
-        if n > self.top or self.algebra.rank(n) == 0:
-            if not vec_is_zero(v):
-                raise NotACocycleError(f"nonzero vector in zero degree {n}")
-            return zero_vector(self.ring, 0)
-        full = self._coc_inv[n].matvec(v)
-        r = self._coc_rank[n]
-        if any(x != 0 for x in full[:r]):
-            raise NotACocycleError(f"vector in degree {n} is not a cocycle")
-        return full[r:]
-
-    def pi(self, n: int, v: np.ndarray) -> np.ndarray:
-        """Class coordinates of a cocycle v in C^n."""
-        coords = self.cocycle_coords(n, v)
-        if self.hr(n) == 0:
-            return zero_vector(self.ring, 0)
-        return self._class_map[n].matvec(coords)
+    def pi(self, n: int, V):
+        """Class coordinates of the cocycles in the columns of V (or of one
+        cocycle) in C^n; NotACocycleError when a column is not a cocycle."""
+        W = as_columns(self.ring, V)
+        if n in self._coc_inv:
+            # d^n W = 0 iff the first rank(d^n) rows of Vinv W vanish (U d V = D)
+            if not (self._coc_inv[n].take_rows(range(self._coc_rank[n])) @ W).is_zero():
+                raise NotACocycleError(f"vector in degree {n} is not a cocycle")
+        return shaped_like(V, self.pi_matrix(n) @ W)
 
     def pi_matrix(self, n: int) -> ExactMatrix:
         """h_n x C^n matrix computing pi; only meaningful on cocycles."""
@@ -177,29 +170,19 @@ class CohomologySections:
     def s_apply(self, n: int, h: np.ndarray) -> np.ndarray:
         return self.s_matrix(n).matvec(h)
 
-    def image_coords(self, n: int, w: np.ndarray) -> np.ndarray:
-        """Coordinates of w on image_basis[n]; error if w is not a coboundary."""
-        b = self.b_rank(n)
-        if b == 0:
-            if not vec_is_zero(w):
-                raise ProductNotACoboundaryError(f"nonzero vector, but B^{n} = 0")
-            return zero_vector(self.ring, 0)
-        raw = self._im_rows[n].matvec(w)
-        out = zero_vector(self.ring, b)
-        for i in range(b):
-            d = self._im_div[n][i]
-            if not self.ring.divides(d, raw[i]):
-                raise ProductNotACoboundaryError(
-                    f"vector in degree {n} is not in the image lattice")
-            out[i] = self.ring.exact_div(raw[i], d)
-        if any(x != y for x, y in zip(self.image_basis[n].matvec(out), w)):
+    def image_coords(self, n: int, W):
+        """Coordinates on image_basis[n] of the columns of W (or of one
+        vector); ProductNotACoboundaryError unless each is a coboundary."""
+        Wm = as_columns(self.ring, W)
+        Y, bad = divide_rows(self._im_rows[n] @ Wm, self._im_div[n])
+        if bad.any() or self.image_basis[n] @ Y != Wm:
             raise ProductNotACoboundaryError(f"vector in degree {n} is not a coboundary")
-        return out
+        return shaped_like(W, Y)
 
-    def q_of(self, n: int, w: np.ndarray) -> np.ndarray:
-        """q applied to a coboundary w in C^n; lands in C^{n-1}."""
-        return self.q[n].matvec(self.image_coords(n, w)) if n in self.q else \
-            zero_vector(self.ring, self.algebra.rank(n - 1))
+    def q_of(self, n: int, W):
+        """q applied to the coboundaries in the columns of W (or to one) in
+        C^n; lands in C^{n-1}."""
+        return shaped_like(W, self.q[n] @ self.image_coords(n, as_columns(self.ring, W)))
 
     def ss_block(self, p: int, q: int) -> ExactMatrix:
         """Matrix of (x, y) -> s(x) s(y), C^{p+q} x h_p*h_q."""
@@ -213,17 +196,15 @@ class CohomologySections:
         key = (p, q)
         if key not in self._qpair_cache:
             hp, hq = self.hr(p), self.hr(q)
-            target_rank = self.algebra.rank(p + q - 1)
-            if hp == 0 or hq == 0 or p + q > self.top + 1:
-                self._qpair_cache[key] = ExactMatrix.zeros(self.ring, target_rank, hp * hq)
+            if hp == 0 or hq == 0 or p + q > self.top:   # C^{p+q} = 0 above the top
+                self._qpair_cache[key] = ExactMatrix.zeros(
+                    self.ring, self.algebra.rank(p + q - 1), hp * hq)
             else:
                 w = self.ss_block(p, q)
                 prod = self.h().mult_block(p, q)
                 if self.algebra.rank(p + q):
                     w = w - self.s_matrix(p + q) @ prod
-                cols = [self.q_of(p + q, w.column(j)) for j in range(w.cols)]
-                self._qpair_cache[key] = ExactMatrix.from_columns(
-                    self.ring, cols, nrows=target_rank)
+                self._qpair_cache[key] = self.q_of(p + q, w)
         return self._qpair_cache[key]
 
     def q_pair(self, p: int, x: np.ndarray, q: int, y: np.ndarray) -> np.ndarray:
@@ -302,8 +283,7 @@ def _normalize_unit(co: CohomologySections) -> None:
     if vec_is_zero(u_cls):
         return
     ring = co.ring
-    col = ExactMatrix.from_columns(ring, [u_cls])
-    s = smith_normal_form(col)
+    s = smith_normal_form(as_columns(ring, u_cls))
     if not ring.is_unit(s.divisors[0]):
         raise UnitNotPrimitiveError(
             f"unit class {list(u_cls)} is not part of a basis of H^0")
@@ -377,7 +357,7 @@ def _sections_fields(payload: dict) -> CohomologySections:
     algebra = dga_from_json(payload["algebra"])
     ring = algebra.ring
     co = CohomologySections(algebra, payload.get("seed"))
-    co.h_rank = [int(x) for x in payload["h_rank"]]
+    co.h_rank = [int_from_json(x) for x in payload["h_rank"]]
 
     def mat(key, n, rows, cols):
         m = ExactMatrix.from_lists(ring, payload[key].get(str(n), []),
@@ -388,7 +368,7 @@ def _sections_fields(payload: dict) -> CohomologySections:
         return m
     for n in range(algebra.top_degree + 1):
         cn = algebra.rank(n)
-        co._coc_rank[n] = int(payload["coc_rank"][str(n)])
+        co._coc_rank[n] = int_from_json(payload["coc_rank"][str(n)])
         co._coc_inv[n] = mat("coc_inv", n, cn, cn)
         z = cn - co._coc_rank[n]
         co.kernel_basis[n] = mat("kernel_basis", n, cn, z)

@@ -211,13 +211,8 @@ def verify_monomorphism(n: int, signed: bool = False, ring: Ring = ZZ) -> dict:
     kills_coboundaries = (sym @ d2).is_zero()
     injective = None
     if kills_coboundaries:
-        injective = True
-        sym_kernel = kernel_basis(sym @ cocycles)
-        for j_col in range(sym_kernel.cols):
-            ambient = cocycles.matvec(sym_kernel.column(j_col))
-            if not hh3.class_is_zero(ambient):
-                injective = False
-                break
+        # injective iff every cocycle that sym kills is a coboundary
+        injective = hh3.classify(cocycles @ kernel_basis(sym @ cocycles)).is_zero()
     return {
         "n": n,
         "signed": signed,

@@ -215,6 +215,18 @@ def _circle_cochains_float_diff():
     return json.dumps(payload)
 
 
+def _with(make, *path, value):
+    """The payload text of make() with the entry at path set to value."""
+    def edited():
+        payload = json.loads(make())
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return json.dumps(payload)
+    return edited
+
+
 def _circle_sections(edit):
     from hochgysin.dga import cochain_algebra
     from hochgysin.exactlin import ZZ
@@ -250,7 +262,9 @@ def _sections_fractional_s():
 MASSEY = ["massey", "--in", str(FIXTURE), "--y", "1:[0,1]"]
 
 # each input once printed a traceback and exited 1 (or 0, reading 1.5, -1.0
-# or "1_0" as an integer, or ignoring --ring on a dg-algebra or section input)
+# or "1_0" as an integer, or ignoring --ring on a dg-algebra or section input;
+# or 0 reading an integer field 1.9, "3" or 0.0 through int(), and 1, a failed
+# property, for a rank true)
 USAGE_CASES = {
     "torus_n0": (["torus", "--n", "0"], None),
     "monomorphism_n0": (["monomorphism", "--n", "0"], None),
@@ -273,6 +287,14 @@ USAGE_CASES = {
     "validate_float_in_diff": (["validate"], _circle_cochains_float_diff),
     "theta_float_in_sections": (["theta"], _sections_fractional_s),
     "gysin_underscore_digit": (["gysin", "--c", '2:["1_0"]'], _t2_cochains),
+    "validate_float_top_degree": (["validate"], _with(_circle_cochains, "top_degree",
+                                                       value=1.9)),
+    "validate_string_rank": (["validate"], _with(_circle_cochains, "ranks", 0, value="3")),
+    "validate_bool_rank": (["validate"], _with(_circle_cochains, "ranks", 0, value=True)),
+    "validate_float_product_index": (["validate"], _with(_circle_cochains, "product", "0,0",
+                                                          0, 0, value=0.0)),
+    "theta_float_h_rank": (["theta"], _with(_sections_intact, "h_rank", 0, value=1.9)),
+    "theta_string_coc_rank": (["theta"], _with(_sections_intact, "coc_rank", "0", value="2")),
 }
 
 

@@ -186,9 +186,29 @@ def test_solve_divisibility_forced():
     assert list(x) == [Fraction(3, 2)]
 
 
+def check_matrix_rhs(M, B):
+    """solve_matrix and the 2-D certificate against column-by-column solves."""
+    X = solve_matrix(M, B)
+    singles = [solve_with_certificate(M, B.column(j)) for j in range(B.cols)]
+    unsolvable = [j for j, (x, _) in enumerate(singles) if x is None]
+    assert (X is None) == bool(unsolvable)
+    X2, cert = solve_with_certificate(M, B)
+    if X is None:
+        # the certificate of the first unsolvable column, at its first failing row
+        j, single = unsolvable[0], singles[unsolvable[0]][1]
+        assert X2 is None and cert.check(M, B.column(j))
+        assert (list(cert.row), cert.divisor, cert.value) == \
+            (list(single.row), single.divisor, single.value)
+    else:
+        assert M @ X == B and M @ X2 == B and cert is None
+    return len(unsolvable)
+
+
 @pytest.mark.parametrize("ring", RINGS)
 def test_solve_roundtrip_and_certificates(ring):
     rng = random.Random(99 + ring_seed(ring) % 89)
+    rng_b = random.Random(7 + ring_seed(ring) % 89)    # the matrix right-hand sides
+    refused = 0
     for trial in range(30):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         M = random_matrix(ring, rows, cols, rng)
@@ -204,6 +224,14 @@ def test_solve_roundtrip_and_certificates(ring):
             assert all(a == c for a, c in zip(M.matvec(x2), b2))
         else:
             assert cert is not None and cert.check(M, b2)
+        # 2-D right-hand sides: images of M, with random columns mixed in
+        k = rng_b.randint(0, 4)
+        B = M @ random_matrix(ring, cols, k, rng_b, -3, 3)
+        for j in range(k):
+            if rng_b.random() < 0.3:
+                B.data[:, j] = as_vector(ring, [rng_b.randint(-4, 4) for _ in range(rows)])
+        refused += check_matrix_rhs(M, B) > 0
+    assert refused > 0
 
 
 def test_unsolvable_changes_hermite_span():
@@ -279,9 +307,21 @@ def test_subquotient_classify_coset_arithmetic():
     assert sorted(sq.orders, key=lambda d: (d == 0, d)) == [2, 0]
     v = as_vector(ZZ, [3, 4])
     w = as_vector(ZZ, [1, 4])             # differs by (2, 0)
-    assert sq.classes_equal(v, w)
-    assert not sq.class_is_zero(v)
-    assert sq.class_is_zero(as_vector(ZZ, [2, 0]))
+    assert list(sq.classify(v)) == list(sq.classify(w))
+    assert not vec_is_zero(sq.classify(v))
+    assert vec_is_zero(sq.classify(as_vector(ZZ, [2, 0])))
+    # a matrix of columns is classified at once, column j as column j alone
+    V = ExactMatrix.from_rows(ZZ, [[3, 1, 2, -5, 0], [4, 4, 0, 7, 0]])
+    C = sq.classify(V)
+    assert (C.rows, C.cols) == (2, 5)
+    for j in range(V.cols):
+        assert list(C.column(j)) == list(sq.classify(V.column(j)))
+    assert sq.classify(ExactMatrix.zeros(ZZ, 2, 0)).cols == 0
+    # one column outside span(generators) fails the whole matrix
+    even = Subquotient.from_gens_rels(ZZ, ExactMatrix.from_rows(ZZ, [[2], [0]]))
+    assert list(even.classify(as_vector(ZZ, [4, 0]))) == [2]
+    with pytest.raises(NotInSpanError):
+        even.classify(ExactMatrix.from_rows(ZZ, [[4, 1], [0, 0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +430,23 @@ def test_rank_and_solutions_match_sympy_over_q():
         assert s.rank == sM.rank(), (trial, M.to_lists())
         assert _no_floats(*(m.data for m in (s.U, s.D, s.V, s.Uinv, s.Vinv)))
         solver = Solver(M)
-        for b in (M.matvec(as_vector(QQ, [entry() for _ in range(cols)])),
-                  as_vector(QQ, [entry() for _ in range(rows)])):
+        rhs = (M.matvec(as_vector(QQ, [entry() for _ in range(cols)])),
+               as_vector(QQ, [entry() for _ in range(rows)]))
+        for b in rhs:
             x, cert = solver.solve_with_certificate(b)
             sb = _sympy_matrix(sympy, b)
             if x is None:
                 assert cert.check(M, b) and sM.row_join(sb).rank() > sM.rank()
             else:
                 assert _no_floats(x) and sM * _sympy_matrix(sympy, x) == sb
+        # the same right-hand sides as the columns of one matrix
+        B = ExactMatrix.from_columns(QQ, [rhs[0], rhs[1], rhs[0]])
+        X, cert = solver.solve_with_certificate(B)
+        sB = _sympy_matrix(sympy, B.data)
+        if X is None:
+            j = next(j for j in range(B.cols) if solve(M, B.column(j)) is None)
+            assert cert.check(M, B.column(j)) and \
+                sM.row_join(sB[:, j]).rank() > sM.rank()
+        else:
+            assert _no_floats(X.data) and sM * _sympy_matrix(sympy, X.data) == sB
+        assert (X is None) == (sM.row_join(sB).rank() > sM.rank())
