@@ -2,9 +2,9 @@
 
 Everything downstream (cochain algebras, section packages, Hochschild
 solves, cone cohomology) reduces to the operations in this module:
-Smith normal form with recorded transforms, column Hermite form, exact
-solvers, kernels, subquotient presentations, and the per-degree
-cohomology of a cochain complex.  Solvers and class maps take a matrix
+Smith normal form with its recorded line operations, column Hermite
+form, exact solvers, kernels, subquotient presentations, and the
+per-degree cohomology of a cochain complex.  Solvers and class maps take a matrix
 of columns, a vector being its one-column case (as_columns/shaped_like);
 one back-substitution serves all of them.  No floating point is used
 anywhere: scalars are Python ints (reduced mod p over F_p), over Q a
@@ -18,12 +18,16 @@ entries stay exact.
 Pivot rule (fixed for reproducibility): among the nonzero candidates,
 pick the smallest ``ring.pivot_size``; ties broken by lowest (row, col).
 Over Z pivot_size is abs(); over fields every nonzero entry has size 1,
-so the rule degenerates to first-nonzero in scan order.  The Smith
+so the rule degenerates to first-nonzero in scan order; rows already
+found zero on the trailing block are not scanned again.  The Smith
 normal form clears rows and columns with one Euclidean line reduction:
 a column operation on A is a row operation on A.T, so the column pass
-runs on the transposed views (A.T, V.T, Vinv.T).  Sharing the routine
-changes neither the pivot rule nor the order of operations; tests pin
-U, V and their inverses by digest.
+runs on the transposed view.  The reduction updates only A and records
+each line operation; U, V and their inverses are never maintained.  A
+caller that needs T @ Y, X @ T or some rows or columns of a transform T
+gets them by replaying the operations on that operand, and the full
+transforms are built the same way, on first read.  Tests pin U, V and
+their inverses by digest, so the operation sequence cannot drift.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -402,29 +407,103 @@ def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 # Smith normal form
 # ---------------------------------------------------------------------------
 
+# The operations of a side, read as row operations R_1, ..., R_k (a column
+# operation on A is a row operation on A.T), multiply to T = R_k ... R_1:
+# U for the row side and V.T for the column side.  Each transform, acting
+# from the left, is T, its inverse or a transpose of these:
+# name -> (side, inverse, transposed)
+_TRANSFORMS = {"U": ("row", False, False), "Uinv": ("row", True, False),
+               "V": ("col", False, True), "Vinv": ("col", True, True)}
+
+
 @dataclass
 class SNFResult:
     """U @ M @ V == D with U, V invertible over the ring.
 
     divisors = the nonzero diagonal of D (d_i | d_{i+1}); rank = len(divisors).
-    Uinv/Vinv are maintained alongside so callers get exact inverses for free.
+    The reduction records its line operations instead of maintaining the
+    transforms: ops holds (side, kind, dst, src, q) in order, side "row"
+    (U collects these) or "col" (V), kind "axpy" (line dst -= q * line
+    src), "swap" (lines dst and src; q is None) or "scale" (line dst *= q,
+    a unit; src == dst).  lmul, rmul, take_rows and take_columns replay
+    them on an operand; U, Uinv, V and Vinv are built the same way on
+    first read and then cached, so treat them as read-only.
     """
 
-    U: ExactMatrix
+    ring: Ring
     D: ExactMatrix
-    V: ExactMatrix
-    Uinv: ExactMatrix
-    Vinv: ExactMatrix
     rank: int
     divisors: list
+    ops: list
+
+    def _replay(self, Y: np.ndarray, side: str, inverse: bool, transpose: bool):
+        """Apply to the rows of Y, in place, the product of the side's
+        operations (inverse: its inverse; transpose: its transpose)."""
+        ring = self.ring
+        ops = [op for op in self.ops if op[0] == side]
+        for _, kind, dst, src, q in (ops if inverse == transpose else reversed(ops)):
+            if kind == "swap":
+                Y[[dst, src]] = Y[[src, dst]]
+            elif kind == "scale":
+                Y[dst] = ring.reduce_array((ring.inv(q) if inverse else q) * Y[dst])
+            else:
+                if transpose:
+                    dst, src = src, dst
+                Y[dst] = ring.reduce_array(Y[dst] + q * Y[src] if inverse
+                                           else Y[dst] - q * Y[src])
+
+    def lmul(self, name: str, Y: ExactMatrix) -> ExactMatrix:
+        """T @ Y for the transform T named U, Uinv, V or Vinv, without building T."""
+        out = Y.data.copy()
+        self._replay(out, *_TRANSFORMS[name])
+        return ExactMatrix(self.ring, out)
+
+    def rmul(self, X: ExactMatrix, name: str) -> ExactMatrix:
+        """X @ T for the transform T named U, Uinv, V or Vinv, without building T."""
+        side, inverse, transpose = _TRANSFORMS[name]
+        out = X.data.T.copy()
+        self._replay(out, side, inverse, not transpose)
+        return ExactMatrix(self.ring, out.T)
+
+    def _size(self, name: str) -> int:
+        return self.D.rows if name in ("U", "Uinv") else self.D.cols
+
+    def take_rows(self, name: str, idx) -> ExactMatrix:
+        """The rows idx of the transform name."""
+        return self.rmul(ExactMatrix.identity(self.ring, self._size(name)).take_rows(idx),
+                         name)
+
+    def take_columns(self, name: str, idx) -> ExactMatrix:
+        """The columns idx of the transform name."""
+        return self.lmul(name,
+                         ExactMatrix.identity(self.ring, self._size(name)).take_columns(idx))
+
+    @cached_property
+    def U(self) -> ExactMatrix:
+        return self.take_columns("U", range(self.D.rows))
+
+    @cached_property
+    def Uinv(self) -> ExactMatrix:
+        return self.take_columns("Uinv", range(self.D.rows))
+
+    @cached_property
+    def V(self) -> ExactMatrix:
+        return self.take_columns("V", range(self.D.cols))
+
+    @cached_property
+    def Vinv(self) -> ExactMatrix:
+        return self.take_columns("Vinv", range(self.D.cols))
 
 
-def _find_pivot(ring: Ring, A: np.ndarray, t: int):
-    """(row, col) of the smallest pivot_size in A[t:, t:], ties by lowest (row, col)."""
+def _find_pivot(ring: Ring, A: np.ndarray, t: int, dead: np.ndarray):
+    """(row, col) of the smallest pivot_size in A[t:, t:], ties by lowest
+    (row, col).  Rows flagged dead are zero on A[t:, t:] and skipped; rows
+    found zero here get flagged."""
     best = None
-    for i in range(t, A.shape[0]):
+    for i in (t + np.flatnonzero(~dead[t:])).tolist():
         nz = A[i, t:].nonzero()[0]
         if not len(nz):
+            dead[i] = True
             continue
         if ring.is_field:
             return i, t + int(nz[0])
@@ -438,36 +517,35 @@ def _find_pivot(ring: Ring, A: np.ndarray, t: int):
 
 
 def smith_normal_form(M: ExactMatrix) -> SNFResult:
-    """Diagonalize M by invertible row/column operations, tracking transforms."""
+    """Diagonalize M by invertible row/column operations, recording them."""
     ring = M.ring
     A = M.data.copy()
     rows, cols = A.shape
-    U = ExactMatrix.identity(ring, rows).data
-    Uinv = ExactMatrix.identity(ring, rows).data
-    V = ExactMatrix.identity(ring, cols).data
-    Vinv = ExactMatrix.identity(ring, cols).data
-    # a side is (matrix, transform, inverse transform), acted on by line operations
-    row_side, col_side = (A, U, Uinv), (A.T, V.T, Vinv.T)
+    ops = []
+    # dead[i]: row i is zero on the trailing block.  It stays zero: later
+    # row operations only combine live rows into live rows, and column
+    # operations only mix trailing columns.  The flag moves with its row.
+    dead = np.zeros(rows, dtype=bool)
+    # a side is the matrix seen as the lines that its operations act on
+    lines = {"row": A, "col": A.T}
 
     def axpy(side, dst, src, q):
-        # line dst -= q * line src on the matrix and transform; the inverse
-        # transform takes the matching column operation
-        a, T, Tinv = side
+        a = lines[side]
         a[dst] = ring.reduce_array(a[dst] - q * a[src])
-        T[dst] = ring.reduce_array(T[dst] - q * T[src])
-        Tinv[:, src] = ring.reduce_array(Tinv[:, src] + q * Tinv[:, dst])
+        ops.append((side, "axpy", dst, src, q))
 
     def swap(side, i, j):
         if i != j:
-            a, T, Tinv = side
+            a = lines[side]
             a[[i, j]] = a[[j, i]]
-            T[[i, j]] = T[[j, i]]
-            Tinv[:, [i, j]] = Tinv[:, [j, i]]
+            if side == "row":
+                dead[[i, j]] = dead[[j, i]]
+            ops.append((side, "swap", i, j, None))
 
     def clear(side, t):
         # clear line t's pivot column below t; True when a Euclid remainder
         # was swapped into the pivot line, which restarts the reduction
-        a = side[0]
+        a = lines[side]
         moved = False
         for i in (t + 1 + a[t + 1:, t].nonzero()[0]).tolist():
             q = ring.quo(a[i, t], a[t, t])
@@ -485,27 +563,23 @@ def smith_normal_form(M: ExactMatrix) -> SNFResult:
             return False
         bad = np.flatnonzero((A[t + 1:, t + 1:] % A[t, t] != 0).any(axis=1))
         if len(bad):
-            axpy(row_side, t, t + 1 + bad[0], -1)
+            axpy("row", t, t + 1 + bad[0], -1)
         return len(bad) > 0
 
     t = 0
-    while (piv := _find_pivot(ring, A, t)) is not None:
-        swap(row_side, t, piv[0])
-        swap(col_side, t, piv[1])
-        while clear(row_side, t) or clear(col_side, t) or fold(t):
+    while (piv := _find_pivot(ring, A, t, dead)) is not None:
+        swap("row", t, piv[0])
+        swap("col", t, piv[1])
+        while clear("row", t) or clear("col", t) or fold(t):
             pass
         u = ring.canonical_unit(A[t, t])
         if u != ring.one():
-            # multiply line t by the unit u
             A[t] = ring.reduce_array(u * A[t])
-            U[t] = ring.reduce_array(u * U[t])
-            Uinv[:, t] = ring.reduce_array(ring.inv(u) * Uinv[:, t])
+            ops.append(("row", "scale", t, t, u))
         t += 1
 
     divisors = [A[i, i] for i in range(min(rows, cols)) if A[i, i] != 0]
-    return SNFResult(ExactMatrix(ring, U), ExactMatrix(ring, A), ExactMatrix(ring, V),
-                     ExactMatrix(ring, Uinv), ExactMatrix(ring, Vinv),
-                     len(divisors), divisors)
+    return SNFResult(ring, ExactMatrix(ring, A), len(divisors), divisors, ops)
 
 
 # ---------------------------------------------------------------------------
@@ -612,14 +686,16 @@ class Solver:
         """(X, None) with M X = B, or (None, NoSolutionCertificate) for the
         first column of B without a solution, at its first failing row."""
         s = self.snf
-        C = s.U @ as_columns(self.ring, B)
+        C = s.lmul("U", as_columns(self.ring, B))
         Y, bad = divide_rows(C, s.divisors)
         if bad.any():
             j = bad.any(axis=0).argmax()
             i = bad[:, j].argmax()
             divisor = s.divisors[i] if i < s.rank else self.ring.zero()
             return None, NoSolutionCertificate(s.U.data[i].copy(), divisor, C.data[i, j])
-        return shaped_like(B, s.V.take_columns(range(s.rank)) @ Y), None
+        X = ExactMatrix.zeros(self.ring, self.M.cols, Y.cols)
+        X.data[:s.rank] = Y.data          # V[:, :rank] @ Y is V @ (Y over zero rows)
+        return shaped_like(B, s.lmul("V", X)), None
 
     def solve(self, B):
         """X with M X = B, or None when a column of B has no solution."""
@@ -644,7 +720,7 @@ def solve_matrix(M: ExactMatrix, B: ExactMatrix):
 def kernel_basis(M: ExactMatrix) -> ExactMatrix:
     """Columns form a basis of Ker(M) (over Z: a basis of the full lattice)."""
     s = smith_normal_form(M)
-    return s.V.take_columns(range(s.rank, M.cols))
+    return s.take_columns("V", range(s.rank, M.cols))
 
 
 # ---------------------------------------------------------------------------
@@ -696,12 +772,11 @@ class Subquotient:
         facs = list(s.divisors) + [self.ring.zero()] * (g - s.rank)
         self.invariant_factors = facs
         # new generator basis: basis @ Uinv; relations become d_i * (new gen i)
-        newgens = self._basis @ s.Uinv
         kept = [i for i in range(g)
                 if facs[i] == 0 or not self.ring.is_unit(facs[i])]
-        self.reduced_gens = newgens.take_columns(kept)
+        self.reduced_gens = s.rmul(self._basis, "Uinv").take_columns(kept)
         self.orders = [facs[i] for i in kept]
-        self._coord_map = s.U.take_rows(kept)
+        self._coord_map = s.take_rows("U", kept)
 
     # -- queries
 
@@ -755,15 +830,15 @@ class CohomologyDegree:
 
     @property
     def kernel(self) -> ExactMatrix:
-        return self.snf.V.take_columns(range(self.snf.rank, self.snf.V.rows))
+        return self.snf.take_columns("V", range(self.snf.rank, self.snf.D.cols))
 
     @property
     def image(self) -> ExactMatrix:
         p = self.prev
         if p is None:
-            return ExactMatrix.zeros(self.ring, self.snf.V.rows, 0)
+            return ExactMatrix.zeros(self.ring, self.snf.D.cols, 0)
         scale = np.array(p.divisors, dtype=object)
-        return ExactMatrix(self.ring, p.Uinv.data[:, :p.rank] * scale)
+        return ExactMatrix(self.ring, p.take_columns("Uinv", range(p.rank)).data * scale)
 
     def group(self) -> Subquotient:
         """H^n = Z^n / B^n as a presented subquotient (torsion included)."""

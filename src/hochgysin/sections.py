@@ -244,8 +244,8 @@ def build_sections(a: DgAlgebra, seed=None) -> CohomologySections:
         co.image_basis[n] = g.image
         prev = g.prev
         if prev is not None:
-            co.q[n] = prev.V.take_columns(range(prev.rank))
-            co._im_rows[n] = prev.U.take_rows(range(prev.rank))
+            co.q[n] = prev.take_columns("V", range(prev.rank))
+            co._im_rows[n] = prev.take_rows("U", range(prev.rank))
             co._im_div[n] = list(prev.divisors)
         else:
             co.q[0] = ExactMatrix.zeros(ring, 0, 0)
@@ -253,7 +253,7 @@ def build_sections(a: DgAlgebra, seed=None) -> CohomologySections:
             co._im_div[0] = []
         # coboundaries in kernel coordinates
         z = co.z_rank(n)
-        full = co._coc_inv[n] @ co.image_basis[n]
+        full = g.snf.lmul("Vinv", co.image_basis[n])
         r = co._coc_rank[n]
         head = full.take_rows(range(r))
         if not head.is_zero():
@@ -265,9 +265,8 @@ def build_sections(a: DgAlgebra, seed=None) -> CohomologySections:
             raise TorsionHomologyError(n, torsion)
         h_n = z - sx.rank
         co.h_rank.append(h_n)
-        kprime = co.kernel_basis[n] @ sx.Uinv
-        co.s[n] = kprime.take_columns(range(sx.rank, z))
-        co._class_map[n] = sx.U.take_rows(range(sx.rank, z))
+        co.s[n] = sx.rmul(co.kernel_basis[n], "Uinv").take_columns(range(sx.rank, z))
+        co._class_map[n] = sx.take_rows("U", range(sx.rank, z))
 
     _normalize_unit(co)
     if seed is not None:
@@ -387,6 +386,12 @@ def _check_package(co: CohomologySections) -> None:
     """Cheap structural identities; rejects tampered section files."""
     a = co.algebra
     for n in range(co.top + 1):
+        div = co._im_div[n]
+        diag = ExactMatrix(co.ring, np.diag(np.array(div, dtype=object)))
+        if 0 in div or _sparse_rows_matmul(co._im_rows[n], co.image_basis[n]) != diag:
+            raise SectionsFormatError(
+                f"loaded im_rows[{n}] @ image_basis[{n}] is not diag(im_div[{n}]) "
+                "with nonzero divisors")
         if not (a.d(n) @ co.s_matrix(n)).is_zero():
             raise NotACocycleError(f"loaded s[{n}] columns are not cocycles")
         if co.b_rank(n):
@@ -396,3 +401,13 @@ def _check_package(co: CohomologySections) -> None:
         ps = co.pi_matrix(n) @ co.s_matrix(n)
         if ps != ExactMatrix.identity(co.ring, co.hr(n)):
             raise NotACocycleError(f"loaded package fails pi s = id in degree {n}")
+
+
+def _sparse_rows_matmul(R: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
+    """R @ B through the nonzero entries of each row of R, for a sparse R."""
+    out = ExactMatrix.zeros(R.ring, R.rows, B.cols)
+    for i, row in enumerate(R.data):
+        nz = row.nonzero()[0]
+        if len(nz):
+            out.data[i] = R.ring.reduce_array(row[nz] @ B.data[nz])
+    return out

@@ -264,7 +264,8 @@ MASSEY = ["massey", "--in", str(FIXTURE), "--y", "1:[0,1]"]
 # each input once printed a traceback and exited 1 (or 0, reading 1.5, -1.0
 # or "1_0" as an integer, or ignoring --ring on a dg-algebra or section input;
 # or 0 reading an integer field 1.9, "3" or 0.0 through int(), and 1, a failed
-# property, for a rank true)
+# property, for a rank true; or a ZeroDivisionError traceback for an im_div 0,
+# and 0 for a wrong im_div)
 USAGE_CASES = {
     "torus_n0": (["torus", "--n", "0"], None),
     "monomorphism_n0": (["monomorphism", "--n", "0"], None),
@@ -295,6 +296,8 @@ USAGE_CASES = {
                                                           0, 0, value=0.0)),
     "theta_float_h_rank": (["theta"], _with(_sections_intact, "h_rank", 0, value=1.9)),
     "theta_string_coc_rank": (["theta"], _with(_sections_intact, "coc_rank", "0", value="2")),
+    "theta_zero_im_div": (["theta"], _with(_sections_intact, "im_div", "1", 0, value=0)),
+    "theta_wrong_im_div": (["theta"], _with(_sections_intact, "im_div", "1", 0, value=2)),
 }
 
 

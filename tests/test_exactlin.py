@@ -22,6 +22,8 @@ def ring_seed(ring) -> int:
 
 
 def random_matrix(ring, rows, cols, rng, lo=-4, hi=4):
+    if not rows:
+        return ExactMatrix.zeros(ring, 0, cols)
     return ExactMatrix.from_rows(
         ring, [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)])
 
@@ -156,16 +158,136 @@ def pin_matrix(ring, rng, kind):
     return ExactMatrix.from_rows(ring, [[entry() for _ in range(cols)] for _ in range(rows)])
 
 
+def snf_digest(ring, matrices) -> str:
+    """sha256 over U, D, V, Uinv, Vinv and the divisors of each SNF."""
+    h = hashlib.sha256()
+    for M in matrices:
+        s = smith_normal_form(M)
+        h.update(json.dumps([m.to_lists() for m in (s.U, s.D, s.V, s.Uinv, s.Vinv)]
+                            + [[ring.scalar_to_json(d) for d in s.divisors]]).encode())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(SNF_PIN))
 def test_snf_operation_sequence_pinned(name):
     ring, seed, expected = SNF_PIN[name]
     rng = random.Random(seed)
-    h = hashlib.sha256()
-    for k in range(60):
-        s = smith_normal_form(pin_matrix(ring, rng, k % 3))
-        h.update(json.dumps([m.to_lists() for m in (s.U, s.D, s.V, s.Uinv, s.Vinv)]
-                            + [[ring.scalar_to_json(d) for d in s.divisors]]).encode())
-    assert h.hexdigest() == expected
+    assert snf_digest(ring, (pin_matrix(ring, rng, k % 3) for k in range(60))) == expected
+
+
+# Tall, sparse, rank-deficient inputs with many zero rows: the pivot search
+# meets rows that are zero on the trailing block again and again, which the
+# small inputs above barely reach.  Digests taken from the kernel that still
+# rescanned every row and maintained all four transforms.
+SNF_SPARSE_PIN = {
+    "Z": (ZZ, 2000, "301b2411d50611d0d78741ae3136d95d357dc03c7c67add7b990d2b07a981f6f"),
+    "Q": (QQ, 2001, "ddf86e7d81261f28968e6c4d00eea25bf6110e71dda54d47201ed02072067fce"),
+    "F2": (GF(2), 2002, "d38cc8e804f0a21cc493c28076f5a1a00e9b5a492ccd603d62a7eebd2af8ba85"),
+    "F5": (GF(5), 2003, "d296579cf0f6cda55b0a64a281a9961f37fe1dda1a73b95bdd0ff5b61245304a"),
+}
+
+
+def sparse_pin_matrix(ring, rng):
+    """20-40 x 5-15, about 85 % zeros, each row zero with probability 0.4,
+    and one to three columns the difference of two others."""
+    rows, cols = rng.randint(20, 40), rng.randint(5, 15)
+
+    def entry():
+        if rng.random() < 0.75:
+            return 0
+        if ring.tag == "Q" and rng.random() < 0.3:
+            return Fraction(rng.randint(-4, 4), rng.randint(2, 3))
+        return rng.choice([1, -1, 2, -2, 3, -3, 4, 6])
+    data = [[0] * cols if rng.random() < 0.4 else [entry() for _ in range(cols)]
+            for _ in range(rows)]
+    for j in rng.sample(range(cols), rng.randint(1, 3)):
+        a, b = rng.sample([k for k in range(cols) if k != j], 2)
+        for row in data:
+            row[j] = row[a] - row[b]
+    return ExactMatrix.from_rows(ring, data)
+
+
+@pytest.mark.parametrize("name", sorted(SNF_SPARSE_PIN))
+def test_snf_operation_sequence_pinned_sparse(name):
+    ring, seed, expected = SNF_SPARSE_PIN[name]
+    rng = random.Random(seed)
+    assert snf_digest(ring, (sparse_pin_matrix(ring, rng) for _ in range(24))) == expected
+
+
+TRANSFORMS = ("U", "Uinv", "V", "Vinv")
+
+
+def replay_cases(ring, rng):
+    """Seeded inputs: empty shapes, zero, identity, full rank and random."""
+    yield ExactMatrix.zeros(ring, 0, 3)
+    yield ExactMatrix.zeros(ring, 3, 0)
+    yield ExactMatrix.zeros(ring, 4, 3)
+    yield ExactMatrix.identity(ring, 3)
+    yield ExactMatrix.from_rows(ring, [[2, 1, 0], [1, 1, 0], [0, 3, 1]])   # det 1
+    for _ in range(12):
+        yield random_matrix(ring, rng.randint(1, 6), rng.randint(1, 6), rng)
+    for _ in range(3):
+        yield sparse_pin_matrix(ring, rng)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(5)])
+def test_snf_replay_matches_materialized_transforms(ring):
+    rng = random.Random(31 + ring_seed(ring) % 83)
+    for M in replay_cases(ring, rng):
+        s = smith_normal_form(M)
+        fresh = smith_normal_form(M)           # only replays: it builds no transform
+        for name in TRANSFORMS:
+            T = getattr(s, name)
+            n = T.rows
+            k = rng.randint(0, 3)
+            Y, X = random_matrix(ring, n, k, rng), random_matrix(ring, k, n, rng)
+            assert fresh.lmul(name, Y) == T @ Y
+            assert fresh.rmul(X, name) == X @ T
+            idx = sorted(rng.sample(range(n), rng.randint(0, n)))
+            assert fresh.take_rows(name, idx) == T.take_rows(idx)
+            assert fresh.take_columns(name, idx) == T.take_columns(idx)
+        assert not set(TRANSFORMS) & set(vars(fresh))
+        assert (s.U @ M) @ s.V == s.D
+        assert is_identity(s.U @ s.Uinv) and is_identity(s.V @ s.Vinv)
+
+
+def recorded_snfs(monkeypatch) -> list:
+    """Make smith_normal_form append its results to the returned list."""
+    from hochgysin import exactlin
+    made, snf = [], exactlin.smith_normal_form
+
+    def recording(M):
+        made.append(snf(M))
+        return made[-1]
+    monkeypatch.setattr(exactlin, "smith_normal_form", recording)
+    return made
+
+
+def built(snfs) -> set:
+    """The names of the transforms that some of the SNF results has built."""
+    return {name for s in snfs for name in TRANSFORMS if name in vars(s)}
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(5)])
+def test_solve_kernel_classify_leave_transforms_unbuilt(ring, monkeypatch):
+    rng = random.Random(47 + ring_seed(ring) % 79)
+    M = random_matrix(ring, 6, 4, rng)
+    M.data[:, 3] = M.data[:, 0]                 # rank deficient
+    M.data[5] = 0                               # e_5 is not in the image
+    B = M @ random_matrix(ring, 4, 3, rng)
+    made = recorded_snfs(monkeypatch)
+    assert Solver(M).solve(B) is not None
+    assert made and built(made) == set()
+    made.clear()
+    kernel_basis(M)
+    assert made and built(made) == set()
+    made.clear()
+    Subquotient.from_gens_rels(ring, M, M.take_columns([0])).classify(B)
+    assert made and built(made) == set()
+    # a refusal builds U, for the certificate row, and nothing else
+    made.clear()
+    assert Solver(M).solve(as_vector(ring, [0, 0, 0, 0, 0, 1])) is None
+    assert built(made) == {"U"}
 
 
 # ---------------------------------------------------------------------------
