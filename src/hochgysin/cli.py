@@ -21,7 +21,7 @@ import sys
 
 from . import dga as dgamod
 from . import sections as secmod
-from .exactlin import as_vector, ring_from_name
+from .exactlin import as_vector, int_from_json, ring_from_name
 from .gysin import (
     check_extension_exactness, gysin_extension, split_extension, verify_theorem_th,
 )
@@ -55,6 +55,8 @@ def _read_payload(args):
         payload = json.loads(raw.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise UsageError(f"input is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise UsageError("input is not a JSON object")
     digest = hashlib.sha256(raw).hexdigest()
     return payload, {source: digest}
 
@@ -95,11 +97,10 @@ def _as_dga(payload, ring_name):
 
 
 def _as_sections(payload, ring_name, seed):
-    if "s" in payload and "algebra" in payload:
-        co = secmod.sections_from_json(payload)
-        _same_ring(ring_name, co.ring)
-        return co
+    """Accept a section package (its algebra validated as by _as_dga) or an _as_dga input."""
     a = _as_dga(payload, ring_name)
+    if "algebra" in payload:
+        return secmod.sections_from_json(payload)
     return build_sections(a, seed=seed)
 
 
@@ -113,14 +114,14 @@ def _default_seed(args):
 def _parse_class(co, token):
     """deg:[c0,c1,...] -> (degree, coordinate vector) of a class of co.
 
-    The degree must lie in 0..top, the list must have length co.hr(deg)
+    The degree is a JSON integer in 0..top, the list must have length co.hr(deg)
     and each entry is a JSON integer or a "p/q" string the ring accepts.
     """
     deg, sep, coords = token.partition(":")
     if not sep:
         raise UsageError(f"class literal {token!r} is not of the form deg:[c0,...]")
     try:
-        degree = int(deg)
+        degree = int_from_json(json.loads(deg))
         values = json.loads(coords)
         if not isinstance(values, list):
             raise ValueError("coordinates must be a JSON list")

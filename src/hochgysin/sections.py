@@ -14,6 +14,11 @@ corrections, which is exactly the freedom the constructions downstream
 must not depend on.  s(1) = 1 is enforced: the unit class is rotated to
 the first basis vector of H^0 and its representative is the unit cochain
 itself (degree 0 admits no coboundaries, so seeding preserves this).
+
+A serialized package is {"algebra", "seed", "s", "q"}, the choice only.
+Loading rebuilds everything else from the algebra by the same pivot rule
+and checks the stored s and q against it: d s = 0, d q = image_basis and
+pi s = id.
 """
 
 from __future__ import annotations
@@ -111,9 +116,6 @@ class CohomologySections:
         self.kernel_basis: dict = {}   # n -> C^n x z_n
         self._im_rows: dict = {}       # n -> b_n x C^n rows of U with divisors
         self._im_div: dict = {}
-        self._coc_inv: dict = {}       # n -> Vinv of SNF(d^n)
-        self._coc_rank: dict = {}      # n -> rank of d^n
-        self._class_map: dict = {}     # n -> h_n x z_n
         self._pi_mat: dict = {}        # n -> h_n x C^n (valid on cocycles)
         self._h: HRing | None = None
         self._qpair_cache: dict = {}
@@ -144,23 +146,15 @@ class CohomologySections:
         """Class coordinates of the cocycles in the columns of V (or of one
         cocycle) in C^n; NotACocycleError when a column is not a cocycle."""
         W = as_columns(self.ring, V)
-        if n in self._coc_inv:
-            # d^n W = 0 iff the first rank(d^n) rows of Vinv W vanish (U d V = D)
-            if not (self._coc_inv[n].take_rows(range(self._coc_rank[n])) @ W).is_zero():
-                raise NotACocycleError(f"vector in degree {n} is not a cocycle")
+        if not (self.algebra.d(n) @ W).is_zero():
+            raise NotACocycleError(f"vector in degree {n} is not a cocycle")
         return shaped_like(V, self.pi_matrix(n) @ W)
 
     def pi_matrix(self, n: int) -> ExactMatrix:
         """h_n x C^n matrix computing pi; only meaningful on cocycles."""
-        if n not in self._pi_mat:
-            if self.hr(n) == 0 or self.algebra.rank(n) == 0:
-                self._pi_mat[n] = ExactMatrix.zeros(self.ring, self.hr(n),
-                                                    self.algebra.rank(n))
-            else:
-                r = self._coc_rank[n]
-                tail = self._coc_inv[n].take_rows(range(r, self._coc_inv[n].rows))
-                self._pi_mat[n] = self._class_map[n] @ tail
-        return self._pi_mat[n]
+        if n in self._pi_mat:
+            return self._pi_mat[n]
+        return ExactMatrix.zeros(self.ring, self.hr(n), self.algebra.rank(n))
 
     def s_matrix(self, n: int) -> ExactMatrix:
         if n in self.s:
@@ -238,8 +232,6 @@ def build_sections(a: DgAlgebra, seed=None) -> CohomologySections:
     ring = a.ring
     co = CohomologySections(a, seed)
     for n, g in complex_cohomology(ring, range(a.top_degree + 1), a.d).items():
-        co._coc_inv[n] = g.snf.Vinv
-        co._coc_rank[n] = g.snf.rank
         co.kernel_basis[n] = g.kernel
         co.image_basis[n] = g.image
         prev = g.prev
@@ -253,20 +245,21 @@ def build_sections(a: DgAlgebra, seed=None) -> CohomologySections:
             co._im_div[0] = []
         # coboundaries in kernel coordinates
         z = co.z_rank(n)
+        r = g.snf.rank
         full = g.snf.lmul("Vinv", co.image_basis[n])
-        r = co._coc_rank[n]
-        head = full.take_rows(range(r))
-        if not head.is_zero():
+        if not full.take_rows(range(r)).is_zero():
             raise AssertionError("image not contained in kernel: d^2 != 0?")
         x = full.take_rows(range(r, full.rows))
         sx = smith_normal_form(x)
         torsion = [d for d in sx.divisors if not ring.is_unit(d)]
         if torsion:
             raise TorsionHomologyError(n, torsion)
-        h_n = z - sx.rank
-        co.h_rank.append(h_n)
+        co.h_rank.append(z - sx.rank)
         co.s[n] = sx.rmul(co.kernel_basis[n], "Uinv").take_columns(range(sx.rank, z))
-        co._class_map[n] = sx.take_rows("U", range(sx.rank, z))
+        # the kernel coordinates of a cocycle are the last rows of Vinv of
+        # SNF(d^n) applied to it; the last rows of U of sx take them to H^n
+        co._pi_mat[n] = (sx.take_rows("U", range(sx.rank, z))
+                         @ g.snf.take_rows("Vinv", range(r, a.rank(n))))
 
     _normalize_unit(co)
     if seed is not None:
@@ -292,11 +285,10 @@ def _normalize_unit(co: CohomologySections) -> None:
     if lead != ring.one():
         w.data[0] = ring.reduce_array(ring.inv(lead) * w.data[0])
         winv.data[:, 0] = ring.reduce_array(lead * winv.data[:, 0])
-    co._class_map[0] = w @ co._class_map[0]
+    co._pi_mat[0] = w @ co._pi_mat[0]
     # s gets the inverse recombination; then the unit column is pinned to 1
     co.s[0] = co.s[0] @ winv
     co.s[0].data[:, 0] = co.algebra.unit
-    co._pi_mat.pop(0, None)
 
 
 def _randomize(co: CohomologySections, rng: random.Random) -> None:
@@ -325,26 +317,35 @@ def _randomize(co: CohomologySections, rng: random.Random) -> None:
 def sections_to_json(co: CohomologySections) -> dict:
     def mats(d):
         return {str(n): m.to_lists() for n, m in d.items()}
-    return {
-        "algebra": dga_to_json(co.algebra),
-        "seed": co.seed,
-        "h_rank": list(co.h_rank),
-        "s": mats(co.s),
-        "q": mats(co.q),
-        "image_basis": mats(co.image_basis),
-        "kernel_basis": mats(co.kernel_basis),
-        "im_rows": mats(co._im_rows),
-        "im_div": {str(n): [co.ring.scalar_to_json(d) for d in ds]
-                   for n, ds in co._im_div.items()},
-        "coc_inv": mats(co._coc_inv),
-        "coc_rank": {str(n): r for n, r in co._coc_rank.items()},
-        "class_map": mats(co._class_map),
-    }
+    return {"algebra": dga_to_json(co.algebra), "seed": co.seed,
+            "s": mats(co.s), "q": mats(co.q)}
 
 
 def sections_from_json(payload: dict) -> CohomologySections:
+    """The stored choice (s, q) over the data the fixed pivot rule derives from
+    the stored algebra, which is taken as given (the CLI validates it first)."""
+    extra = sorted(set(payload) - {"algebra", "seed", "s", "q"})
+    if extra:
+        raise SectionsFormatError(
+            f"section package has unknown keys {extra}; it holds only algebra, seed, s, q")
     try:
-        co = _sections_fields(payload)
+        seed = payload["seed"]
+        if seed is not None:
+            int_from_json(seed)
+        co = build_sections(dga_from_json(payload["algebra"]))
+        co.seed = seed
+        a = co.algebra
+
+        def mat(key, n, rows, cols):
+            m = ExactMatrix.from_lists(co.ring, payload[key].get(str(n), []),
+                                       shape=(rows, cols))
+            if (m.rows, m.cols) != (rows, cols):
+                raise DimensionMismatchError(
+                    f"{key}[{n}] is {m.rows}x{m.cols}, expected {rows}x{cols}")
+            return m
+        for n in range(a.top_degree + 1):
+            co.s[n] = mat("s", n, a.rank(n), co.hr(n))
+            co.q[n] = mat("q", n, a.rank(n - 1), co.b_rank(n))
     except (KeyError, ValueError, TypeError, IndexError, AttributeError,
             DimensionMismatchError) as exc:
         raise SectionsFormatError(f"malformed section package: {exc}") from exc
@@ -352,52 +353,14 @@ def sections_from_json(payload: dict) -> CohomologySections:
     return co
 
 
-def _sections_fields(payload: dict) -> CohomologySections:
-    algebra = dga_from_json(payload["algebra"])
-    ring = algebra.ring
-    co = CohomologySections(algebra, payload.get("seed"))
-    co.h_rank = [int_from_json(x) for x in payload["h_rank"]]
-
-    def mat(key, n, rows, cols):
-        m = ExactMatrix.from_lists(ring, payload[key].get(str(n), []),
-                                   shape=(rows, cols))
-        if (m.rows, m.cols) != (rows, cols):
-            raise DimensionMismatchError(
-                f"{key}[{n}] is {m.rows}x{m.cols}, expected {rows}x{cols}")
-        return m
-    for n in range(algebra.top_degree + 1):
-        cn = algebra.rank(n)
-        co._coc_rank[n] = int_from_json(payload["coc_rank"][str(n)])
-        co._coc_inv[n] = mat("coc_inv", n, cn, cn)
-        z = cn - co._coc_rank[n]
-        co.kernel_basis[n] = mat("kernel_basis", n, cn, z)
-        b = len(payload["im_div"].get(str(n), []))
-        co.image_basis[n] = mat("image_basis", n, cn, b)
-        co.q[n] = mat("q", n, algebra.rank(n - 1), b)
-        co._im_rows[n] = mat("im_rows", n, b, cn)
-        co._im_div[n] = [ring.scalar_from_json(x)
-                         for x in payload["im_div"].get(str(n), [])]
-        co.s[n] = mat("s", n, cn, co.h_rank[n])
-        co._class_map[n] = mat("class_map", n, co.h_rank[n], z)
-    return co
-
-
 def _check_package(co: CohomologySections) -> None:
-    """Cheap structural identities; rejects tampered section files."""
+    """The loaded s and q against the recomputed data; rejects tampered files."""
     a = co.algebra
     for n in range(co.top + 1):
-        div = co._im_div[n]
-        diag = ExactMatrix(co.ring, np.diag(np.array(div, dtype=object)))
-        if 0 in div or _sparse_rows_matmul(co._im_rows[n], co.image_basis[n]) != diag:
-            raise SectionsFormatError(
-                f"loaded im_rows[{n}] @ image_basis[{n}] is not diag(im_div[{n}]) "
-                "with nonzero divisors")
-        if not (a.d(n) @ co.s_matrix(n)).is_zero():
+        if not _sparse_rows_matmul(a.d(n), co.s_matrix(n)).is_zero():
             raise NotACocycleError(f"loaded s[{n}] columns are not cocycles")
-        if co.b_rank(n):
-            dq = a.d(n - 1) @ co.q[n]
-            if dq != co.image_basis[n]:
-                raise ProductNotACoboundaryError(f"loaded q[{n}] is not a section of d")
+        if co.b_rank(n) and _sparse_rows_matmul(a.d(n - 1), co.q[n]) != co.image_basis[n]:
+            raise ProductNotACoboundaryError(f"loaded q[{n}] is not a section of d")
         ps = co.pi_matrix(n) @ co.s_matrix(n)
         if ps != ExactMatrix.identity(co.ring, co.hr(n)):
             raise NotACocycleError(f"loaded package fails pi s = id in degree {n}")

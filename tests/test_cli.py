@@ -227,26 +227,55 @@ def _with(make, *path, value):
     return edited
 
 
-def _circle_sections(edit):
+def _package(k, seed, edit):
     from hochgysin.dga import cochain_algebra
     from hochgysin.exactlin import ZZ
     from hochgysin.sections import build_sections, sections_to_json
-    from hochgysin.simplicial import build_circle
-    payload = sections_to_json(build_sections(cochain_algebra(build_circle(), ZZ)))
+    payload = sections_to_json(build_sections(cochain_algebra(k, ZZ), seed=seed))
     edit(payload)
     return json.dumps(payload)
+
+
+def _circle_sections(edit):
+    from hochgysin.simplicial import build_circle
+    return _package(build_circle(), None, edit)
+
+
+def _t2_seed3_sections(edit):
+    from hochgysin.simplicial import build_torus
+    return _package(build_torus(2), 3, edit)
 
 
 def _sections_intact():
     return _circle_sections(lambda payload: None)
 
 
-def _sections_without_h_rank():
-    return _circle_sections(lambda payload: payload.pop("h_rank"))
+def _sections_old_format():
+    return _circle_sections(lambda payload: payload.update(im_div={"1": [1]}, coc_inv={}))
 
 
-def _sections_short_h_rank():
-    return _circle_sections(lambda payload: payload["h_rank"].pop())
+def _sections_without_q():
+    return _circle_sections(lambda payload: payload.pop("q"))
+
+
+def _sections_q_column_too_many():
+    def edit(payload):
+        for row in payload["q"]["1"]:
+            row.append(0)
+    return _circle_sections(edit)
+
+
+def _t2_sections_flipped_product():
+    def edit(payload):
+        entry = payload["algebra"]["product"]["1,1"][0]
+        entry[3] = -entry[3]
+    return _t2_seed3_sections(edit)
+
+
+def _t2_sections_d_squared_nonzero():
+    def edit(payload):
+        payload["algebra"]["diff"]["0"][0][0] = 7
+    return _t2_seed3_sections(edit)
 
 
 def _sections_s_missing_a_row():
@@ -264,13 +293,16 @@ MASSEY = ["massey", "--in", str(FIXTURE), "--y", "1:[0,1]"]
 # each input once printed a traceback and exited 1 (or 0, reading 1.5, -1.0
 # or "1_0" as an integer, or ignoring --ring on a dg-algebra or section input;
 # or 0 reading an integer field 1.9, "3" or 0.0 through int(), and 1, a failed
-# property, for a rank true; or a ZeroDivisionError traceback for an im_div 0,
-# and 0 for a wrong im_div)
+# property, for a rank true; or 0 carrying a seed "x", running on the embedded
+# algebra of a package unvalidated, or reading a class degree "0_1" or "+1"
+# through int(); or a traceback for a JSON array); an old-format package,
+# naming the fields that the fixed pivot rule derives, and a package without q
+# are rejected likewise
 USAGE_CASES = {
     "torus_n0": (["torus", "--n", "0"], None),
     "monomorphism_n0": (["monomorphism", "--n", "0"], None),
-    "sections_missing_h_rank": (["theta"], _sections_without_h_rank),
-    "sections_short_h_rank": (["theta"], _sections_short_h_rank),
+    "sections_old_format": (["theta"], _sections_old_format),
+    "sections_missing_q": (["theta"], _sections_without_q),
     "sections_s_missing_a_row": (["theta"], _sections_s_missing_a_row),
     "massey_z_too_long": (MASSEY + ["--x", "1:[0,1]", "--z", "1:[0,1,2]"], None),
     "massey_x_not_a_number": (MASSEY + ["--x", '1:[0,"a"]', "--z", "1:[1,0]"], None),
@@ -294,10 +326,13 @@ USAGE_CASES = {
     "validate_bool_rank": (["validate"], _with(_circle_cochains, "ranks", 0, value=True)),
     "validate_float_product_index": (["validate"], _with(_circle_cochains, "product", "0,0",
                                                           0, 0, value=0.0)),
-    "theta_float_h_rank": (["theta"], _with(_sections_intact, "h_rank", 0, value=1.9)),
-    "theta_string_coc_rank": (["theta"], _with(_sections_intact, "coc_rank", "0", value="2")),
-    "theta_zero_im_div": (["theta"], _with(_sections_intact, "im_div", "1", 0, value=0)),
-    "theta_wrong_im_div": (["theta"], _with(_sections_intact, "im_div", "1", 0, value=2)),
+    "theta_q_column_too_many": (["theta"], _sections_q_column_too_many),
+    "theta_string_seed": (["theta"], _with(_sections_intact, "seed", value="x")),
+    "theta_flipped_product_in_sections": (["theta"], _t2_sections_flipped_product),
+    "theta_d_squared_nonzero_in_sections": (["theta"], _t2_sections_d_squared_nonzero),
+    "gysin_underscore_degree": (["gysin", "--c", "0_1:[1,0]"], _t2_cochains),
+    "gysin_plus_degree": (["gysin", "--c", "+1:[1,0]"], _t2_cochains),
+    "theta_json_array": (["theta"], lambda: '["s", "algebra"]'),
 }
 
 

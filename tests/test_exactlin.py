@@ -7,11 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hochgysin.dga import cochain_algebra
 from hochgysin.exactlin import (
     ZZ, QQ, GF, ExactMatrix, NotInSpanError, Solver, Subquotient, as_vector,
     column_hermite, kernel_basis, smith_normal_form, solve, solve_matrix,
     solve_with_certificate, vec_is_zero, zero_vector,
 )
+from hochgysin.sections import build_sections
+from hochgysin.simplicial import build_torus
 
 RINGS = [ZZ, QQ, GF(2), GF(3), GF(5)]
 
@@ -288,6 +291,10 @@ def test_solve_kernel_classify_leave_transforms_unbuilt(ring, monkeypatch):
     made.clear()
     assert Solver(M).solve(as_vector(ring, [0, 0, 0, 0, 0, 1])) is None
     assert built(made) == {"U"}
+    # the sections read rows of Vinv of each SNF(d^n), never the whole of it
+    made.clear()
+    build_sections(cochain_algebra(build_torus(2), ring), seed=1)
+    assert made and "Vinv" not in built(made)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,7 @@ CASES = {
                                  "text"),
     "cohomology_t2": (["cohomology"], "cochains_t2", "text"),
     "sections_t2_seed3": (["sections", "--seed", "3"], "cochains_t2", "sha256"),
+    "theta_class_t2_seed3": (["theta-class"], "sections_t2_seed3", "text"),
     "theta_class_t2": (["theta-class"], "cochains_t2", "text"),
     "theta_class_fixture": (["theta-class", "--in", FIXTURE], None, "text"),
     "massey_fixture": (["massey", "--x", "1:[0,1]", "--y", "1:[0,1]", "--z", "1:[1,0]",

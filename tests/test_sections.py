@@ -1,16 +1,21 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
-from hochgysin.dga import cochain_algebra
+from hochgysin.dga import cochain_algebra, load_dga
 from hochgysin.exactlin import GF, QQ, ZZ, ExactMatrix, as_vector, solve, vec_is_zero
+from hochgysin.hochschild import cochain_to_json, theta
 from hochgysin.sections import (
-    NotACocycleError, TorsionHomologyError, build_sections, compute_cohomology,
-    sections_from_json, sections_to_json,
+    NotACocycleError, SectionsFormatError, TorsionHomologyError, build_sections,
+    compute_cohomology, sections_from_json, sections_to_json,
 )
 from hochgysin.simplicial import build_circle, build_sphere, build_torus, make_complex
 from oracles import homology_groups
+
+MASSEY_FIXTURE = Path(__file__).parent.parent / "src" / "hochgysin" / "fixtures" / \
+    "massey_fixture.dga.json"
 
 # minimal 6-vertex triangulation of the projective plane: H_1 = Z/2,
 # so integral cochain cohomology has torsion in degree 2
@@ -206,12 +211,31 @@ def test_torus2_ring_structure():
 
 
 def test_sections_roundtrip():
-    a = cochain_algebra(build_torus(2), ZZ)
-    co = build_sections(a, seed=42)
-    text = json.dumps(sections_to_json(co), sort_keys=True)
-    co2 = sections_from_json(json.loads(text))
-    assert co2.h_rank == co.h_rank
-    for n in range(a.top_degree + 1):
-        assert co2.s_matrix(n) == co.s_matrix(n)
-        assert co2.q[n] == co.q[n]
-        assert co2.pi_matrix(n) == co.pi_matrix(n)
+    """A loaded package stores only (algebra, seed, s, q) and recomputes the
+    rest; it must equal the package that wrote it."""
+    packages = [build_sections(cochain_algebra(build_torus(2), ring), seed=42)
+                for ring in (ZZ, QQ, GF(2))]
+    packages.append(build_sections(load_dga(MASSEY_FIXTURE), seed=5))
+    for co in packages:
+        payload = json.loads(json.dumps(sections_to_json(co), sort_keys=True))
+        assert set(payload) == {"algebra", "seed", "s", "q"}
+        co2 = sections_from_json(payload)
+        assert co2.seed == co.seed and co2.h_rank == co.h_rank
+        for n in range(co.top + 1):
+            assert co2.s_matrix(n) == co.s_matrix(n)
+            assert co2.q[n] == co.q[n]
+            assert co2.pi_matrix(n) == co.pi_matrix(n)
+            assert co2.image_basis[n] == co.image_basis[n]
+            assert co2.kernel_basis[n] == co.kernel_basis[n]
+            assert co2._im_rows[n] == co._im_rows[n]
+            assert co2._im_div[n] == co._im_div[n]
+        assert co2.h().mult.keys() == co.h().mult.keys()
+        assert all(co2.h().mult[k] == co.h().mult[k] for k in co.h().mult)
+        assert cochain_to_json(theta(co2)) == cochain_to_json(theta(co))
+
+
+def test_old_format_package_rejected_naming_its_extra_keys():
+    payload = sections_to_json(build_sections(cochain_algebra(build_circle(), ZZ)))
+    payload["coc_inv"] = {}
+    with pytest.raises(SectionsFormatError, match=r"\['coc_inv'\]"):
+        sections_from_json(payload)
