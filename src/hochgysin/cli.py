@@ -105,10 +105,16 @@ def _as_sections(payload, ring_name, seed):
 
 
 def _default_seed(args):
+    """--seed, else HOCHGYSIN_SEED read as a JSON integer, else None."""
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("HOCHGYSIN_SEED")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int_from_json(json.loads(env))
+    except ValueError as exc:
+        raise UsageError(f"HOCHGYSIN_SEED={env!r} is not an integer") from exc
 
 
 def _parse_class(co, token):

@@ -12,13 +12,16 @@ H^{p_1 + ... + p_l + t}, source indices flattened row-major.  Only
 tuples whose source and target ranks are all nonzero can carry blocks.
 
 The triviality and class-equality solvers assemble the coboundary as an
-exact matrix (columns are coboundaries of elementary cochains, so the
-solver and the direct evaluator cannot drift apart) and hand the system
-to the exact linear solver; infeasibility comes back as a checkable
-certificate.  When H^0 is spanned by the unit and the cocycle vanishes
-on unit slots, the solve is restricted to all-positive degree tuples: a
-solution there extends by zero to a full solution, and the extension is
-re-verified against every block.
+exact matrix, one signed Kronecker block per (target tuple, source
+tuple) and term of delta, and hand the system to the exact linear
+solver; infeasibility comes back as a checkable certificate.
+coboundary() is the independent evaluator: every witness is re-checked
+with it, and the tests compare the assembled matrix with coboundary() of
+each elementary cochain, so the two cannot drift apart.  When H^0 is
+spanned by the unit and the cocycle vanishes on unit slots, the solve is
+restricted to all-positive degree tuples: a solution there extends by
+zero to a full solution, and the extension is re-verified against every
+block.
 """
 
 from __future__ import annotations
@@ -290,34 +293,57 @@ class CochainLayout:
             out.set_block(tup, m)
         return out
 
-    def basis_cochain(self, flat_index: int) -> HochschildCochain:
-        for tup in self.tuples:
-            off, rows, cols = self.offsets[tup]
-            if off <= flat_index < off + rows * cols:
-                m = ExactMatrix.zeros(self.h.ring, rows, cols)
-                local = flat_index - off
-                m.data[local // cols, local % cols] = self.h.ring.one()
-                out = zero_cochain(self.h, self.arity, self.internal_degree)
-                out.set_block(tup, m)
-                return out
-        raise IndexError(flat_index)
-
 
 def coboundary_matrix(M: TwistedBimodule, arity: int, internal_degree: int,
                       positive_only: bool = False):
     """(matrix of delta, source layout, target layout) in flat coordinates.
 
-    Columns are coboundaries of elementary cochains, so this matrix agrees
-    with coboundary() by construction.
+    Assembled block by block: for each target tuple T, each term of
+    coboundary() reads one source tuple S and adds one signed block at
+    the layout offsets of (T, S); an S outside the source layout (a
+    unit slot when positive_only) adds nothing.
     """
     h = M.base
-    src = CochainLayout.build(h, arity, internal_degree, positive_only)
-    dst = CochainLayout.build(h, arity + 1, internal_degree, positive_only)
-    mat = ExactMatrix.zeros(h.ring, dst.total, src.total)
-    for j in range(src.total):
-        db = coboundary(src.basis_cochain(j), M)
-        mat.data[:, j] = dst.pack(db)
-    return mat, src, dst
+    ring = h.ring
+    l, t = arity, internal_degree
+    src = CochainLayout.build(h, l, t, positive_only)
+    dst = CochainLayout.build(h, l + 1, t, positive_only)
+    mat = ExactMatrix.zeros(ring, dst.total, src.total).data
+    eye = lambda n: ExactMatrix.identity(ring, n).data
+
+    def add(T, S, sign, block):
+        r0, c0 = dst.offsets[T][0], src.offsets[S][0]
+        rows, cols = block.shape
+        mat[r0:r0 + rows, c0:c0 + cols] += sign * block
+
+    # a row is (i, source classes) for the value's class i; a column is
+    # (r, c) for the row and column of the source block
+    for T in dst.tuples:
+        _, rt, ct = dst.offsets[T]
+        # x1 * a(x2, ..., x_{l+1}), twisted: [(i, x, c), (r, c)] is m[i, (x, r)]
+        S = T[1:]
+        if S in src.offsets:
+            _, ra, ca = src.offsets[S]
+            m = h.mult_block(T[0], sum(S) + t).data.reshape(rt * h.rank(T[0]), ra)
+            add(T, S, (-1) ** T[0], np.kron(m, eye(ca)))
+        # a(..., x_i x_{i+1}, ...): [(r, j), (r, c)] is X[c, j], X = I (x) m (x) I
+        for i in range(l):
+            S = T[:i] + (T[i] + T[i + 1],) + T[i + 2:]
+            if S in src.offsets:
+                mats = [eye(h.rank(p)) for p in T[:i]]
+                mats.append(h.mult_block(T[i], T[i + 1]).data)
+                mats.extend(eye(h.rank(p)) for p in T[i + 2:])
+                add(T, S, (-1) ** (i + 1), np.kron(eye(rt), reduce(np.kron, mats).T))
+        # a(x_1, ..., x_l) x_{l+1}: [(i, c, y), (r, c)] is m[i, (r, y)]
+        S = T[:l]
+        if S in src.offsets:
+            _, ra, ca = src.offsets[S]
+            hk = h.rank(T[l])
+            m = h.mult_block(sum(S) + t, T[l]).data.reshape(rt, ra, hk)
+            k = np.kron(m.transpose(0, 2, 1).reshape(rt * hk, ra), eye(ca))
+            k = k.reshape(rt, hk, ca, ra * ca).transpose(0, 2, 1, 3)
+            add(T, S, (-1) ** (l + 1), k.reshape(rt * ct, ra * ca))
+    return ExactMatrix(ring, ring.reduce_array(mat)), src, dst
 
 
 def _vanishes_on_unit_slots(a: HochschildCochain, h: HRing) -> bool:

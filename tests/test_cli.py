@@ -182,6 +182,16 @@ def test_env_seed_matches_explicit_seed():
     assert via_flag.stdout == via_env.stdout
 
 
+@pytest.mark.parametrize("value", ["x", "1.5", "+3", "3_0"])
+def test_env_seed_must_be_an_integer(tmp_path, value):
+    dga = tmp_path / "t2.dga.json"
+    dga.write_text(_t2_cochains())
+    res = run_cli(["theta", "--in", str(dga)], env_extra={"HOCHGYSIN_SEED": value})
+    assert res.returncode == 2, (res.stdout, res.stderr)
+    assert "HOCHGYSIN_SEED" in json.loads(res.stdout)["error"]
+    assert "Traceback" not in res.stderr
+
+
 def test_reports_byte_stable():
     built1 = run_cli(["build", "torus", "--n", "2"])
     built2 = run_cli(["build", "torus", "--n", "2"])

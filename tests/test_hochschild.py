@@ -1,16 +1,23 @@
 import random
+from fractions import Fraction
+from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 
-from hochgysin.dga import cochain_algebra
-from hochgysin.exactlin import ZZ, ExactMatrix, as_vector
+from hochgysin.dga import cochain_algebra, load_dga
+from hochgysin.exactlin import GF, QQ, ZZ, ExactMatrix, as_vector
 from hochgysin.hochschild import (
     CochainLayout, HochschildCochain, TwistedBimodule, admissible_tuples,
     coboundary, coboundary_matrix, cochain_from_json, cochain_to_json,
     classes_equal, theta, theta_value, trivialize, verify_cocycle, zero_cochain,
 )
-from hochgysin.sections import NotACocycleError, build_sections
+from hochgysin.sections import HRing, NotACocycleError, build_sections
 from hochgysin.simplicial import build_sphere, build_torus
+from hochgysin.torus import exterior_algebra
+
+MASSEY_FIXTURE = Path(__file__).parent.parent / "src" / "hochgysin" / "fixtures" / \
+    "massey_fixture.dga.json"
 
 
 def torus2_sections(seed=None):
@@ -152,6 +159,71 @@ def test_coboundary_matrix_agrees_with_direct():
     assert list(mat.matvec(src.pack(a))) == list(dst.pack(coboundary(a, M)))
 
 
+def column_by_column(M, arity, internal_degree, positive_only):
+    """The matrix of delta as coboundary() of each elementary cochain, packed
+    into the target layout: the oracle for coboundary_matrix."""
+    h = M.base
+    src = CochainLayout.build(h, arity, internal_degree, positive_only)
+    dst = CochainLayout.build(h, arity + 1, internal_degree, positive_only)
+    mat = ExactMatrix.zeros(h.ring, dst.total, src.total)
+    for tup in src.tuples:
+        off, rows, cols = src.offsets[tup]
+        for k in range(rows * cols):
+            m = ExactMatrix.zeros(h.ring, rows, cols)
+            m.data[k // cols, k % cols] = h.ring.one()
+            a = zero_cochain(h, arity, internal_degree)
+            a.set_block(tup, m)
+            mat.data[:, off + k] = dst.pack(coboundary(a, M))
+    return mat, src, dst
+
+
+def same_entries_and_types(x: ExactMatrix, y: ExactMatrix) -> bool:
+    return x.data.shape == y.data.shape and all(
+        a == b and type(a) is type(b) for a, b in zip(x.data.flat, y.data.flat))
+
+
+# case -> (sections, arities, internal degrees)
+NO_DRIFT_CASES = {
+    "t2-Z": (torus2_sections, (1, 2, 3), (-1, 0)),
+    "t2-Q": (lambda: build_sections(cochain_algebra(build_torus(2), QQ), seed=3),
+             (1, 2, 3), (-1,)),
+    "t2-F3": (lambda: build_sections(cochain_algebra(build_torus(2), GF(3)), seed=4),
+              (1, 2, 3), (-1,)),
+    "massey-seeded": (lambda: build_sections(load_dga(MASSEY_FIXTURE), seed=6),
+                      (1, 2, 3), (-1,)),
+    "exterior3-F5": (lambda: build_sections(exterior_algebra(3, GF(5))), (1, 2), (-1,)),
+}
+
+
+@pytest.mark.parametrize("case", list(NO_DRIFT_CASES))
+def test_coboundary_matrix_matches_column_by_column(case):
+    make, arities, degrees = NO_DRIFT_CASES[case]
+    h = make().h()
+    M = TwistedBimodule(h)
+    rng = random.Random(case)
+    for arity, t, positive_only in iproduct(arities, degrees, (False, True)):
+        mat, src, dst = coboundary_matrix(M, arity, t, positive_only)
+        ref, ref_src, ref_dst = column_by_column(M, arity, t, positive_only)
+        assert (src.offsets, dst.offsets) == (ref_src.offsets, ref_dst.offsets)
+        assert same_entries_and_types(mat, ref), (arity, t, positive_only)
+        for _ in range(2):
+            a = src.unpack(as_vector(h.ring, [rng.randint(-3, 3) for _ in range(src.total)]))
+            assert list(mat.matvec(src.pack(a))) == list(dst.pack(coboundary(a, M)))
+
+
+def test_coboundary_matrix_with_fractional_structure_constants():
+    # over Q with a proper fraction in the product the two constructions
+    # agree in value; each may leave integral Fractions in other entries
+    f = Fraction(1, 2)
+    unit = {(0, p): ExactMatrix.identity(QQ, r) for p, r in enumerate((1, 2, 1))}
+    unit.update({(p, 0): m for (_, p), m in unit.items()})
+    h = HRing(QQ, [1, 2, 1], {**unit, (1, 1): ExactMatrix.from_rows(QQ, [[0, f, -f, 0]])})
+    M = TwistedBimodule(h)
+    for arity in (1, 2):
+        mat, _, _ = coboundary_matrix(M, arity, -1)
+        assert mat == column_by_column(M, arity, -1, False)[0]
+
+
 def test_trivialize_zero_gives_zero():
     co = torus2_sections()
     M = TwistedBimodule(co.h())
@@ -242,3 +314,36 @@ def test_layout_pack_unpack():
     rng = random.Random(3)
     a = random_cochain(h, 2, -1, rng)
     assert layout.unpack(layout.pack(a)) == a
+
+
+# the paper's identities on a few section seeds; case -> dg-algebra
+IDENTITY_CASES = {
+    "t2-F2": lambda: cochain_algebra(build_torus(2), GF(2)),
+    "t2-F3": lambda: cochain_algebra(build_torus(2), GF(3)),
+    "t2-Q": lambda: cochain_algebra(build_torus(2), QQ),
+    "massey": lambda: load_dga(MASSEY_FIXTURE),
+}
+
+
+@pytest.mark.parametrize("case", list(IDENTITY_CASES))
+def test_theta_is_cocycle_through_assembled_matrix(case):
+    a = IDENTITY_CASES[case]()
+    for seed in (1, 2, 3):
+        co = build_sections(a, seed=seed)
+        th = theta(co)
+        assert not th.is_zero()
+        mat, src, _ = coboundary_matrix(TwistedBimodule(co.h()), 3, -1)
+        assert all(x == 0 for x in mat.matvec(src.pack(th))), seed
+
+
+@pytest.mark.parametrize("case", list(IDENTITY_CASES))
+def test_theta_class_independent_of_seed(case):
+    a = IDENTITY_CASES[case]()
+    co1 = build_sections(a, seed=1)
+    th1 = theta(co1)
+    M = TwistedBimodule(co1.h())
+    others = [theta(build_sections(a, seed=seed)) for seed in (2, 3, 4)]
+    assert any(th != th1 for th in others)
+    for th in others:
+        w, cert = classes_equal(th1, th, M)
+        assert cert is None and coboundary(w, M) == th1 - th
