@@ -105,16 +105,17 @@ def _as_sections(payload, ring_name, seed):
 
 
 def _default_seed(args):
-    """--seed, else HOCHGYSIN_SEED read as a JSON integer, else None."""
+    """--seed, else HOCHGYSIN_SEED, else None; either read as a JSON integer."""
     if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("HOCHGYSIN_SEED")
-    if not env:
-        return None
+        name, text = "--seed", args.seed
+    else:
+        name, text = "HOCHGYSIN_SEED", os.environ.get("HOCHGYSIN_SEED")
+        if not text:
+            return None
     try:
-        return int_from_json(json.loads(env))
+        return int_from_json(json.loads(text))
     except ValueError as exc:
-        raise UsageError(f"HOCHGYSIN_SEED={env!r} is not an integer") from exc
+        raise UsageError(f"{name}={text!r} is not an integer") from exc
 
 
 def _parse_class(co, token):
@@ -371,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="coefficient ring (Z, Q, F2, ...); a dg-algebra or "
                                  "section input must already be over it")
         if seed:
-            sp.add_argument("--seed", type=int, default=None,
-                            help="section seed (default: HOCHGYSIN_SEED)")
+            sp.add_argument("--seed", default=None,
+                            help="section seed, a JSON integer (default: HOCHGYSIN_SEED)")
 
     c = sub.add_parser("cochains", help="simplicial cochain dg-algebra")
     c.add_argument("--in", dest="infile", default=None)
@@ -416,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     to = sub.add_parser("torus", help="end-to-end torus triviality run")
     to.add_argument("--n", type=int, required=True)
     to.add_argument("--ring", default="Z")
-    to.add_argument("--seed", type=int, default=None)
+    to.add_argument("--seed", default=None)
     to.add_argument("--emit-witness", dest="emit_witness", default=None)
     to.set_defaults(func=cmd_torus)
 

@@ -200,7 +200,12 @@ def _d_squared_defect(m: DgModule, cols):
 
 
 def _leibniz_defect(m: DgModule, cols):
-    """(n, q, (i, j)) where D(e_i e_j) != D(e_i) e_j + (-1)^n e_i d(e_j), or None."""
+    """(n, q, (i, j)) where D(e_i e_j) != D(e_i) e_j + (-1)^n e_i d(e_j), or None.
+
+    The right-hand side visits only the tensor entries present: `up` indexed
+    by its first factor, `right` by its second, each sorted stably by the
+    other factor, so rhs gets its keys in the order of a loop over every
+    basis pair and the first mismatch reported does not depend on the index."""
     a = m.algebra
     ring = a.ring
     for (n, q), ent in sorted(m.action.items()):
@@ -209,10 +214,10 @@ def _leibniz_defect(m: DgModule, cols):
         dq = _sparse_cols(a.d(q))
         up = {}
         right = {}
-        for i, j, k, c in m.entries(n + 1, q):
-            up.setdefault((i, j), []).append((k, c))
-        for i, j, k, c in m.entries(n, q + 1):
-            right.setdefault((i, j), []).append((k, c))
+        for i, j, k, c in sorted(m.entries(n + 1, q), key=lambda e: e[1]):
+            up.setdefault(i, []).append((j, k, c))
+        for i, j, k, c in sorted(m.entries(n, q + 1), key=lambda e: e[0]):
+            right.setdefault(j, []).append((i, k, c))
         lhs = {}
         for i, j, k, c in ent:
             for t, c2 in dnq[k]:
@@ -221,18 +226,16 @@ def _leibniz_defect(m: DgModule, cols):
         rhs = {}
         for i in range(m.rank(n)):
             for i2, c in dn[i]:
-                for j in range(a.rank(q)):
-                    for t, c2 in up.get((i2, j), ()):
-                        key = (i, j, t)
-                        rhs[key] = rhs.get(key, ring.zero()) + c * c2
+                for j, t, c2 in up.get(i2, ()):
+                    key = (i, j, t)
+                    rhs[key] = rhs.get(key, ring.zero()) + c * c2
         # n < 0 in a shifted module, where (-1) ** n would be a float
         sign = ring.normalize(-1 if n % 2 else 1)
         for j in range(a.rank(q)):
             for j2, c in dq[j]:
-                for i in range(m.rank(n)):
-                    for t, c2 in right.get((i, j2), ()):
-                        key = (i, j, t)
-                        rhs[key] = rhs.get(key, ring.zero()) + sign * c * c2
+                for i, t, c2 in right.get(j2, ()):
+                    key = (i, j, t)
+                    rhs[key] = rhs.get(key, ring.zero()) + sign * c * c2
         key = _first_mismatch(ring, lhs, rhs)
         if key is not None:
             return n, q, key[:2]

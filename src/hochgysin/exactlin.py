@@ -12,8 +12,8 @@ anywhere: scalars are Python ints (reduced mod p over F_p), over Q a
 integer arithmetic; the only division is ``Fraction(b) / a`` in Ring.
 
 Matrices are stored densely as 2-D numpy arrays of dtype=object so that
-row/column operations and products run through numpy's C loop while the
-entries stay exact.
+row/column operations run through numpy's C loop while the entries stay
+exact; replay and sparse products walk only the nonzero entries.
 
 Pivot rule (fixed for reproducibility): among the nonzero candidates,
 pick the smallest ``ring.pivot_size``; ties broken by lowest (row, col).
@@ -317,7 +317,21 @@ class ExactMatrix:
                     f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
             if self.cols == 0:
                 return ExactMatrix.zeros(self.ring, self.rows, other.cols)
-            return ExactMatrix(self.ring, self.ring.reduce_array(self.data @ other.data))
+            A, B = self.data, other.data
+            # numpy's dense product costs about 1 per multiply-add; a row
+            # built from the nonzeros of the left costs about 2 per
+            # multiply-add with a nonzero and 256 more, after a scan of A
+            # at about 1 per entry; skip the scan when it cannot pay
+            if self.cols * (other.cols - 1) > 256:
+                r, c = A.nonzero()
+                if 2 * len(r) * other.cols + 256 * self.rows < A.size * other.cols:
+                    out = ExactMatrix.zeros(self.ring, self.rows, other.cols)
+                    starts = np.flatnonzero(np.diff(r, prepend=-1)).tolist()
+                    for lo, hi in zip(starts, starts[1:] + [len(r)]):
+                        nz = c[lo:hi]
+                        out.data[r[lo]] = self.ring.reduce_array(A[r[lo], nz] @ B[nz])
+                    return out
+            return ExactMatrix(self.ring, self.ring.reduce_array(A @ B))
         raise TypeError("use matvec for vectors")
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -438,19 +452,39 @@ class SNFResult:
 
     def _replay(self, Y: np.ndarray, side: str, inverse: bool, transpose: bool):
         """Apply to the rows of Y, in place, the product of the side's
-        operations (inverse: its inverse; transpose: its transpose)."""
+        operations (inverse: its inverse; transpose: its transpose).  The
+        rows are held as {col: value} of their nonzeros while the
+        operations run, so each one walks only the nonzeros it reads."""
         ring = self.ring
+        p = ring.p if ring.tag == "Fp" else None
+        rows = [{} for _ in range(Y.shape[0])]
+        r, c = Y.nonzero()
+        for i, j, x in zip(r.tolist(), c.tolist(), Y[r, c]):
+            rows[i][j] = x
         ops = [op for op in self.ops if op[0] == side]
         for _, kind, dst, src, q in (ops if inverse == transpose else reversed(ops)):
             if kind == "swap":
-                Y[[dst, src]] = Y[[src, dst]]
+                rows[dst], rows[src] = rows[src], rows[dst]
             elif kind == "scale":
-                Y[dst] = ring.reduce_array((ring.inv(q) if inverse else q) * Y[dst])
+                f = ring.inv(q) if inverse else q
+                rows[dst] = {j: f * x if p is None else f * x % p
+                             for j, x in rows[dst].items()}
             else:
                 if transpose:
                     dst, src = src, dst
-                Y[dst] = ring.reduce_array(Y[dst] + q * Y[src] if inverse
-                                           else Y[dst] - q * Y[src])
+                row, f = rows[dst], (q if inverse else -q)
+                for j, x in rows[src].items():
+                    v = row.get(j, 0) + f * x
+                    if p is not None:
+                        v %= p
+                    if v:
+                        row[j] = v
+                    else:
+                        row.pop(j, None)
+        Y[:] = 0
+        for i, row in enumerate(rows):
+            if row:
+                Y[i, list(row)] = list(row.values())
 
     def lmul(self, name: str, Y: ExactMatrix) -> ExactMatrix:
         """T @ Y for the transform T named U, Uinv, V or Vinv, without building T."""

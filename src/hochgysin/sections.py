@@ -357,20 +357,11 @@ def _check_package(co: CohomologySections) -> None:
     """The loaded s and q against the recomputed data; rejects tampered files."""
     a = co.algebra
     for n in range(co.top + 1):
-        if not _sparse_rows_matmul(a.d(n), co.s_matrix(n)).is_zero():
+        if not (a.d(n) @ co.s_matrix(n)).is_zero():
             raise NotACocycleError(f"loaded s[{n}] columns are not cocycles")
-        if co.b_rank(n) and _sparse_rows_matmul(a.d(n - 1), co.q[n]) != co.image_basis[n]:
+        if co.b_rank(n) and a.d(n - 1) @ co.q[n] != co.image_basis[n]:
             raise ProductNotACoboundaryError(f"loaded q[{n}] is not a section of d")
         ps = co.pi_matrix(n) @ co.s_matrix(n)
         if ps != ExactMatrix.identity(co.ring, co.hr(n)):
             raise NotACocycleError(f"loaded package fails pi s = id in degree {n}")
 
-
-def _sparse_rows_matmul(R: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
-    """R @ B through the nonzero entries of each row of R, for a sparse R."""
-    out = ExactMatrix.zeros(R.ring, R.rows, B.cols)
-    for i, row in enumerate(R.data):
-        nz = row.nonzero()[0]
-        if len(nz):
-            out.data[i] = R.ring.reduce_array(row[nz] @ B.data[nz])
-    return out

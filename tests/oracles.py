@@ -42,3 +42,47 @@ def homology_groups(k, ring=ZZ):
 
 def homology_ranks(k, ring=ZZ):
     return [r for r, _ in homology_groups(k, ring)]
+
+
+# ---------------------------------------------------------------------------
+# Dense references for the kernels of exactlin that walk only nonzeros
+# ---------------------------------------------------------------------------
+
+TRANSFORMS = {"U": ("row", False, False), "Uinv": ("row", True, False),
+              "V": ("col", False, True), "Vinv": ("col", True, True)}
+
+
+def dense_replay(s, Y, side, inverse, transpose):
+    """SNFResult._replay on whole rows of a dense array, in place."""
+    ring = s.ring
+    ops = [op for op in s.ops if op[0] == side]
+    for _, kind, dst, src, q in (ops if inverse == transpose else reversed(ops)):
+        if kind == "swap":
+            Y[[dst, src]] = Y[[src, dst]]
+        elif kind == "scale":
+            Y[dst] = ring.reduce_array((ring.inv(q) if inverse else q) * Y[dst])
+        else:
+            if transpose:
+                dst, src = src, dst
+            Y[dst] = ring.reduce_array(Y[dst] + q * Y[src] if inverse
+                                       else Y[dst] - q * Y[src])
+
+
+def dense_lmul(s, name, Y):
+    out = Y.data.copy()
+    dense_replay(s, out, *TRANSFORMS[name])
+    return ExactMatrix(s.ring, out)
+
+
+def dense_rmul(s, X, name):
+    side, inverse, transpose = TRANSFORMS[name]
+    out = X.data.T.copy()
+    dense_replay(s, out, side, inverse, not transpose)
+    return ExactMatrix(s.ring, out.T)
+
+
+def dense_matmul(A, B):
+    """A @ B through numpy's dense object product."""
+    if A.cols == 0:
+        return ExactMatrix.zeros(A.ring, A.rows, B.cols)
+    return ExactMatrix(A.ring, A.ring.reduce_array(A.data @ B.data))

@@ -343,6 +343,15 @@ USAGE_CASES = {
     "gysin_underscore_degree": (["gysin", "--c", "0_1:[1,0]"], _t2_cochains),
     "gysin_plus_degree": (["gysin", "--c", "+1:[1,0]"], _t2_cochains),
     "theta_json_array": (["theta"], lambda: '["s", "algebra"]'),
+    # --seed is read as a JSON integer, as HOCHGYSIN_SEED is: argparse's
+    # int() ran "3_0" as seed 30 and "+3" as seed 3 (sections, theta,
+    # theta-class, massey and gysin share one --seed; torus has its own)
+    "sections_seed_underscore": (["sections", "--seed", "3_0"], _circle_cochains),
+    "sections_seed_plus": (["sections", "--seed", "+3"], _circle_cochains),
+    "sections_seed_float": (["sections", "--seed", "1.5"], _circle_cochains),
+    "sections_seed_word": (["sections", "--seed", "x"], _circle_cochains),
+    "gysin_seed_word": (["gysin", "--c", "2:[1]", "--seed", "x"], _t2_cochains),
+    "torus_seed_underscore": (["torus", "--n", "2", "--seed", "3_0"], None),
 }
 
 

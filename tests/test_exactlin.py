@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from hochgysin.dga import cochain_algebra
 from hochgysin.exactlin import (
     ZZ, QQ, GF, ExactMatrix, NotInSpanError, Solver, Subquotient, as_vector,
@@ -252,6 +253,104 @@ def test_snf_replay_matches_materialized_transforms(ring):
         assert not set(TRANSFORMS) & set(vars(fresh))
         assert (s.U @ M) @ s.V == s.D
         assert is_identity(s.U @ s.Uinv) and is_identity(s.V @ s.Vinv)
+
+
+# ---------------------------------------------------------------------------
+# Sparse kernels against their dense references (tests/oracles.py)
+# ---------------------------------------------------------------------------
+
+ORACLE_RINGS = [ZZ, GF(5), QQ]
+
+
+def assert_same_entries(got, ref):
+    """Equal entry for entry; over Z and F_p with equal Python types, over Q
+    with no Fraction where the reference holds an int."""
+    assert got.ring == ref.ring and got.data.shape == ref.data.shape
+    for x, y in zip(got.data.flat, ref.data.flat):
+        assert x == y
+        if got.ring.tag == "Q":
+            assert not (type(x) is Fraction and type(y) is int), (x, y)
+        else:
+            assert type(x) is type(y) is int, (x, y)
+
+
+def oracle_matrix(ring, rows, cols, rng, density):
+    """Entries nonzero with probability density; over Q a third of them
+    proper fractions; about one row in five zero."""
+    def entry():
+        if rng.random() >= density:
+            return 0
+        if ring.tag == "Q" and rng.random() < 0.3:
+            return Fraction(rng.randint(-5, 5), rng.randint(2, 4))
+        return rng.randint(-6, 6)
+    if not rows:
+        return ExactMatrix.zeros(ring, 0, cols)
+    return ExactMatrix.from_rows(ring, [[0] * cols if rng.random() < 0.2
+                                        else [entry() for _ in range(cols)]
+                                        for _ in range(rows)])
+
+
+def oracle_operands(ring, n, rng):
+    """Operands with n rows: sparse, dense, all zero and without columns."""
+    yield oracle_matrix(ring, n, rng.randint(1, 6), rng, 0.15)
+    yield oracle_matrix(ring, n, rng.randint(1, 6), rng, 0.9)
+    yield ExactMatrix.zeros(ring, n, 3)
+    yield ExactMatrix.zeros(ring, n, 0)
+
+
+def pin_29():
+    """The 29th sparse pin input over Z: 37x12, 9,803 recorded operations."""
+    rng = random.Random(2000)
+    for _ in range(28):
+        sparse_pin_matrix(ZZ, rng)
+    return sparse_pin_matrix(ZZ, rng)
+
+
+def check_replay_against_oracle(s, rng, operands=oracle_operands):
+    for name in TRANSFORMS:
+        n = s.D.rows if name in ("U", "Uinv") else s.D.cols
+        for Y in operands(s.ring, n, rng):
+            assert_same_entries(s.lmul(name, Y), oracles.dense_lmul(s, name, Y))
+            X = ExactMatrix(s.ring, Y.data.T.copy())
+            assert_same_entries(s.rmul(X, name), oracles.dense_rmul(s, X, name))
+        ident = ExactMatrix.identity(s.ring, n)
+        idx = sorted(rng.sample(range(n), rng.randint(0, n)))
+        assert_same_entries(s.take_rows(name, idx),
+                            oracles.dense_rmul(s, ident.take_rows(idx), name))
+        assert_same_entries(s.take_columns(name, idx),
+                            oracles.dense_lmul(s, name, ident.take_columns(idx)))
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS)
+def test_replay_matches_dense_oracle(ring):
+    rng = random.Random(53 + ring_seed(ring) % 71)
+    inputs = list(replay_cases(ring, rng))
+    inputs += [oracle_matrix(ring, rng.randint(1, 9), rng.randint(1, 9), rng, d)
+               for d in (0.1, 0.3, 0.9) for _ in range(4)]
+    for M in inputs:
+        check_replay_against_oracle(smith_normal_form(M), rng)
+
+
+def test_replay_matches_dense_oracle_on_long_operation_list():
+    # its U has entries of 19,215 digits: one sparse operand per transform
+    s = smith_normal_form(pin_29())
+    assert len(s.ops) == 9803
+    check_replay_against_oracle(s, random.Random(29), lambda ring, n, rng: [
+        oracle_matrix(ring, n, 3, rng, 0.15)])
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS)
+def test_matmul_matches_dense_oracle(ring):
+    # shapes below the scan threshold, sparse lefts past it and dense lefts
+    # past it, so every branch of the product meets the reference
+    rng = random.Random(61 + ring_seed(ring) % 67)
+    shapes = [(0, 4, 3), (3, 0, 4), (4, 3, 0), (1, 1, 1), (5, 7, 3), (18, 27, 4),
+              (40, 60, 12), (20, 40, 20), (30, 30, 12)]
+    for rows, inner, cols in shapes:
+        for density in (0.02, 0.15, 0.6, 1.0):
+            A = oracle_matrix(ring, rows, inner, rng, density)
+            B = oracle_matrix(ring, inner, cols, rng, 0.5)
+            assert_same_entries(A @ B, oracles.dense_matmul(A, B))
 
 
 def recorded_snfs(monkeypatch) -> list:
