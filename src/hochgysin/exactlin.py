@@ -11,9 +11,10 @@ anywhere: scalars are Python ints (reduced mod p over F_p), over Q a
 ``fractions.Fraction`` only when not integral, so zeros and units cost
 integer arithmetic; the only division is ``Fraction(b) / a`` in Ring.
 
-Matrices are stored densely as 2-D numpy arrays of dtype=object so that
-row/column operations run through numpy's C loop while the entries stay
-exact; replay and sparse products walk only the nonzero entries.
+Matrices are stored densely as 2-D numpy arrays of dtype=object.  The
+long-running kernels walk only nonzeros: the Smith normal form and replay
+hold their working rows as {col: value} (the SNF also its columns as
+{row: value}); a sparse left factor's product works row by row.
 
 Pivot rule (fixed for reproducibility): among the nonzero candidates,
 pick the smallest ``ring.pivot_size``; ties broken by lowest (row, col).
@@ -22,12 +23,13 @@ so the rule degenerates to first-nonzero in scan order; rows already
 found zero on the trailing block are not scanned again.  The Smith
 normal form clears rows and columns with one Euclidean line reduction:
 a column operation on A is a row operation on A.T, so the column pass
-runs on the transposed view.  The reduction updates only A and records
-each line operation; U, V and their inverses are never maintained.  A
-caller that needs T @ Y, X @ T or some rows or columns of a transform T
-gets them by replaying the operations on that operand, and the full
-transforms are built the same way, on first read.  Tests pin U, V and
-their inverses by digest, so the operation sequence cannot drift.
+runs on the columns, with the rows as their index.  The reduction
+updates only A and records each line operation; U, V and their
+inverses are never maintained.  A caller that needs T @ Y, X @ T or
+some rows or columns of a transform T gets them by replaying the
+operations on that operand, and the full transforms are built the same
+way, on first read.  Tests pin U, V and their inverses by digest, so
+the operation sequence cannot drift.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain
+from math import isqrt
 
 import numpy as np
 
@@ -59,6 +63,9 @@ class NotInSpanError(ExactLinearError):
 
 # the serialized scalars: a JSON int, or a string "p" or "p/q" (q != 0)
 _SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# the name of F_p; p is a prime below MAX_MODULUS, tested by trial division
+_PRIME_FIELD = re.compile(r"F([1-9][0-9]*)")
+MAX_MODULUS = 2 ** 32
 
 
 class Ring:
@@ -77,8 +84,9 @@ class Ring:
         if tag not in ("Z", "Q", "Fp"):
             raise ValueError(f"unknown ring tag {tag!r}")
         if tag == "Fp":
-            if p is None or p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-                raise ValueError(f"modulus {p} is not prime")
+            if (p is None or not 2 <= p < MAX_MODULUS
+                    or any(p % q == 0 for q in range(2, isqrt(p) + 1))):
+                raise ValueError(f"modulus {p} is not a prime below 2**32")
         self.tag = tag
         self.p = p
 
@@ -214,13 +222,15 @@ def GF(p: int) -> Ring:
 
 
 def ring_from_name(name: str) -> Ring:
+    """Z, Q or F<p>, p written in decimal without sign, spaces or leading zeros."""
     if name == "Z":
         return ZZ
     if name == "Q":
         return QQ
-    if name.startswith("F"):
-        return GF(int(name[1:]))
-    raise ValueError(f"unknown ring name {name!r}")
+    m = _PRIME_FIELD.fullmatch(name) if type(name) is str else None
+    if m is None:
+        raise ValueError(f"unknown ring name {name!r}")
+    return GF(int(m[1]))
 
 
 def int_from_json(v) -> int:
@@ -380,12 +390,18 @@ class ExactMatrix:
     # -- serialization
 
     def to_lists(self):
+        # only over Q can an entry be a Fraction, which needs a "p/q" string
+        if self.ring.tag != "Q":
+            return self.ring.reduce_array(self.data).tolist()
         return [[self.ring.scalar_to_json(x) for x in row] for row in self.data]
 
     @staticmethod
     def from_lists(ring: Ring, rows, shape=None) -> "ExactMatrix":
         if shape is not None and not rows:
             return ExactMatrix.zeros(ring, shape[0], shape[1])
+        # rows of JSON ints, all of one length, convert as a whole
+        if set(map(type, chain.from_iterable(rows))) <= {int} and len(set(map(len, rows))) == 1:
+            return ExactMatrix(ring, ring.reduce_array(np.array(rows, dtype=object)))
         return ExactMatrix(ring, _object_rows(rows, ring.scalar_from_json))
 
 
@@ -529,63 +545,82 @@ class SNFResult:
         return self.take_columns("Vinv", range(self.D.cols))
 
 
-def _find_pivot(ring: Ring, A: np.ndarray, t: int, dead: np.ndarray):
-    """(row, col) of the smallest pivot_size in A[t:, t:], ties by lowest
-    (row, col).  Rows flagged dead are zero on A[t:, t:] and skipped; rows
-    found zero here get flagged."""
-    best = None
-    for i in (t + np.flatnonzero(~dead[t:])).tolist():
-        nz = A[i, t:].nonzero()[0]
-        if not len(nz):
-            dead[i] = True
-            continue
-        if ring.is_field:
-            return i, t + int(nz[0])
-        sizes = np.abs(A[i, t + nz])
-        k = sizes.argmin()
-        if best is None or sizes[k] < best[0]:
-            best = (sizes[k], i, t + int(nz[k]))
-            if best[0] == 1:
-                return i, best[2]  # nothing beats a unit, except an earlier one
-    return None if best is None else best[1:]
-
-
 def smith_normal_form(M: ExactMatrix) -> SNFResult:
     """Diagonalize M by invertible row/column operations, recording them."""
     ring = M.ring
-    A = M.data.copy()
-    rows, cols = A.shape
+    p = ring.p if ring.tag == "Fp" else None
+    rows, cols = M.data.shape
+    # A as its rows {col: value} and its columns {row: value}, nonzeros only
+    R, C = [{} for _ in range(rows)], [{} for _ in range(cols)]
+    r, c = M.data.nonzero()
+    for i, j, x in zip(r.tolist(), c.tolist(), M.data[r, c]):
+        R[i][j] = C[j][i] = x
     ops = []
-    # dead[i]: row i is zero on the trailing block.  It stays zero: later
-    # row operations only combine live rows into live rows, and column
-    # operations only mix trailing columns.  The flag moves with its row.
-    dead = np.zeros(rows, dtype=bool)
-    # a side is the matrix seen as the lines that its operations act on
-    lines = {"row": A, "col": A.T}
+    # dead[i]: row i is zero on the trailing block, and stays zero (row
+    # operations combine live rows, column operations trailing columns);
+    # the flag moves with its row, and dead[rows], always False, ends scans
+    dead = [False] * (rows + 1)
+    # a side: the lines that its operations act on, and their index
+    lines = {"row": (R, C), "col": (C, R)}
 
     def axpy(side, dst, src, q):
-        a = lines[side]
-        a[dst] = ring.reduce_array(a[dst] - q * a[src])
+        mine, other = lines[side]
+        line = mine[dst]
+        for k, x in mine[src].items():
+            v = line.get(k, 0) - q * x
+            if p is not None:
+                v %= p
+            if v:
+                line[k] = other[k][dst] = v
+            else:
+                line.pop(k, None)
+                other[k].pop(dst, None)
         ops.append((side, "axpy", dst, src, q))
 
     def swap(side, i, j):
         if i != j:
-            a = lines[side]
-            a[[i, j]] = a[[j, i]]
+            mine, other = lines[side]
+            for a in (i, j):
+                for k in mine[a]:
+                    del other[k][a]
+            mine[i], mine[j] = mine[j], mine[i]
+            for a in (i, j):
+                for k, x in mine[a].items():
+                    other[k][a] = x
             if side == "row":
-                dead[[i, j]] = dead[[j, i]]
+                dead[i], dead[j] = dead[j], dead[i]
             ops.append((side, "swap", i, j, None))
+
+    def find_pivot(t):
+        # the smallest pivot_size on the trailing block, ties by lowest
+        # (row, col); a live row i >= t holds only columns >= t
+        best = None
+        i = dead.index(False, t)
+        while i < rows:
+            row = R[i]
+            if not row:
+                dead[i] = True
+            elif ring.is_field:
+                return i, min(row)
+            else:
+                j = min(row, key=lambda k: (abs(row[k]), k))
+                if best is None or abs(row[j]) < best[0]:
+                    best = (abs(row[j]), i, j)
+                    if best[0] == 1:
+                        break  # nothing beats a unit, except an earlier one
+            i = dead.index(False, i + 1)
+        return None if best is None else best[1:]
 
     def clear(side, t):
         # clear line t's pivot column below t; True when a Euclid remainder
         # was swapped into the pivot line, which restarts the reduction
-        a = lines[side]
+        mine, other = lines[side]
         moved = False
-        for i in (t + 1 + a[t + 1:, t].nonzero()[0]).tolist():
-            q = ring.quo(a[i, t], a[t, t])
+        for i in sorted(k for k in other[t] if k > t):
+            q = ring.quo(mine[i][t], mine[t][t])
             if q:
                 axpy(side, i, t, q)
-            if a[i, t] != 0:
+            if t in mine[i]:
                 swap(side, t, i)
                 moved = True
         return moved
@@ -593,27 +628,32 @@ def smith_normal_form(M: ExactMatrix) -> SNFResult:
     def fold(t):
         # the pivot must divide the trailing block: fold the first row it
         # does not divide into row t, which restarts the reduction
-        if ring.is_unit(A[t, t]):
+        piv = R[t][t]
+        if ring.is_unit(piv):
             return False
-        bad = np.flatnonzero((A[t + 1:, t + 1:] % A[t, t] != 0).any(axis=1))
-        if len(bad):
-            axpy("row", t, t + 1 + bad[0], -1)
-        return len(bad) > 0
+        bad = next((i for i in range(t + 1, rows)
+                    if any(x % piv for x in R[i].values())), None)
+        if bad is not None:
+            axpy("row", t, bad, -1)
+        return bad is not None
 
     t = 0
-    while (piv := _find_pivot(ring, A, t, dead)) is not None:
+    while (piv := find_pivot(t)) is not None:
         swap("row", t, piv[0])
         swap("col", t, piv[1])
         while clear("row", t) or clear("col", t) or fold(t):
             pass
-        u = ring.canonical_unit(A[t, t])
+        # row and column t now hold only the pivot
+        u = ring.canonical_unit(R[t][t])
         if u != ring.one():
-            A[t] = ring.reduce_array(u * A[t])
+            R[t][t] = C[t][t] = ring.normalize(u * R[t][t])
             ops.append(("row", "scale", t, t, u))
         t += 1
 
-    divisors = [A[i, i] for i in range(min(rows, cols)) if A[i, i] != 0]
-    return SNFResult(ring, ExactMatrix(ring, A), len(divisors), divisors, ops)
+    divisors = [R[i][i] for i in range(t)]
+    D = ExactMatrix.zeros(ring, rows, cols)
+    D.data[range(t), range(t)] = np.array(divisors, dtype=object)
+    return SNFResult(ring, D, t, divisors, ops)
 
 
 # ---------------------------------------------------------------------------

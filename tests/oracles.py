@@ -5,7 +5,9 @@ normal form; it never touches the cochain-algebra or sections code
 paths it is used to check.
 """
 
-from hochgysin.exactlin import ExactMatrix, ZZ, smith_normal_form
+import numpy as np
+
+from hochgysin.exactlin import ExactMatrix, SNFResult, ZZ, smith_normal_form
 
 
 def boundary_matrix(simplices, n, ring=ZZ):
@@ -86,3 +88,84 @@ def dense_matmul(A, B):
     if A.cols == 0:
         return ExactMatrix.zeros(A.ring, A.rows, B.cols)
     return ExactMatrix(A.ring, A.ring.reduce_array(A.data @ B.data))
+
+
+def _dense_find_pivot(ring, A, t, dead):
+    """(row, col) of the smallest pivot_size in A[t:, t:], ties by lowest
+    (row, col).  Rows flagged dead are zero on A[t:, t:] and skipped; rows
+    found zero here get flagged."""
+    best = None
+    for i in (t + np.flatnonzero(~dead[t:])).tolist():
+        nz = A[i, t:].nonzero()[0]
+        if not len(nz):
+            dead[i] = True
+            continue
+        if ring.is_field:
+            return i, t + int(nz[0])
+        sizes = np.abs(A[i, t + nz])
+        k = sizes.argmin()
+        if best is None or sizes[k] < best[0]:
+            best = (sizes[k], i, t + int(nz[k]))
+            if best[0] == 1:
+                return i, best[2]  # nothing beats a unit, except an earlier one
+    return None if best is None else best[1:]
+
+
+def dense_smith_normal_form(M):
+    """smith_normal_form on whole rows of a dense array: every line
+    operation runs on a full numpy row, a column operation on a row of the
+    transposed view.  The same operations, in the same order."""
+    ring = M.ring
+    A = M.data.copy()
+    rows, cols = A.shape
+    ops = []
+    dead = np.zeros(rows, dtype=bool)
+    lines = {"row": A, "col": A.T}
+
+    def axpy(side, dst, src, q):
+        a = lines[side]
+        a[dst] = ring.reduce_array(a[dst] - q * a[src])
+        ops.append((side, "axpy", dst, src, q))
+
+    def swap(side, i, j):
+        if i != j:
+            a = lines[side]
+            a[[i, j]] = a[[j, i]]
+            if side == "row":
+                dead[[i, j]] = dead[[j, i]]
+            ops.append((side, "swap", i, j, None))
+
+    def clear(side, t):
+        a = lines[side]
+        moved = False
+        for i in (t + 1 + a[t + 1:, t].nonzero()[0]).tolist():
+            q = ring.quo(a[i, t], a[t, t])
+            if q:
+                axpy(side, i, t, q)
+            if a[i, t] != 0:
+                swap(side, t, i)
+                moved = True
+        return moved
+
+    def fold(t):
+        if ring.is_unit(A[t, t]):
+            return False
+        bad = np.flatnonzero((A[t + 1:, t + 1:] % A[t, t] != 0).any(axis=1))
+        if len(bad):
+            axpy("row", t, t + 1 + bad[0], -1)
+        return len(bad) > 0
+
+    t = 0
+    while (piv := _dense_find_pivot(ring, A, t, dead)) is not None:
+        swap("row", t, piv[0])
+        swap("col", t, piv[1])
+        while clear("row", t) or clear("col", t) or fold(t):
+            pass
+        u = ring.canonical_unit(A[t, t])
+        if u != ring.one():
+            A[t] = ring.reduce_array(u * A[t])
+            ops.append(("row", "scale", t, t, u))
+        t += 1
+
+    divisors = [A[i, i] for i in range(min(rows, cols)) if A[i, i] != 0]
+    return SNFResult(ring, ExactMatrix(ring, A), len(divisors), divisors, ops)

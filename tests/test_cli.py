@@ -212,6 +212,11 @@ def _circle():
     return run_cli(["build", "circle"]).stdout
 
 
+def _circle_complex():
+    from hochgysin.simplicial import build_circle, complex_to_json
+    return json.dumps(complex_to_json(build_circle()))
+
+
 def _circle_cochains():
     from hochgysin.dga import cochain_algebra, dga_to_json
     from hochgysin.exactlin import ZZ
@@ -320,6 +325,20 @@ USAGE_CASES = {
     "gysin_degree_out_of_range": (["gysin", "--c", "7:[1]"], _t2_cochains),
     "gysin_wrong_length": (["gysin", "--c", "2:[1,1]"], _t2_cochains),
     "cochains_ring_not_prime": (["cochains", "--ring", "F4"], _circle),
+    # a ring name is Z, Q or F[1-9][0-9]* naming a prime below 2**32: "F1_1"
+    # ran as F11 and "F 5", "F+5", "F05", "F5 " as F5; F1 with 400 zeros
+    # printed an OverflowError traceback, and F(10^20 + 39) hung in trial
+    # division; a payload's "ring" is read by the same rule
+    "cochains_ring_underscore": (["cochains", "--ring", "F1_1"], _circle_complex),
+    "cochains_ring_inner_space": (["cochains", "--ring", "F 5"], _circle_complex),
+    "cochains_ring_plus": (["cochains", "--ring", "F+5"], _circle_complex),
+    "cochains_ring_leading_zero": (["cochains", "--ring", "F05"], _circle_complex),
+    "cochains_ring_trailing_space": (["cochains", "--ring", "F5 "], _circle_complex),
+    "cochains_ring_401_digits": (["cochains", "--ring", "F1" + "0" * 400], _circle_complex),
+    "cochains_ring_prime_too_large": (["cochains", "--ring", "F100000000000000000039"],
+                                      _circle_complex),
+    "validate_ring_key_leading_zero": (["validate"], _with(_circle_cochains, "ring",
+                                                           value="F05")),
     "monomorphism_unknown_ring": (["monomorphism", "--n", "1", "--ring", "X"], None),
     "cochains_ring_garbled": (["cochains", "--ring", "Z7x"], _circle),
     "build_sphere_negative": (["build", "sphere", "--m", "-1"], None),

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 import zlib
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import oracles
 from hochgysin.dga import cochain_algebra
 from hochgysin.exactlin import (
     ZZ, QQ, GF, ExactMatrix, NotInSpanError, Solver, Subquotient, as_vector,
-    column_hermite, kernel_basis, smith_normal_form, solve, solve_matrix,
+    column_hermite, kernel_basis, ring_from_name, smith_normal_form, solve, solve_matrix,
     solve_with_certificate, vec_is_zero, zero_vector,
 )
 from hochgysin.sections import build_sections
@@ -339,6 +340,48 @@ def test_replay_matches_dense_oracle_on_long_operation_list():
         oracle_matrix(ring, n, 3, rng, 0.15)])
 
 
+def assert_same_snf(s, ref):
+    """Equal operation lists, divisors and D; over Z and F_p with equal
+    Python types, over Q as assert_same_entries says."""
+    assert s.ops == ref.ops and s.rank == ref.rank and s.divisors == ref.divisors
+    if s.ring.tag != "Q":
+        assert [type(op[4]) for op in s.ops] == [type(op[4]) for op in ref.ops]
+        assert all(type(d) is int for d in s.divisors + ref.divisors)
+    assert_same_entries(s.D, ref.D)
+
+
+def snf_oracle_inputs():
+    """The pin and sparse-pin batches, the 29th sparse pin input and
+    d^0, d^1, d^2 of the 3-torus over Z and over Q."""
+    for ring, seed, _ in SNF_PIN.values():
+        rng = random.Random(seed)
+        yield from (pin_matrix(ring, rng, k % 3) for k in range(60))
+    for ring, seed, _ in SNF_SPARSE_PIN.values():
+        rng = random.Random(seed)
+        yield from (sparse_pin_matrix(ring, rng) for _ in range(24))
+    yield pin_29()
+    for ring in (ZZ, QQ):
+        a = cochain_algebra(build_torus(3), ring)
+        yield from (a.d(n) for n in range(3))
+
+
+def test_snf_matches_dense_oracle():
+    for M in snf_oracle_inputs():
+        assert_same_snf(smith_normal_form(M), oracles.dense_smith_normal_form(M))
+
+
+def test_snf_matches_dense_oracle_on_the_monomorphism_probe(monkeypatch):
+    # every SNF input of the probe over F5, the 1365x495 coboundary among them
+    from hochgysin import exactlin
+    from hochgysin.torus import verify_monomorphism
+    inputs, snf = [], exactlin.smith_normal_form
+    monkeypatch.setattr(exactlin, "smith_normal_form", lambda M: inputs.append(M) or snf(M))
+    verify_monomorphism(3, ring=GF(5))
+    assert (1365, 495) in [(M.rows, M.cols) for M in inputs]
+    for M in inputs:
+        assert_same_snf(snf(M), oracles.dense_smith_normal_form(M))
+
+
 @pytest.mark.parametrize("ring", ORACLE_RINGS)
 def test_matmul_matches_dense_oracle(ring):
     # shapes below the scan threshold, sparse lefts past it and dense lefts
@@ -602,6 +645,32 @@ def test_integral_rationals_are_ints():
     for ring in RINGS:
         assert (ring.zero(), ring.one()) == (0, 1)
         assert type(ring.zero()) is int and type(ring.one()) is int
+
+
+def test_ring_names_are_strict():
+    assert [ring_from_name(n) for n in ("Z", "Q", "F2", "F5", "F4294967291")] == \
+        [ZZ, QQ, GF(2), GF(5), GF(4294967291)]
+    start = time.perf_counter()
+    for name in ("F1_1", "F 5", "F+5", "F05", "F5 ", "F5\n", "F", "F0", "F1", "F4", "f5",
+                 "F1" + "0" * 400, "F100000000000000000039", "F4294967311", 5, None):
+        with pytest.raises(ValueError):
+            ring_from_name(name)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_matrix_lists_convert_like_their_scalars(ring):
+    rows = [[0, 7, -3], [12, 0, 1]]
+    m = ExactMatrix.from_lists(ring, rows)
+    assert m == ExactMatrix.from_rows(ring, rows) and all(type(x) is int for x in m.data.flat)
+    assert m.to_lists() == [[ring.scalar_to_json(x) for x in row] for row in m.data]
+    half = ExactMatrix.from_lists(ring, [["-4/2", 3]])
+    assert half.data.tolist() == [[ring.normalize(-2), ring.normalize(3)]]
+    for bad in ([[1, True]], [[1, 1.0]], [[1, "1.0"]], [[1, 2], [3]], [[1], [2, 3]]):
+        with pytest.raises(ValueError):
+            ExactMatrix.from_lists(ring, bad)
+    q = ExactMatrix.from_lists(QQ, [["1/2", 4], ["6/3", 0]])
+    assert q.to_lists() == [["1/2", 4], [2, 0]]
 
 
 def test_scalar_from_json_accepts_only_ints_and_digit_strings():
