@@ -25,7 +25,7 @@ from .sections import (
 )
 from .hochschild import (
     HochschildCochain, TwistedBimodule, coboundary, coboundary_matrix,
-    theta, theta_value, verify_cocycle, trivialize, classes_equal,
+    theta, verify_cocycle, trivialize, classes_equal,
     save_cochain, zero_cochain, admissible_tuples,
 )
 from .massey import MasseyResult, massey_triple, NotAMasseyTripleError
@@ -35,7 +35,7 @@ from .gysin import (
     check_extension_exactness,
 )
 from .torus import (
-    exterior_algebra, exterior_iso, symmetrize, verify_monomorphism,
+    exterior_algebra, symmetrize, verify_monomorphism,
     torus_theta_trivial,
 )
 

@@ -26,7 +26,7 @@ from .gysin import (
     check_extension_exactness, gysin_extension, split_extension, verify_theorem_th,
 )
 from .hochschild import (
-    TwistedBimodule, cochain_to_json, theta, trivialize,
+    TwistedBimodule, cochain_to_json, save_cochain, theta, trivialize,
 )
 from .massey import NotAMasseyTripleError, massey_triple
 from .sections import TorsionHomologyError, build_sections, compute_cohomology
@@ -104,18 +104,20 @@ def _as_sections(payload, ring_name, seed):
     return build_sections(a, seed=seed)
 
 
-def _default_seed(args):
-    """--seed, else HOCHGYSIN_SEED, else None; either read as a JSON integer."""
-    if getattr(args, "seed", None) is not None:
-        name, text = "--seed", args.seed
-    else:
-        name, text = "HOCHGYSIN_SEED", os.environ.get("HOCHGYSIN_SEED")
-        if not text:
-            return None
+def _json_int(name, text):
+    """A flag or variable read as a JSON integer ("0_2", "+1" are errors)."""
     try:
         return int_from_json(json.loads(text))
     except ValueError as exc:
         raise UsageError(f"{name}={text!r} is not an integer") from exc
+
+
+def _default_seed(args):
+    """--seed, else HOCHGYSIN_SEED, else None."""
+    if getattr(args, "seed", None) is not None:
+        return _json_int("--seed", args.seed)
+    text = os.environ.get("HOCHGYSIN_SEED")
+    return _json_int("HOCHGYSIN_SEED", text) if text else None
 
 
 def _parse_class(co, token):
@@ -163,15 +165,17 @@ def cmd_build(args):
     elif args.what == "sphere":
         if args.m is None:
             raise UsageError("build sphere requires --m")
-        if args.m < 0:
+        m = _json_int("--m", args.m)
+        if m < 0:
             raise UsageError("sphere dimension --m must be >= 0")
-        k = build_sphere(args.m)
+        k = build_sphere(m)
     elif args.what == "torus":
         if args.n is None:
             raise UsageError("build torus requires --n")
-        if args.n < 1:
+        n = _json_int("--n", args.n)
+        if n < 1:
             raise UsageError("torus rank must be >= 1")
-        k = build_torus(args.n)
+        k = build_torus(n)
     else:
         raise UsageError(f"unknown builder {args.what!r}")
     sys.stdout.write(json.dumps(complex_to_json(k), sort_keys=True) + "\n")
@@ -316,36 +320,37 @@ def cmd_gysin(args):
 
 
 def _positive_rank(args):
-    if args.n < 1:
+    n = _json_int("--n", args.n)
+    if n < 1:
         raise UsageError(f"{args.command} rank --n must be >= 1")
+    return n
 
 
 def cmd_torus(args):
-    _positive_rank(args)
+    n = _positive_rank(args)
     ring = _ring(args.ring)
-    witness, th, co = torus_theta_trivial(args.n, ring, seed=_default_seed(args))
+    witness, th, co = torus_theta_trivial(n, ring, seed=_default_seed(args))
     sym_zero = symmetrize(th).is_zero()
     checks = [{"name": "theta_trivialized", "pass": True},
               {"name": "symmetrized_image_zero", "pass": bool(sym_zero)}]
-    out = {"command": "torus", "n": args.n, "ring": ring.name, "checks": checks,
+    out = {"command": "torus", "n": n, "ring": ring.name, "checks": checks,
            "h_rank": co.h_rank}
     if args.emit_witness:
-        from .hochschild import save_cochain
         save_cochain(witness, args.emit_witness)
         out["witness_path"] = args.emit_witness
     else:
         out["witness"] = cochain_to_json(witness)
-    _summary(f"torus {args.n} over {ring.name}: theta trivialized, "
+    _summary(f"torus {n} over {ring.name}: theta trivialized, "
              f"symmetrized image {'zero' if sym_zero else 'NONZERO'}")
     return _emit(out, 0 if all(c["pass"] for c in checks) else 1)
 
 
 def cmd_monomorphism(args):
-    _positive_rank(args)
-    v = verify_monomorphism(args.n, signed=args.signed,
+    n = _positive_rank(args)
+    v = verify_monomorphism(n, signed=args.signed,
                             ring=_ring(args.ring))
     out = {"command": "monomorphism", **v}
-    _summary(f"monomorphism probe n={args.n} signed={args.signed}: "
+    _summary(f"monomorphism probe n={n} signed={args.signed}: "
              f"descends={v['descends_to_classes']} injective={v['injective_on_classes']}")
     return _emit(out, 0)
 
@@ -360,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("build", help="emit a fixture complex as JSON")
     b.add_argument("what", choices=["circle", "sphere", "torus"])
-    b.add_argument("--m", type=int, default=None, help="sphere dimension")
-    b.add_argument("--n", type=int, default=None, help="torus rank")
+    b.add_argument("--m", default=None, help="sphere dimension, a JSON integer")
+    b.add_argument("--n", default=None, help="torus rank, a JSON integer")
     b.set_defaults(func=cmd_build)
 
     def add_io(sp, ring=True, seed=False):
@@ -415,14 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_gysin)
 
     to = sub.add_parser("torus", help="end-to-end torus triviality run")
-    to.add_argument("--n", type=int, required=True)
+    to.add_argument("--n", required=True, help="torus rank, a JSON integer")
     to.add_argument("--ring", default="Z")
     to.add_argument("--seed", default=None)
     to.add_argument("--emit-witness", dest="emit_witness", default=None)
     to.set_defaults(func=cmd_torus)
 
     mo = sub.add_parser("monomorphism", help="symmetrization probe on HH^3")
-    mo.add_argument("--n", type=int, required=True)
+    mo.add_argument("--n", required=True, help="torus rank, a JSON integer")
     mo.add_argument("--ring", default="Z")
     mo.add_argument("--signed", action="store_true")
     mo.set_defaults(func=cmd_monomorphism)

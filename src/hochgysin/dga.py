@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .exactlin import (
-    ExactMatrix, Ring, as_vector, int_from_json, ints_from_key, ring_from_name, zero_vector,
+    ExactMatrix, Ring, as_vector, int_from_json, ints_from_key, ring_from_name,
 )
 from .simplicial import SimplicialComplex
 
@@ -83,14 +83,6 @@ class DgAlgebra:
 
     def entries(self, p: int, q: int):
         return self.product.get((p, q), ())
-
-    def multiply(self, p: int, q: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Product C^p x C^q -> C^{p+q} of coordinate vectors."""
-        out = zero_vector(self.ring, self.rank(p + q))
-        for i, j, k, c in self.entries(p, q):
-            if u[i] != 0 and v[j] != 0:
-                out[k] = self.ring.normalize(out[k] + c * u[i] * v[j])
-        return out
 
     def bilinear_block(self, p: int, q: int, left: ExactMatrix,
                        right: ExactMatrix) -> ExactMatrix:

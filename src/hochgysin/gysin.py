@@ -39,7 +39,7 @@ from .exactlin import (
     ExactMatrix, Solver, Subquotient, as_columns, as_vector, complex_cohomology,
     kernel_basis, kron, solve_matrix, solve_with_certificate, zero_vector,
 )
-from .hochschild import HochschildCochain
+from .hochschild import HochschildCochain, theta
 from .sections import CohomologySections
 
 
@@ -63,7 +63,7 @@ def mapping_cone(a: DgAlgebra, c_degree: int, c_coords,
     """Build cone(l_{s(c)}); validates D^2 = 0 and the dg-module axioms."""
     ring = a.ring
     c_coords = as_vector(ring, list(c_coords))
-    z = co.s_apply(c_degree, c_coords)
+    z = co.s_matrix(c_degree).matvec(c_coords)
     lo = min(0, c_degree - 1)
     hi = a.top_degree + max(0, c_degree - 1)
     degrees = list(range(lo, hi + 1))
@@ -397,11 +397,10 @@ def verify_theorem_th(a: DgAlgebra, c_degree: int, c_coords,
     Returns (True, witness b) when beta_geo - beta_theta has the trivial
     shape b(xy) - b(x) y, else (False, certificate).
     """
-    from .hochschild import theta as theta_op
     if ext is None:
         ext = gysin_extension(a, c_degree, c_coords, co)
     if th is None:
-        th = theta_op(co)
+        th = theta(co)
     bt = beta_from_theta(th, ext)
     diff = _beta_difference(ext, ext.beta_geo, bt)
     b, cert = _solve_trivial_shape(ext, diff)

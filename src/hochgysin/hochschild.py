@@ -22,6 +22,11 @@ spanned by the unit and the cocycle vanishes on unit slots, the solve is
 restricted to all-positive degree tuples: a solution there extends by
 zero to a full solution, and the extension is re-verified against every
 block.
+
+theta_chain_block is the one chain-level formula for the secondary
+multiplication: theta() projects it block by block and massey_triple
+applies it to one triple.  Its reference in tests/oracles.py evaluates
+the formula one triple at a time from vector-level products.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .exactlin import (
-    ExactMatrix, Ring, as_vector, int_from_json, ints_from_key, kron, ring_from_name,
+    ExactMatrix, Ring, int_from_json, ints_from_key, kron, ring_from_name,
     solve_with_certificate, zero_vector,
 )
 from .sections import CohomologySections, HRing, NotACocycleError
@@ -82,16 +87,6 @@ class HochschildCochain:
             self.blocks.pop(tuple(tup), None)
         else:
             self.blocks[tuple(tup)] = m
-
-    def value(self, degs, vectors) -> np.ndarray:
-        """Evaluate on homogeneous classes; returns target class coordinates."""
-        b = self.block_or_zero(degs)
-        if not vectors:
-            return b.matvec(as_vector(self.ring, [1]))
-        col = vectors[0]
-        for v in vectors[1:]:
-            col = np.outer(col, v).reshape(len(col) * len(v))
-        return b.matvec(col)
 
     def is_zero(self) -> bool:
         return all(b.is_zero() for b in self.blocks.values())
@@ -191,28 +186,9 @@ def verify_cocycle(a: HochschildCochain, M: TwistedBimodule) -> bool:
 # Secondary multiplication
 # ---------------------------------------------------------------------------
 
-def theta_value(co: CohomologySections, px, x, py, y, pz, z) -> np.ndarray:
-    """Chain-level Theta(x, y, z) for single classes; a cochain in C^{sum-1}.
-
-    Theta = (-1)^{|x|} s(x) q(y,z) - q(xy, z) + q(x, yz) - q(x,y) s(z).
-    """
-    a = co.algebra
-    h = co.h()
-    ring = co.ring
-    n = px + py + pz - 1
-    out = zero_vector(ring, a.rank(n))
-    sign = ring.normalize((-1) ** px)
-    out = out + sign * a.multiply(px, py + pz - 1, co.s_apply(px, x),
-                                  co.q_pair(py, y, pz, z))
-    out = out - co.q_pair(px + py, h.multiply(px, py, x, y), pz, z)
-    out = out + co.q_pair(px, x, py + pz, h.multiply(py, pz, y, z))
-    out = out - a.multiply(px + py - 1, pz, co.q_pair(px, x, py, y),
-                           co.s_apply(pz, z))
-    return ring.reduce_array(out)
-
-
 def theta_chain_block(co: CohomologySections, p: int, q: int, r: int) -> ExactMatrix:
-    """Matrix of Theta on basis triples of (H^p, H^q, H^r): C^{p+q+r-1} x h_p h_q h_r."""
+    """Matrix of Theta on basis triples of (H^p, H^q, H^r): C^{p+q+r-1} x h_p h_q h_r,
+    Theta(x, y, z) = (-1)^{|x|} s(x) q(y,z) - q(xy, z) + q(x, yz) - q(x,y) s(z)."""
     a = co.algebra
     h = co.h()
     ring = co.ring

@@ -3,9 +3,11 @@
 For classes with xy = yz = 0 the secondary multiplication collapses to
 (-1)^{|x|} s(x) q(y,z) - q(x,y) s(z), the classical triple product; it
 is well defined in H / (xH + Hz), and the coset is independent of the
-section package.  Coset equality is always decided by a membership
-solve against the indeterminacy generators, never by comparing
-normal forms.
+section package.  The representative is read off the chain-level theta
+block of the degrees (|x|, |y|, |z|), applied to x (x) y (x) z and
+projected by pi, so theta and Massey products share one formula.  Coset
+equality is always decided by a membership solve against the
+indeterminacy generators, never by comparing normal forms.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exactlin import Subquotient, as_columns, vec_is_zero, zero_vector
-from .hochschild import theta_value
+from .hochschild import theta_chain_block
 from .sections import CohomologySections
 
 
@@ -63,8 +65,8 @@ def massey_triple(co: CohomologySections, px: int, x, py: int, y,
     if not vec_is_zero(yz):
         raise NotAMasseyTripleError("y*z", yz)
     n = px + py + pz - 1
-    chain = theta_value(co, px, x, py, y, pz, z)
-    rep = co.pi(n, chain) if 0 <= n <= co.top else \
-        zero_vector(co.ring, 0)
+    xyz = np.outer(np.outer(x, y), z).reshape(-1)
+    rep = co.pi(n, theta_chain_block(co, px, py, pz).matvec(xyz)) if 0 <= n <= co.top \
+        else zero_vector(co.ring, 0)
     return MasseyResult((px, py, pz), n, rep,
                         indeterminacy_submodule(co, px, x, py, y, pz, z))

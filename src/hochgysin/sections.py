@@ -161,9 +161,6 @@ class CohomologySections:
             return self.s[n]
         return ExactMatrix.zeros(self.ring, self.algebra.rank(n), self.hr(n))
 
-    def s_apply(self, n: int, h: np.ndarray) -> np.ndarray:
-        return self.s_matrix(n).matvec(h)
-
     def image_coords(self, n: int, W):
         """Coordinates on image_basis[n] of the columns of W (or of one
         vector); ProductNotACoboundaryError unless each is a coboundary."""
@@ -200,12 +197,6 @@ class CohomologySections:
                     w = w - self.s_matrix(p + q) @ prod
                 self._qpair_cache[key] = self.q_of(p + q, w)
         return self._qpair_cache[key]
-
-    def q_pair(self, p: int, x: np.ndarray, q: int, y: np.ndarray) -> np.ndarray:
-        """q(x, y) for classes x in H^p, y in H^q: d(q(x,y)) = s(x)s(y) - s(xy)."""
-        if self.hr(p) == 0 or self.hr(q) == 0:
-            return zero_vector(self.ring, self.algebra.rank(p + q - 1))
-        return self.qpair_block(p, q).matvec(np.outer(x, y).reshape(len(x) * len(y)))
 
     def h(self) -> HRing:
         """The cohomology ring on the fixed basis (canonical: seed-independent)."""

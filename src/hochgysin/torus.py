@@ -2,10 +2,10 @@
 
 The cohomology of the n-torus is exterior on n degree-1 generators; this
 module builds that algebra directly (zero differential, wedge product
-with shuffle signs), matches it against the torus cochain model, and
-provides the two desk-scale probes: symmetrizing the secondary
-multiplication into Hom(S^3 V, Lambda^2 V), and solving for an integral
-trivialization of the full cocycle on the simplicial torus.
+with shuffle signs) and provides the two desk-scale probes: symmetrizing
+the secondary multiplication into Hom(S^3 V, Lambda^2 V), and solving
+for an integral trivialization of the full cocycle on the simplicial
+torus.
 
 Symmetrization sums over S_3 without signs by default; a signed variant
 is available behind a flag.  Neither is asserted to be canonical: the
@@ -19,14 +19,13 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 from .dga import DgAlgebra, cochain_algebra
 from .exactlin import (
-    ExactMatrix, Ring, Subquotient, ZZ, as_vector, kernel_basis,
-    smith_normal_form, zero_vector,
+    ExactMatrix, Ring, Subquotient, ZZ, as_vector, kernel_basis, zero_vector,
 )
 from .hochschild import (
     CochainLayout, HochschildCochain, TwistedBimodule, coboundary_matrix,
     theta, trivialize,
 )
-from .sections import CohomologySections, HRing, build_sections
+from .sections import HRing, build_sections
 from .simplicial import build_torus
 
 
@@ -72,62 +71,6 @@ def exterior_algebra(n: int, ring: Ring = ZZ) -> DgAlgebra:
     unit = as_vector(ring, [1])
     labels = {k: [list(s) for s in _subsets(n, k)] for k in range(n + 1)}
     return DgAlgebra(ring, n, ranks, {}, product, unit, labels)
-
-
-def exterior_iso(co: CohomologySections):
-    """Per-degree isomorphism Lambda^*(H^1) -> H^* through cup products.
-
-    Returns the list of matrices (columns = products of the chosen H^1
-    basis classes, indexed by sorted subsets) after verifying that the
-    map is a ring isomorphism; raises ValueError when the cohomology is
-    not exterior on its degree-1 part.
-    """
-    h = co.h()
-    n = h.rank(1)
-    ring = h.ring
-    basis1 = [ExactMatrix.identity(ring, n).column(i) for i in range(n)]
-
-    def wedge_image(subset):
-        if not subset:
-            return ExactMatrix.identity(ring, h.rank(0)).column(0), 0
-        vec, deg = basis1[subset[0]], 1
-        for i in subset[1:]:
-            vec = h.multiply(deg, 1, vec, basis1[i])
-            deg += 1
-        return vec, deg
-
-    mats = []
-    for k in range(h.top + 1):
-        cols = []
-        for subset in _subsets(n, k):
-            vec, deg = wedge_image(subset)
-            cols.append(vec)
-        m = ExactMatrix.from_columns(ring, cols, nrows=h.rank(k))
-        if m.rows != m.cols:
-            raise ValueError(f"H^{k} has rank {m.rows}, expected C({n},{k}) = {m.cols}")
-        s = smith_normal_form(m)
-        if s.rank != m.rows or any(not ring.is_unit(d) for d in s.divisors):
-            raise ValueError(f"degree-{k} comparison matrix is not invertible")
-        mats.append(m)
-    # ring-map check on structure constants: phi(e_S) phi(e_T) = phi(e_S ^ e_T)
-    for p in range(h.top + 1):
-        for q in range(h.top + 1 - p):
-            for s in _subsets(n, p):
-                vs, _ = wedge_image(s)
-                for t in _subsets(n, q):
-                    vt, _ = wedge_image(t)
-                    lhs = h.multiply(p, q, vs, vt)
-                    w = _wedge(s, t)
-                    if w is None:
-                        rhs = zero_vector(ring, h.rank(p + q))
-                    else:
-                        sign, merged = w
-                        rhs_vec, _ = wedge_image(merged)
-                        rhs = ring.reduce_array(ring.normalize(sign) * rhs_vec)
-                    if any(a != b for a, b in zip(lhs, rhs)):
-                        raise ValueError(
-                            f"products of degree-1 classes are not exterior at {s},{t}")
-    return mats
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,22 @@
 The homology oracle works straight from boundary matrices and Smith
 normal form; it never touches the cochain-algebra or sections code
 paths it is used to check.
+
+The vector-level references evaluate one element or one tuple of classes
+at a time, where the package works on whole blocks: the cochain product
+entry by entry, q(x, y) and theta(x, y, z) of single classes, the value
+of a Hochschild cochain on a tuple of classes, and the comparison of the
+cohomology of a torus with an exterior algebra.  The dense references
+run the sparse kernels of exactlin on whole numpy rows.
 """
+
+from itertools import combinations
 
 import numpy as np
 
-from hochgysin.exactlin import ExactMatrix, SNFResult, ZZ, smith_normal_form
+from hochgysin.exactlin import (
+    ExactMatrix, SNFResult, ZZ, as_vector, smith_normal_form, zero_vector,
+)
 
 
 def boundary_matrix(simplices, n, ring=ZZ):
@@ -44,6 +55,121 @@ def homology_groups(k, ring=ZZ):
 
 def homology_ranks(k, ring=ZZ):
     return [r for r, _ in homology_groups(k, ring)]
+
+
+# ---------------------------------------------------------------------------
+# Vector-level references for the block maps
+# ---------------------------------------------------------------------------
+
+def dga_multiply(a, p, q, u, v):
+    """Product C^p x C^q -> C^{p+q} of two coordinate vectors, entry by
+    entry from the product tensor (the reference for bilinear_block)."""
+    out = zero_vector(a.ring, a.rank(p + q))
+    for i, j, k, c in a.entries(p, q):
+        if u[i] != 0 and v[j] != 0:
+            out[k] = a.ring.normalize(out[k] + c * u[i] * v[j])
+    return out
+
+
+def q_pair(co, p, x, q, y):
+    """q(x, y) = q(s(x) s(y) - s(xy)) in C^{p+q-1} for classes x in H^p and
+    y in H^q, one pair at a time (the reference for qpair_block), so that
+    d q(x, y) = s(x) s(y) - s(xy)."""
+    a = co.algebra
+    if co.hr(p) == 0 or co.hr(q) == 0 or p + q > co.top:
+        return zero_vector(co.ring, a.rank(p + q - 1))
+    s = co.s_matrix
+    w = dga_multiply(a, p, q, s(p).matvec(x), s(q).matvec(y)) \
+        - s(p + q).matvec(co.h().multiply(p, q, x, y))
+    return co.q_of(p + q, co.ring.reduce_array(w))
+
+
+def theta_value(co, px, x, py, y, pz, z):
+    """Chain-level Theta(x, y, z) for single classes, a cochain in C^{sum-1}
+    (the reference for hochschild.theta_chain_block):
+
+    Theta = (-1)^{|x|} s(x) q(y,z) - q(xy, z) + q(x, yz) - q(x,y) s(z).
+    """
+    a = co.algebra
+    h = co.h()
+    ring = co.ring
+    out = zero_vector(ring, a.rank(px + py + pz - 1))
+    sign = ring.normalize((-1) ** px)
+    out = out + sign * dga_multiply(a, px, py + pz - 1, co.s_matrix(px).matvec(x),
+                                    q_pair(co, py, y, pz, z))
+    out = out - q_pair(co, px + py, h.multiply(px, py, x, y), pz, z)
+    out = out + q_pair(co, px, x, py + pz, h.multiply(py, pz, y, z))
+    out = out - dga_multiply(a, px + py - 1, pz, q_pair(co, px, x, py, y),
+                             co.s_matrix(pz).matvec(z))
+    return ring.reduce_array(out)
+
+
+def cochain_value(c, degs, vectors):
+    """A Hochschild cochain evaluated on homogeneous classes: its block of
+    the degree tuple applied to x_1 (x) ... (x) x_l; the class coordinates
+    of the value."""
+    b = c.block_or_zero(degs)
+    col = as_vector(c.ring, [1])
+    for v in vectors:
+        col = np.outer(col, v).reshape(len(col) * len(v))
+    return b.matvec(col)
+
+
+def _wedge(s, t):
+    """(sign, sorted union) of e_s ^ e_t, or None when s and t meet."""
+    if set(s) & set(t):
+        return None
+    return (-1) ** sum(1 for a in s for b in t if a > b), tuple(sorted(s + t))
+
+
+def exterior_iso(co):
+    """Per-degree isomorphism Lambda^*(H^1) -> H^* through cup products.
+
+    Returns the list of matrices (columns = products of the chosen H^1
+    basis classes, indexed by sorted subsets) after verifying that the
+    map is a ring isomorphism; raises ValueError when the cohomology is
+    not exterior on its degree-1 part.
+    """
+    h = co.h()
+    n = h.rank(1)
+    ring = h.ring
+    basis1 = [ExactMatrix.identity(ring, n).column(i) for i in range(n)]
+
+    def wedge_image(subset):
+        if not subset:
+            return ExactMatrix.identity(ring, h.rank(0)).column(0)
+        vec, deg = basis1[subset[0]], 1
+        for i in subset[1:]:
+            vec = h.multiply(deg, 1, vec, basis1[i])
+            deg += 1
+        return vec
+
+    mats = []
+    for k in range(h.top + 1):
+        cols = [wedge_image(subset) for subset in combinations(range(n), k)]
+        m = ExactMatrix.from_columns(ring, cols, nrows=h.rank(k))
+        if m.rows != m.cols:
+            raise ValueError(f"H^{k} has rank {m.rows}, expected C({n},{k}) = {m.cols}")
+        s = smith_normal_form(m)
+        if s.rank != m.rows or any(not ring.is_unit(d) for d in s.divisors):
+            raise ValueError(f"degree-{k} comparison matrix is not invertible")
+        mats.append(m)
+    # ring-map check on structure constants: phi(e_S) phi(e_T) = phi(e_S ^ e_T)
+    for p in range(h.top + 1):
+        for q in range(h.top + 1 - p):
+            for s in combinations(range(n), p):
+                for t in combinations(range(n), q):
+                    lhs = h.multiply(p, q, wedge_image(s), wedge_image(t))
+                    w = _wedge(s, t)
+                    if w is None:
+                        rhs = zero_vector(ring, h.rank(p + q))
+                    else:
+                        sign, merged = w
+                        rhs = ring.reduce_array(ring.normalize(sign) * wedge_image(merged))
+                    if any(a != b for a, b in zip(lhs, rhs)):
+                        raise ValueError(
+                            f"products of degree-1 classes are not exterior at {s},{t}")
+    return mats
 
 
 # ---------------------------------------------------------------------------

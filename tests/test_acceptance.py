@@ -25,6 +25,7 @@ from hochgysin.massey import indeterminacy_submodule, massey_triple
 from hochgysin.sections import build_sections
 from hochgysin.simplicial import build_circle, build_sphere, build_torus, make_complex
 from hochgysin.torus import verify_monomorphism
+from oracles import cochain_value
 
 FIXTURE = Path(__file__).parent.parent / "src" / "hochgysin" / "fixtures" / \
     "massey_fixture.dga.json"
@@ -114,7 +115,7 @@ def test_criterion_05_massey_consistency():
     r = massey_triple(co, 1, x, 1, x, 1, z)
     ok_frozen = list(r.representative) == [-1, 0] and not r.is_zero_coset()
     th = theta(co)
-    ok_theta = r.same_coset(th.value((1, 1, 1), [x, x, z]))
+    ok_theta = r.same_coset(cochain_value(th, (1, 1, 1), [x, x, z]))
     ok_stable = True
     for seed in range(1, 21):
         co_s = build_sections(a, seed=seed)
@@ -134,7 +135,7 @@ def test_criterion_05_massey_consistency():
             acochain.set_block(tup, ExactMatrix.from_rows(
                 ZZ, [[rng.randint(-3, 3) for _ in range(cols)]
                      for _ in range(rows)]))
-        val = coboundary(acochain, M).value((1, 1, 1), [x, x, z])
+        val = cochain_value(coboundary(acochain, M), (1, 1, 1), [x, x, z])
         if not ind.is_member(val):
             ok_spec = False
     ok = ok_frozen and ok_theta and ok_stable and ok_spec

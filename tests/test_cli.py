@@ -366,6 +366,13 @@ USAGE_CASES = {
     # int() ran "3_0" as seed 30 and "+3" as seed 3 (sections, theta,
     # theta-class, massey and gysin share one --seed; torus has its own)
     "sections_seed_underscore": (["sections", "--seed", "3_0"], _circle_cochains),
+    # --m and --n are read by the same rule: argparse's int() built S^2 from
+    # "0_2", S^1 from "+1", T^1 from an Arabic-Indic one, and ran the
+    # monomorphism probe at n = 1 from "0_1"
+    "build_sphere_m_underscore": (["build", "sphere", "--m", "0_2"], None),
+    "build_sphere_m_plus": (["build", "sphere", "--m", "+1"], None),
+    "monomorphism_n_underscore": (["monomorphism", "--n", "0_1"], None),
+    "build_torus_n_arabic_indic_digit": (["build", "torus", "--n", "\u0661"], None),
     "sections_seed_plus": (["sections", "--seed", "+3"], _circle_cochains),
     "sections_seed_float": (["sections", "--seed", "1.5"], _circle_cochains),
     "sections_seed_word": (["sections", "--seed", "x"], _circle_cochains),

@@ -12,6 +12,7 @@ from hochgysin.dga import (
 )
 from hochgysin.exactlin import GF, QQ, ZZ, as_vector
 from hochgysin.simplicial import build_circle, build_sphere, build_torus, make_complex
+from oracles import dga_multiply
 
 RINGS = [ZZ, QQ, GF(2), GF(3)]
 POINT = make_complex(1, [(0,)])
@@ -48,16 +49,16 @@ def test_circle_vertex_dual_products():
     a = cochain_algebra(build_circle(), ZZ)
     # e0* . e0* = e0* (front=back=vertex)
     e0 = as_vector(ZZ, [1, 0, 0])
-    assert list(a.multiply(0, 0, e0, e0)) == [1, 0, 0]
+    assert list(dga_multiply(a, 0, 0, e0, e0)) == [1, 0, 0]
     e1 = as_vector(ZZ, [0, 1, 0])
-    assert list(a.multiply(0, 0, e0, e1)) == [0, 0, 0]
+    assert list(dga_multiply(a, 0, 0, e0, e1)) == [0, 0, 0]
     # vertex dual cup edge dual: nonzero only when the vertex is the front face
     edges = a.labels[1]
     assert edges == [[0, 1], [0, 2], [1, 2]]
     e01 = as_vector(ZZ, [1, 0, 0])
-    assert list(a.multiply(0, 1, e0, e01)) == [1, 0, 0]   # front vertex of 01 is 0
-    assert list(a.multiply(0, 1, e1, e01)) == [0, 0, 0]   # 1 is the back vertex
-    assert list(a.multiply(1, 0, e01, e1)) == [1, 0, 0]
+    assert list(dga_multiply(a, 0, 1, e0, e01)) == [1, 0, 0]   # front vertex of 01 is 0
+    assert list(dga_multiply(a, 0, 1, e1, e01)) == [0, 0, 0]   # 1 is the back vertex
+    assert list(dga_multiply(a, 1, 0, e01, e1)) == [1, 0, 0]
 
 
 def test_flipped_product_sign_caught():

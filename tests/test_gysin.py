@@ -19,6 +19,7 @@ from hochgysin.hochschild import (
 )
 from hochgysin.sections import build_sections
 from hochgysin.simplicial import build_sphere, build_torus
+from oracles import cochain_value
 
 FIXTURE = Path(__file__).parent.parent / "src" / "hochgysin" / "fixtures" / \
     "massey_fixture.dga.json"
@@ -217,12 +218,12 @@ def test_beta_from_coboundary_has_trivial_shape(torus2):
         hq = h.rank(q)
         for jx in range(ext.ann_rank(m)):
             x = ext.ann_basis[m].column(jx)
-            bx = acochain.value((2, m), [as_vector(ZZ, [1]), x])
+            bx = cochain_value(acochain, (2, m), [as_vector(ZZ, [1]), x])
             for jy in range(hq):
                 y = zero_vector(ZZ, hq)
                 y[jy] = ZZ.one()
                 xy = h.multiply(m, q, x, y)
-                bxy = acochain.value((2, m + q), [as_vector(ZZ, [1]), xy])
+                bxy = cochain_value(acochain, (2, m + q), [as_vector(ZZ, [1]), xy])
                 expected = bxy - h.multiply(m + 1, q, bx, y)
                 got = kq.reduced_gens.matvec(block.column(jx * hq + jy))
                 assert list(kq.classify(expected)) == list(kq.classify(got))

@@ -10,11 +10,12 @@ from hochgysin.exactlin import GF, QQ, ZZ, ExactMatrix, as_vector
 from hochgysin.hochschild import (
     CochainLayout, HochschildCochain, TwistedBimodule, admissible_tuples,
     coboundary, coboundary_matrix, cochain_from_json, cochain_to_json,
-    classes_equal, theta, theta_value, trivialize, verify_cocycle, zero_cochain,
+    classes_equal, theta, trivialize, verify_cocycle, zero_cochain,
 )
 from hochgysin.sections import HRing, NotACocycleError, build_sections
 from hochgysin.simplicial import build_sphere, build_torus
 from hochgysin.torus import exterior_algebra
+from oracles import cochain_value, dga_multiply, q_pair, theta_value
 
 MASSEY_FIXTURE = Path(__file__).parent.parent / "src" / "hochgysin" / "fixtures" / \
     "massey_fixture.dga.json"
@@ -91,7 +92,7 @@ def test_theta_blocks_match_pointwise_values():
             z = as_vector(ZZ, [rng.randint(-2, 2) for _ in range(co.hr(r))])
             chain = theta_value(co, p, x, q, y, r, z)
             expected = co.pi(p + q + r - 1, chain)
-            got = th.value(tup, [x, y, z])
+            got = cochain_value(th, tup, [x, y, z])
             assert list(got) == list(expected)
 
 
@@ -135,16 +136,18 @@ def test_sign_audit_delta_s_theta():
         #   + Theta(x,yz,w) - Theta(x,y,zw) + Theta(x,y,z) s(w)
         n = sum(degs) - 1
         lhs = as_vector(ZZ, [0] * a.rank(n))
-        lhs = lhs + ((-1) ** px) * a.multiply(
-            px, py + pz + pw - 1, co.s_apply(px, x), theta_value(co, py, y, pz, z, pw, w))
+        lhs = lhs + ((-1) ** px) * dga_multiply(
+            a, px, py + pz + pw - 1, co.s_matrix(px).matvec(x),
+            theta_value(co, py, y, pz, z, pw, w))
         lhs = lhs - theta_value(co, px + py, h.multiply(px, py, x, y), pz, z, pw, w)
         lhs = lhs + theta_value(co, px, x, py + pz, h.multiply(py, pz, y, z), pw, w)
         lhs = lhs - theta_value(co, px, x, py, y, pz + pw, h.multiply(pz, pw, z, w))
-        lhs = lhs + a.multiply(px + py + pz - 1, pw,
-                               theta_value(co, px, x, py, y, pz, z), co.s_apply(pw, w))
-        qxy = co.q_pair(px, x, py, y)
-        qzw = co.q_pair(pz, z, pw, w)
-        prod = a.multiply(px + py - 1, pz + pw - 1, qxy, qzw)
+        lhs = lhs + dga_multiply(a, px + py + pz - 1, pw,
+                                 theta_value(co, px, x, py, y, pz, z),
+                                 co.s_matrix(pw).matvec(w))
+        qxy = q_pair(co, px, x, py, y)
+        qzw = q_pair(co, pz, z, pw, w)
+        prod = dga_multiply(a, px + py - 1, pz + pw - 1, qxy, qzw)
         rhs = ((-1) ** (px + py)) * a.d(n - 1).matvec(prod)
         assert list(lhs) == list(rhs)
 

@@ -1,18 +1,20 @@
 import random
+from itertools import product as iproduct
 from pathlib import Path
 
 import pytest
 
 from hochgysin.dga import cochain_algebra, load_dga
-from hochgysin.exactlin import ZZ, as_vector, vec_is_zero
+from hochgysin.exactlin import GF, QQ, ZZ, ExactMatrix, as_vector, vec_is_zero
 from hochgysin.hochschild import (
-    TwistedBimodule, admissible_tuples, theta, trivialize, zero_cochain,
+    TwistedBimodule, admissible_tuples, coboundary, theta, trivialize, zero_cochain,
 )
 from hochgysin.massey import (
     NotAMasseyTripleError, indeterminacy_submodule, massey_triple,
 )
 from hochgysin.sections import build_sections
 from hochgysin.simplicial import build_sphere, build_torus
+from oracles import cochain_value, theta_value
 
 FIXTURE = Path(__file__).parent.parent / "src" / "hochgysin" / "fixtures" / \
     "massey_fixture.dga.json"
@@ -64,7 +66,7 @@ def test_fixture_rep_matches_theta_block():
     x = as_vector(ZZ, [0, 1])
     z = as_vector(ZZ, [1, 0])
     r = massey_triple(co, 1, x, 1, x, 1, z)
-    assert r.same_coset(th.value((1, 1, 1), [x, x, z]))
+    assert r.same_coset(cochain_value(th, (1, 1, 1), [x, x, z]))
 
 
 def test_fixture_coset_stable_20_seeds():
@@ -97,6 +99,44 @@ def test_fixture_theta_class_nontrivial_rationally():
     th = theta(co)
     w, cert = trivialize(th, TwistedBimodule(co.h()))
     assert w is None and cert is not None
+
+
+THETA_CASES = {
+    "fixture-Z": lambda: fixture_sections(seed=11),
+    "T2-Z": lambda: build_sections(cochain_algebra(build_torus(2), ZZ), seed=12),
+    "T2-Q": lambda: build_sections(cochain_algebra(build_torus(2), QQ), seed=13),
+    "T2-F3": lambda: build_sections(cochain_algebra(build_torus(2), GF(3)), seed=14),
+    "T3-Z": lambda: build_sections(cochain_algebra(build_torus(3), ZZ), seed=15),
+}
+
+
+@pytest.mark.parametrize("case", list(THETA_CASES))
+def test_massey_representative_is_the_theta_value(case):
+    # theta restricts to the Massey product: on triples with xy = yz = 0 the
+    # representative equals pi of the vector-level Theta(x, y, z) and the
+    # value of the projected cocycle theta on (x, y, z), entry for entry
+    co = THETA_CASES[case]()
+    h = co.h()
+    th = theta(co)
+    rng = random.Random(2024)
+    # every other draw has a target degree at most the top degree
+    tuples = list(iproduct([p for p in range(1, co.top + 1) if co.hr(p)], repeat=3))
+    low = [t for t in tuples if sum(t) - 1 <= co.top]
+    kept = in_range = 0
+    for i in range(120):
+        px, py, pz = rng.choice(low if i % 2 else tuples)
+        x, y, z = (as_vector(co.ring, [rng.randint(-1, 1) for _ in range(co.hr(p))])
+                   for p in (px, py, pz))
+        if not (vec_is_zero(h.multiply(px, py, x, y))
+                and vec_is_zero(h.multiply(py, pz, y, z))):
+            continue
+        rep = list(massey_triple(co, px, x, py, y, pz, z).representative)
+        n = px + py + pz - 1
+        assert rep == list(co.pi(n, theta_value(co, px, x, py, y, pz, z)))
+        assert rep == list(cochain_value(th, (px, py, pz), [x, y, z]))
+        kept += 1
+        in_range += n <= co.top and co.hr(n) > 0
+    assert kept >= 20 and in_range >= 5, (kept, in_range)
 
 
 def test_torus2_triple_zero_and_stable():
@@ -136,14 +176,12 @@ def test_coboundary_specialization_lands_in_indeterminacy():
         px, py, pz = degs
         x, y, z = (as_vector(ZZ, c) for c in coords)
         a = zero_cochain(h, 2, -1)
-        from hochgysin.exactlin import ExactMatrix
         for tup in admissible_tuples(h, 2, -1):
             rows, cols = a.shape(tup)
             a.set_block(tup, ExactMatrix.from_rows(
                 ZZ, [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]))
-        from hochgysin.hochschild import coboundary
         da = coboundary(a, M)
-        value = da.value((px, py, pz), [x, y, z])
+        value = cochain_value(da, (px, py, pz), [x, y, z])
         ind = indeterminacy_submodule(co, px, x, py, y, pz, z)
         assert ind.is_member(value)
         probes += 1

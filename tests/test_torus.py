@@ -10,9 +10,9 @@ from hochgysin.hochschild import (
 from hochgysin.sections import build_sections
 from hochgysin.simplicial import build_torus
 from hochgysin.torus import (
-    exterior_algebra, exterior_iso, symmetrize, sym3_monomials,
-    torus_theta_trivial,
+    exterior_algebra, symmetrize, sym3_monomials, torus_theta_trivial,
 )
+from oracles import dga_multiply, exterior_iso
 
 
 def test_exterior_rank_one():
@@ -20,7 +20,7 @@ def test_exterior_rank_one():
     assert a.ranks == [1, 1]
     assert validate(a).passed
     e = as_vector(ZZ, [1])
-    assert vec_is_zero(a.multiply(1, 1, e, e))
+    assert vec_is_zero(dga_multiply(a, 1, 1, e, e))
 
 
 def test_exterior_rank_two_signs():
@@ -29,8 +29,8 @@ def test_exterior_rank_two_signs():
     assert validate(a).passed
     e1 = as_vector(ZZ, [1, 0])
     e2 = as_vector(ZZ, [0, 1])
-    assert list(a.multiply(1, 1, e1, e2)) == [1]
-    assert list(a.multiply(1, 1, e2, e1)) == [-1]
+    assert list(dga_multiply(a, 1, 1, e1, e2)) == [1]
+    assert list(dga_multiply(a, 1, 1, e2, e1)) == [-1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -48,8 +48,8 @@ def test_exterior_graded_commutativity():
         for q in range(4 - p):
             x = as_vector(ZZ, [rng.randint(-2, 2) for _ in range(a.rank(p))])
             y = as_vector(ZZ, [rng.randint(-2, 2) for _ in range(a.rank(q))])
-            xy = a.multiply(p, q, x, y)
-            yx = a.multiply(q, p, y, x)
+            xy = dga_multiply(a, p, q, x, y)
+            yx = dga_multiply(a, q, p, y, x)
             sign = (-1) ** (p * q)
             assert list(xy) == [sign * v for v in yx]
 
