@@ -26,7 +26,7 @@ from .sections import (
 from .hochschild import (
     HochschildCochain, TwistedBimodule, coboundary, coboundary_matrix,
     theta, verify_cocycle, trivialize, classes_equal,
-    save_cochain, zero_cochain, admissible_tuples,
+    save_cochain, cochain_from_json, zero_cochain, admissible_tuples,
 )
 from .massey import MasseyResult, massey_triple, NotAMasseyTripleError
 from .gysin import (

@@ -121,10 +121,11 @@ def _default_seed(args):
 
 
 def _parse_class(co, token):
-    """deg:[c0,c1,...] -> (degree, coordinate vector) of a class of co.
-
-    The degree is a JSON integer in 0..top, the list must have length co.hr(deg)
-    and each entry is a JSON integer or a "p/q" string the ring accepts.
+    """deg:[c0,c1,...] -> (degree, coordinate vector) of a class of co, on
+    the basis of H^deg whose representatives are the columns of co.s[deg]
+    (not the representatives that `cohomology` reports).  The degree is a
+    JSON integer in 0..top, the list must have length co.hr(deg) and each
+    entry is a JSON integer or a "p/q" string the ring accepts.
     """
     deg, sep, coords = token.partition(":")
     if not sep:

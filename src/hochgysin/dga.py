@@ -149,7 +149,7 @@ def _bilinear_block(entries, size: int, left: ExactMatrix,
     ring = left.ring
     a, b = left.cols, right.cols
     out = np.empty((size, a * b), dtype=object)
-    out[:] = ring.zero()
+    out[:] = 0
     for i, j, k, c in entries:
         out[k] += c * np.outer(left.data[i], right.data[j]).reshape(a * b)
     return ExactMatrix(ring, ring.reduce_array(out))
@@ -169,8 +169,7 @@ def _sparse_cols(m: ExactMatrix):
 
 def _first_mismatch(ring: Ring, lhs: dict, rhs: dict):
     for key in set(lhs) | set(rhs):
-        if ring.normalize(lhs.get(key, ring.zero())) != \
-                ring.normalize(rhs.get(key, ring.zero())):
+        if ring.normalize(lhs.get(key, 0)) != ring.normalize(rhs.get(key, 0)):
             return key
     return None
 
@@ -184,7 +183,7 @@ def _d_squared_defect(m: DgModule, cols):
             acc = {}
             for i, c in col:
                 for i2, c2 in dn1[i]:
-                    acc[i2] = acc.get(i2, ring.zero()) + c * c2
+                    acc[i2] = acc.get(i2, 0) + c * c2
             bad = [k for k, v in acc.items() if ring.normalize(v) != 0]
             if bad:
                 return n, j, bad[0]
@@ -214,20 +213,20 @@ def _leibniz_defect(m: DgModule, cols):
         for i, j, k, c in ent:
             for t, c2 in dnq[k]:
                 key = (i, j, t)
-                lhs[key] = lhs.get(key, ring.zero()) + c * c2
+                lhs[key] = lhs.get(key, 0) + c * c2
         rhs = {}
         for i in range(m.rank(n)):
             for i2, c in dn[i]:
                 for j, t, c2 in up.get(i2, ()):
                     key = (i, j, t)
-                    rhs[key] = rhs.get(key, ring.zero()) + c * c2
+                    rhs[key] = rhs.get(key, 0) + c * c2
         # n < 0 in a shifted module, where (-1) ** n would be a float
         sign = ring.normalize(-1 if n % 2 else 1)
         for j in range(a.rank(q)):
             for j2, c in dq[j]:
                 for i, t, c2 in right.get(j2, ()):
                     key = (i, j, t)
-                    rhs[key] = rhs.get(key, ring.zero()) + sign * c * c2
+                    rhs[key] = rhs.get(key, 0) + sign * c * c2
         key = _first_mismatch(ring, lhs, rhs)
         if key is not None:
             return n, q, key[:2]
@@ -252,7 +251,7 @@ def _associativity_defect(m: DgModule):
                 for k, l, t, c2 in m.entries(n + p, q):
                     for i, j, c1 in idx.get(k, ()):
                         key = (i, j, l, t)
-                        left[key] = left.get(key, ring.zero()) + c1 * c2
+                        left[key] = left.get(key, 0) + c1 * c2
                 right = {}
                 idx = {}
                 for j, l, k, c in a.entries(p, q):
@@ -260,7 +259,7 @@ def _associativity_defect(m: DgModule):
                 for i, k, t, c2 in m.entries(n, p + q):
                     for j, l, c1 in idx.get(k, ()):
                         key = (i, j, l, t)
-                        right[key] = right.get(key, ring.zero()) + c1 * c2
+                        right[key] = right.get(key, 0) + c1 * c2
                 key = _first_mismatch(ring, left, right)
                 if key is not None:
                     return n, p, q, key[:3]
@@ -274,9 +273,9 @@ def _unit_defect(ring: Ring, entries, unit, size: int):
     acc = {}
     for i, u, k, c in entries:
         if unit[u] != 0:
-            acc[(i, k)] = acc.get((i, k), ring.zero()) + unit[u] * c
+            acc[(i, k)] = acc.get((i, k), 0) + unit[u] * c
     bad = [(i, k) for (i, k), v in acc.items() if i < size and k < size
-           and ring.normalize(v) != (ring.one() if i == k else ring.zero())]
+           and ring.normalize(v) != (1 if i == k else 0)]
     bad += [(i, i) for i in range(size) if (i, i) not in acc]
     return min(bad, default=None)
 
@@ -403,7 +402,6 @@ def cochain_algebra(k: SimplicialComplex, ring: Ring) -> DgAlgebra:
         diff[n] = m
 
     product = {}
-    one = ring.one()
     for n, level in enumerate(simplices):
         for kidx, s in enumerate(level):
             for p in range(n + 1):
@@ -411,7 +409,7 @@ def cochain_algebra(k: SimplicialComplex, ring: Ring) -> DgAlgebra:
                 front = s[:p + 1]
                 back = s[p:]
                 product.setdefault((p, q), []).append(
-                    (index[p][front], index[q][back], kidx, one))
+                    (index[p][front], index[q][back], kidx, 1))
     product = {pq: tuple(ent) for pq, ent in product.items()}
 
     unit = as_vector(ring, [1] * ranks[0])
@@ -425,7 +423,7 @@ def cochain_algebra(k: SimplicialComplex, ring: Ring) -> DgAlgebra:
 
 def dga_to_json(a: DgAlgebra) -> dict:
     return {
-        "ring": a.ring.to_json(),
+        "ring": a.ring.name,
         "top_degree": a.top_degree,
         "ranks": list(a.ranks),
         "diff": {str(n): a.d(n).to_lists() for n in range(a.top_degree)

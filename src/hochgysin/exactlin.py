@@ -121,12 +121,6 @@ class Ring:
             x = int(x.numerator)
         return x % self.p if self.tag == "Fp" else x
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
     def is_unit(self, x) -> bool:
         x = self.normalize(x)
         if self.tag == "Z":
@@ -146,31 +140,23 @@ class Ring:
     def divides(self, a, b) -> bool:
         """True when a | b (for a = 0 this means b = 0)."""
         a, b = self.normalize(a), self.normalize(b)
-        if a == self.zero():
-            return b == self.zero()
+        if a == 0:
+            return b == 0
         if self.tag == "Z":
             return b % a == 0
         return True
-
-    def exact_div(self, b, a):
-        """b / a, defined only when a | b."""
-        a, b = self.normalize(a), self.normalize(b)
-        if self.tag == "Z":
-            if a == 0 or b % a != 0:
-                raise ZeroDivisionError(f"{a} does not divide {b} in Z")
-            return b // a
-        if a == self.zero():
-            raise ZeroDivisionError("division by zero")
-        if self.tag == "Q":
-            return self.normalize(Fraction(b) / a)
-        return (b * self.inv(a)) % self.p
 
     def quo(self, b, a):
         """Euclidean quotient of b by a != 0: floor division over Z, b / a
         over a field, so that b - quo(b, a) * a is smaller than a or zero."""
         if self.tag == "Z":
             return b // a
-        return self.exact_div(b, a)
+        a, b = self.normalize(a), self.normalize(b)
+        if a == 0:
+            raise ZeroDivisionError("division by zero")
+        if self.tag == "Q":
+            return self.normalize(Fraction(b) / a)
+        return (b * self.inv(a)) % self.p
 
     def pivot_size(self, x) -> int:
         if self.tag == "Z":
@@ -178,9 +164,8 @@ class Ring:
         return 1
 
     def canonical_unit(self, x):
-        """Unit u with u*x 'positive': over Z the sign, over fields x itself."""
-        if x == self.zero():
-            return self.one()
+        """Unit u with u*x 'positive' for x != 0: over Z the sign, over
+        fields 1/x."""
         if self.tag == "Z":
             return 1 if x > 0 else -1
         return self.inv(x)
@@ -208,9 +193,6 @@ class Ring:
         if den:
             return self.normalize(Fraction(int(m[1]), den))
         raise ValueError(f"{v!r} is not a JSON integer or a \"p/q\" string")
-
-    def to_json(self) -> str:
-        return self.name
 
 
 ZZ = Ring("Z")
@@ -257,7 +239,7 @@ def as_vector(ring: Ring, entries) -> np.ndarray:
 
 def zero_vector(ring: Ring, n: int) -> np.ndarray:
     v = np.empty(n, dtype=object)
-    v[:] = ring.zero()
+    v[:] = 0
     return v
 
 
@@ -285,25 +267,15 @@ class ExactMatrix:
     @staticmethod
     def zeros(ring: Ring, rows: int, cols: int) -> "ExactMatrix":
         m = np.empty((rows, cols), dtype=object)
-        m[:] = ring.zero()
+        m[:] = 0
         return ExactMatrix(ring, m)
 
     @staticmethod
     def identity(ring: Ring, n: int) -> "ExactMatrix":
         m = ExactMatrix.zeros(ring, n, n)
-        one = ring.one()
         for i in range(n):
-            m.data[i, i] = one
+            m.data[i, i] = 1
         return m
-
-    @staticmethod
-    def from_columns(ring: Ring, cols, nrows: int | None = None) -> "ExactMatrix":
-        cols = list(cols)
-        if not cols:
-            if nrows is None:
-                raise ValueError("need nrows for an empty column list")
-            return ExactMatrix.zeros(ring, nrows, 0)
-        return ExactMatrix(ring, _object_rows(cols, ring.normalize).T.copy())
 
     # -- shape
 
@@ -515,18 +487,22 @@ class SNFResult:
         self._replay(out, side, inverse, not transpose)
         return ExactMatrix(self.ring, out.T)
 
-    def _size(self, name: str) -> int:
-        return self.D.rows if name in ("U", "Uinv") else self.D.cols
+    def _units(self, name: str, idx) -> ExactMatrix:
+        """The columns idx of the identity the size of the transform name."""
+        size = self.D.rows if name in ("U", "Uinv") else self.D.cols
+        m = ExactMatrix.zeros(self.ring, size, len(idx))
+        for k, i in enumerate(idx):
+            m.data[i, k] = 1
+        return m
 
     def take_rows(self, name: str, idx) -> ExactMatrix:
         """The rows idx of the transform name."""
-        return self.rmul(ExactMatrix.identity(self.ring, self._size(name)).take_rows(idx),
-                         name)
+        units = self._units(name, idx)
+        return self.rmul(ExactMatrix(self.ring, units.data.T), name)
 
     def take_columns(self, name: str, idx) -> ExactMatrix:
         """The columns idx of the transform name."""
-        return self.lmul(name,
-                         ExactMatrix.identity(self.ring, self._size(name)).take_columns(idx))
+        return self.lmul(name, self._units(name, idx))
 
     @cached_property
     def U(self) -> ExactMatrix:
@@ -645,7 +621,7 @@ def smith_normal_form(M: ExactMatrix) -> SNFResult:
             pass
         # row and column t now hold only the pivot
         u = ring.canonical_unit(R[t][t])
-        if u != ring.one():
+        if u != 1:
             R[t][t] = C[t][t] = ring.normalize(u * R[t][t])
             ops.append(("row", "scale", t, t, u))
         t += 1
@@ -693,7 +669,7 @@ def column_hermite(M: ExactMatrix) -> ExactMatrix:
         if j != pivot_col:
             A[:, [pivot_col, j]] = A[:, [j, pivot_col]]
         u = ring.canonical_unit(A[r, pivot_col])
-        if u != ring.one():
+        if u != 1:
             A[:, pivot_col] = ring.reduce_array(u * A[:, pivot_col])
         # reduce earlier columns against this pivot for canonicity
         for j in range(pivot_col):
@@ -722,7 +698,7 @@ class NoSolutionCertificate:
     def check(self, M: ExactMatrix, b: np.ndarray) -> bool:
         ring = M.ring
         lhs = ring.reduce_array(self.row @ M.data) if M.cols else zero_vector(ring, 0)
-        val = ring.normalize(sum(self.row * b, ring.zero()))
+        val = ring.normalize(sum(self.row * b))
         if self.divisor == 0:
             return all(x == 0 for x in lhs) and val != 0
         return (all(ring.divides(self.divisor, x) for x in lhs)
@@ -765,8 +741,9 @@ class Solver:
         if bad.any():
             j = bad.any(axis=0).argmax()
             i = bad[:, j].argmax()
-            divisor = s.divisors[i] if i < s.rank else self.ring.zero()
-            return None, NoSolutionCertificate(s.U.data[i].copy(), divisor, C.data[i, j])
+            divisor = s.divisors[i] if i < s.rank else 0
+            row = s.take_rows("U", [i]).data[0]
+            return None, NoSolutionCertificate(row, divisor, C.data[i, j])
         X = ExactMatrix.zeros(self.ring, self.M.cols, Y.cols)
         X.data[:s.rank] = Y.data          # V[:, :rank] @ Y is V @ (Y over zero rows)
         return shaped_like(B, s.lmul("V", X)), None
@@ -812,7 +789,6 @@ class Subquotient:
     """
 
     ring: Ring
-    ambient_rank: int
     generators: ExactMatrix
     relations: ExactMatrix
     invariant_factors: list = field(default_factory=list)
@@ -825,10 +801,9 @@ class Subquotient:
     @staticmethod
     def from_gens_rels(ring: Ring, generators: ExactMatrix,
                        relations: ExactMatrix | None = None) -> "Subquotient":
-        ambient = generators.rows
         if relations is None:
-            relations = ExactMatrix.zeros(ring, ambient, 0)
-        sq = Subquotient(ring, ambient, generators, relations)
+            relations = ExactMatrix.zeros(ring, generators.rows, 0)
+        sq = Subquotient(ring, generators, relations)
         sq._build()
         return sq
 
@@ -843,7 +818,7 @@ class Subquotient:
             raise NotInSpanError("relations not contained in span(generators)")
         s = smith_normal_form(Xm)
         # presentation matrix diag: the invariant factors of gens/rels
-        facs = list(s.divisors) + [self.ring.zero()] * (g - s.rank)
+        facs = list(s.divisors) + [0] * (g - s.rank)
         self.invariant_factors = facs
         # new generator basis: basis @ Uinv; relations become d_i * (new gen i)
         kept = [i for i in range(g)

@@ -48,10 +48,6 @@ class ConeComplex:
     """cone(l_{s(c)}) as a right dg-module over the base algebra."""
 
     algebra: DgAlgebra
-    sections: CohomologySections
-    c_degree: int
-    c_coords: np.ndarray
-    z: np.ndarray                  # chain representative s(c)
     module: DgModule
 
     def rank(self, n: int) -> int:
@@ -104,7 +100,7 @@ def mapping_cone(a: DgAlgebra, c_degree: int, c_coords,
     report = validate_module(module)
     if not report.passed:
         raise AssertionError(f"cone failed module axioms: {report.failures()}")
-    return ConeComplex(a, co, c_degree, c_coords, z, module)
+    return ConeComplex(a, module)
 
 
 @dataclass

@@ -91,18 +91,12 @@ class HochschildCochain:
     def is_zero(self) -> bool:
         return all(b.is_zero() for b in self.blocks.values())
 
-    def _blockwise(self, other: "HochschildCochain", op) -> "HochschildCochain":
+    def __sub__(self, other: "HochschildCochain") -> "HochschildCochain":
         out = HochschildCochain(self.arity, self.internal_degree,
                                 list(self.h_ranks), self.ring, {})
         for tup in set(self.blocks) | set(other.blocks):
-            out.set_block(tup, op(self.block_or_zero(tup), other.block_or_zero(tup)))
+            out.set_block(tup, self.block_or_zero(tup) - other.block_or_zero(tup))
         return out
-
-    def __add__(self, other: "HochschildCochain") -> "HochschildCochain":
-        return self._blockwise(other, ExactMatrix.__add__)
-
-    def __sub__(self, other: "HochschildCochain") -> "HochschildCochain":
-        return self._blockwise(other, ExactMatrix.__sub__)
 
     def __eq__(self, other):
         if not isinstance(other, HochschildCochain):
@@ -375,7 +369,7 @@ def classes_equal(t1: HochschildCochain, t2: HochschildCochain, M: TwistedBimodu
 
 def cochain_to_json(a: HochschildCochain) -> dict:
     return {
-        "ring": a.ring.to_json(),
+        "ring": a.ring.name,
         "arity": a.arity,
         "internal_degree": a.internal_degree,
         "h_ranks": list(a.h_ranks),

@@ -270,15 +270,10 @@ def _normalize_unit(co: CohomologySections) -> None:
     if not ring.is_unit(s.divisors[0]):
         raise UnitNotPrimitiveError(
             f"unit class {list(u_cls)} is not part of a basis of H^0")
-    w = s.U.copy()
-    winv = s.Uinv.copy()
-    lead = w.matvec(u_cls)[0]
-    if lead != ring.one():
-        w.data[0] = ring.reduce_array(ring.inv(lead) * w.data[0])
-        winv.data[:, 0] = ring.reduce_array(lead * winv.data[:, 0])
-    co._pi_mat[0] = w @ co._pi_mat[0]
+    # U takes u_cls to its divisor, a unit made 1 by the SNF's canonical_unit
+    co._pi_mat[0] = s.U @ co._pi_mat[0]
     # s gets the inverse recombination; then the unit column is pinned to 1
-    co.s[0] = co.s[0] @ winv
+    co.s[0] = co.s[0] @ s.Uinv
     co.s[0].data[:, 0] = co.algebra.unit
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .exactlin import int_from_json
+
 
 class MalformedComplexError(Exception):
     pass
@@ -51,9 +53,6 @@ class SimplicialComplex:
 
     def f_vector(self) -> list[int]:
         return [len(s) for s in self.simplices()]
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** i * n for i, n in enumerate(self.f_vector()))
 
 
 def make_complex(vertex_count: int, facets) -> SimplicialComplex:
@@ -120,14 +119,16 @@ def build_torus(n: int) -> SimplicialComplex:
 def complex_from_json(payload) -> SimplicialComplex:
     if not isinstance(payload, dict) or "vertex_count" not in payload or "facets" not in payload:
         raise MalformedComplexError("expected {vertex_count, facets}")
-    vc = payload["vertex_count"]
     facets = payload["facets"]
-    if not isinstance(vc, int) or not isinstance(facets, list):
+    if not isinstance(facets, list):
         raise MalformedComplexError("bad field types in complex file")
+    if not facets:
+        raise MalformedComplexError("a complex needs at least one facet")
     try:
-        return make_complex(vc, facets)
-    except TypeError as exc:
-        raise MalformedComplexError(f"bad facet data: {exc}") from exc
+        vc = int_from_json(payload["vertex_count"])
+        return make_complex(vc, [[int_from_json(v) for v in f] for f in facets])
+    except (TypeError, ValueError) as exc:
+        raise MalformedComplexError(f"bad complex data: {exc}") from exc
 
 
 def complex_to_json(k: SimplicialComplex) -> dict:

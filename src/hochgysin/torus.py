@@ -125,7 +125,7 @@ def symmetrize_matrix(h: HRing, layout: CochainLayout, signed: bool = False) -> 
         for perm, sgn in _perms_with_signs():
             a, b, c = (i, j, k)[perm[0]], (i, j, k)[perm[1]], (i, j, k)[perm[2]]
             flat = (a * n + b) * n + c
-            w = h.ring.normalize(sgn) if signed else h.ring.one()
+            w = h.ring.normalize(sgn) if signed else 1
             for r in range(brows):
                 idx = col * brows + r
                 out.data[idx, off + r * bcols + flat] = h.ring.normalize(

@@ -9,7 +9,9 @@ at a time, where the package works on whole blocks: the cochain product
 entry by entry, q(x, y) and theta(x, y, z) of single classes, the value
 of a Hochschild cochain on a tuple of classes, and the comparison of the
 cohomology of a torus with an exterior algebra.  The dense references
-run the sparse kernels of exactlin on whole numpy rows.
+run the sparse kernels of exactlin on whole numpy rows.  Helpers that
+only the tests need (a matrix from its columns, the Euler
+characteristic) live here too.
 """
 
 from itertools import combinations
@@ -55,6 +57,19 @@ def homology_groups(k, ring=ZZ):
 
 def homology_ranks(k, ring=ZZ):
     return [r for r, _ in homology_groups(k, ring)]
+
+
+def euler_characteristic(k):
+    """The alternating sum of the f-vector of the complex k."""
+    return sum((-1) ** i * n for i, n in enumerate(k.f_vector()))
+
+
+def from_columns(ring, cols, nrows):
+    """The matrix with the given vectors as its columns, nrows rows."""
+    m = ExactMatrix.zeros(ring, nrows, len(cols))
+    for j, col in enumerate(cols):
+        m.data[:, j] = [ring.normalize(x) for x in col]
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +162,7 @@ def exterior_iso(co):
     mats = []
     for k in range(h.top + 1):
         cols = [wedge_image(subset) for subset in combinations(range(n), k)]
-        m = ExactMatrix.from_columns(ring, cols, nrows=h.rank(k))
+        m = from_columns(ring, cols, h.rank(k))
         if m.rows != m.cols:
             raise ValueError(f"H^{k} has rank {m.rows}, expected C({n},{k}) = {m.cols}")
         s = smith_normal_form(m)
@@ -288,7 +303,7 @@ def dense_smith_normal_form(M):
         while clear("row", t) or clear("col", t) or fold(t):
             pass
         u = ring.canonical_unit(A[t, t])
-        if u != ring.one():
+        if u != 1:
             A[t] = ring.reduce_array(u * A[t])
             ops.append(("row", "scale", t, t, u))
         t += 1

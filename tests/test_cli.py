@@ -1,23 +1,26 @@
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from clirun import run_in_process as run_cli, run_subprocess
 
 FIXTURE = Path(__file__).parent.parent / "src" / "hochgysin" / "fixtures" / \
     "massey_fixture.dga.json"
 
 
-def run_cli(args, stdin=None, env_extra=None):
-    import os
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    proc = subprocess.run(
-        [sys.executable, "-m", "hochgysin.cli", *args],
-        input=stdin, capture_output=True, text=True, env=env)
-    return proc
+# the entry point `python -m hochgysin.cli` gives the report of the
+# in-process run, for a pass, a failed property and an input error
+@pytest.mark.parametrize("argv, stdin, code", [
+    (["build", "torus", "--n", "2"], None, 0),
+    (["theta-class", "--in", str(FIXTURE)], None, 1),
+    (["cochains"], "{broken json", 2),
+], ids=["pass", "failed_property", "input_error"])
+def test_entry_point_matches_in_process_run(argv, stdin, code):
+    res = run_subprocess(argv, stdin=stdin)
+    assert res.returncode == code
+    assert res.stdout == run_cli(argv, stdin=stdin).stdout
+    assert "Traceback" not in res.stderr
 
 
 def test_build_cochains_validate_pipeline():
@@ -379,6 +382,18 @@ USAGE_CASES = {
     "gysin_seed_word": (["gysin", "--c", "2:[1]", "--seed", "x"], _t2_cochains),
     "torus_seed_underscore": (["torus", "--n", "2", "--seed", "3_0"], None),
 }
+# a complex without facets printed a ValueError traceback and exited 1
+# (empty complex); a bool vertex_count was read as 1 and a vertex 1.5
+# passed, both with exit 0
+BAD_COMPLEXES = {
+    "no_vertices": {"vertex_count": 0, "facets": []},
+    "no_facets": {"vertex_count": 3, "facets": []},
+    "bool_vertex_count": {"vertex_count": True, "facets": [[0]]},
+    "float_vertex": {"vertex_count": 2, "facets": [[0, 1.5]]},
+}
+USAGE_CASES.update({f"{cmd}_complex_{name}": ([cmd], lambda k=k: json.dumps(k))
+                    for cmd in ("cochains", "cohomology")
+                    for name, k in BAD_COMPLEXES.items()})
 
 
 @pytest.mark.parametrize("case", list(USAGE_CASES))

@@ -85,7 +85,7 @@ def test_snf_random_properties(ring):
         if ring.tag == "Z":
             assert all(d > 0 for d in ds)
         else:
-            assert all(d == ring.one() for d in ds)
+            assert all(d == 1 for d in ds)
 
 
 def test_snf_deterministic():
@@ -429,10 +429,10 @@ def test_solve_kernel_classify_leave_transforms_unbuilt(ring, monkeypatch):
     made.clear()
     Subquotient.from_gens_rels(ring, M, M.take_columns([0])).classify(B)
     assert made and built(made) == set()
-    # a refusal builds U, for the certificate row, and nothing else
+    # a refusal replays the one certificate row of U, and builds nothing
     made.clear()
     assert Solver(M).solve(as_vector(ring, [0, 0, 0, 0, 0, 1])) is None
-    assert built(made) == {"U"}
+    assert made and built(made) == set()
     # the sections read rows of Vinv of each SNF(d^n), never the whole of it
     made.clear()
     build_sections(cochain_algebra(build_torus(2), ring), seed=1)
@@ -514,7 +514,7 @@ def test_unsolvable_changes_hermite_span():
         M = random_matrix(ZZ, rows, cols, rng, -3, 3)
         b = as_vector(ZZ, [rng.randint(-4, 4) for _ in range(rows)])
         h_before = column_hermite(M)
-        h_after = column_hermite(M.hstack(ExactMatrix.from_columns(ZZ, [b])))
+        h_after = column_hermite(M.hstack(oracles.from_columns(ZZ, [b], rows)))
         solvable = solve(M, b) is not None
         assert solvable == (h_before == h_after)
 
@@ -573,7 +573,7 @@ def test_kernel_members_and_image_span(ring):
 def test_subquotient_classify_coset_arithmetic():
     # Z^2 / <(2,0)> = Z/2 + Z
     gens = ExactMatrix.identity(ZZ, 2)
-    rels = ExactMatrix.from_columns(ZZ, [as_vector(ZZ, [2, 0])])
+    rels = oracles.from_columns(ZZ, [as_vector(ZZ, [2, 0])], 2)
     sq = Subquotient.from_gens_rels(ZZ, gens, rels)
     assert sorted(sq.orders, key=lambda d: (d == 0, d)) == [2, 0]
     v = as_vector(ZZ, [3, 4])
@@ -637,14 +637,11 @@ def test_vector_helpers():
 
 def test_integral_rationals_are_ints():
     assert type(QQ.normalize(Fraction(4, 2))) is int
-    half = QQ.exact_div(1, 2)
+    half = QQ.quo(1, 2)
     assert half == Fraction(1, 2) and type(half) is Fraction
     assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
     assert type(QQ.inv(Fraction(1, 2))) is int
     assert type(QQ.quo(4, 2)) is int
-    for ring in RINGS:
-        assert (ring.zero(), ring.one()) == (0, 1)
-        assert type(ring.zero()) is int and type(ring.one()) is int
 
 
 def test_ring_names_are_strict():
@@ -737,7 +734,7 @@ def test_rank_and_solutions_match_sympy_over_q():
             else:
                 assert _no_floats(x) and sM * _sympy_matrix(sympy, x) == sb
         # the same right-hand sides as the columns of one matrix
-        B = ExactMatrix.from_columns(QQ, [rhs[0], rhs[1], rhs[0]])
+        B = oracles.from_columns(QQ, [rhs[0], rhs[1], rhs[0]], rows)
         X, cert = solver.solve_with_certificate(B)
         sB = _sympy_matrix(sympy, B.data)
         if X is None:

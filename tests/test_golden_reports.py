@@ -3,31 +3,21 @@
 The expected stdout and exit code of every case live in
 `golden_reports.json`; refactors of the library must leave them
 unchanged.  Large outputs are pinned by their sha256 instead of their
-text.
+text.  The cases run in process through cli.main (see clirun.py).
 """
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from clirun import run_in_process
+
 GOLDEN = Path(__file__).resolve().parent / "golden_reports.json"
-# relative to ROOT, the working directory of every run: reports name their input
+# relative to the repo root, the working directory of every run: reports
+# name their input
 FIXTURE = "src/hochgysin/fixtures/massey_fixture.dga.json"
-
-
-def _run(args, stdin=None):
-    env = {k: v for k, v in os.environ.items() if k != "HOCHGYSIN_SEED"}
-    env["PYTHONPATH"] = str(ROOT / "src")
-    proc = subprocess.run([sys.executable, "-m", "hochgysin.cli", *args],
-                          input=stdin, capture_output=True, text=True, env=env,
-                          cwd=ROOT)
-    return proc
 
 
 def _broken(text, edit):
@@ -97,9 +87,9 @@ def actual():
     """{case: (exit code, stdout)}, run in CASES order."""
     outputs, results = {}, {}
     for name, (argv, source, _) in CASES.items():
-        proc = _run(argv, _stdin_of(source, outputs))
-        outputs[name] = proc.stdout
-        results[name] = (proc.returncode, proc.stdout)
+        res = run_in_process(argv, _stdin_of(source, outputs))
+        outputs[name] = res.stdout
+        results[name] = (res.returncode, res.stdout)
     return results
 
 
@@ -109,4 +99,3 @@ def test_report_unchanged(actual, name):
     code, stdout = actual[name]
     assert code == expected["exit"]
     assert _pinned(name, stdout) == {k: v for k, v in expected.items() if k != "exit"}
-

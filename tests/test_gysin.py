@@ -221,7 +221,7 @@ def test_beta_from_coboundary_has_trivial_shape(torus2):
             bx = cochain_value(acochain, (2, m), [as_vector(ZZ, [1]), x])
             for jy in range(hq):
                 y = zero_vector(ZZ, hq)
-                y[jy] = ZZ.one()
+                y[jy] = 1
                 xy = h.multiply(m, q, x, y)
                 bxy = cochain_value(acochain, (2, m + q), [as_vector(ZZ, [1]), xy])
                 expected = bxy - h.multiply(m + 1, q, bx, y)

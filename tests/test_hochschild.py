@@ -173,7 +173,7 @@ def column_by_column(M, arity, internal_degree, positive_only):
         off, rows, cols = src.offsets[tup]
         for k in range(rows * cols):
             m = ExactMatrix.zeros(h.ring, rows, cols)
-            m.data[k // cols, k % cols] = h.ring.one()
+            m.data[k // cols, k % cols] = 1
             a = zero_cochain(h, arity, internal_degree)
             a.set_block(tup, m)
             mat.data[:, off + k] = dst.pack(coboundary(a, M))
