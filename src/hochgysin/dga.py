@@ -18,7 +18,7 @@ module over itself, plus its shapes, d(1) = 0 and the left unit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +71,6 @@ class DgAlgebra:
     diff: dict                       # n -> ExactMatrix C^n -> C^{n+1}
     product: dict                    # (p, q) -> tuple of (i, j, k, coeff)
     unit: np.ndarray                 # coordinates of 1 in C^0
-    labels: dict = field(default_factory=dict, compare=False)  # n -> basis names
 
     def rank(self, n: int) -> int:
         return self.ranks[n] if 0 <= n <= self.top_degree else 0
@@ -148,8 +147,7 @@ def _bilinear_block(entries, size: int, left: ExactMatrix,
     pairs of left and right, pair (a, b) in column a * right.cols + b."""
     ring = left.ring
     a, b = left.cols, right.cols
-    out = np.empty((size, a * b), dtype=object)
-    out[:] = 0
+    out = np.zeros((size, a * b), dtype=object)
     for i, j, k, c in entries:
         out[k] += c * np.outer(left.data[i], right.data[j]).reshape(a * b)
     return ExactMatrix(ring, ring.reduce_array(out))
@@ -299,9 +297,11 @@ def _module_defects(m: DgModule) -> dict:
 
 
 def _check_shapes(a: DgAlgebra, checks):
-    ok, witness = True, None
     if len(a.ranks) != a.top_degree + 1 or any(r < 0 for r in a.ranks):
-        ok, witness = False, "ranks list does not match top_degree"
+        # the shapes below are read off the ranks: stop at the first failure
+        checks.append(Check("shapes", False, "ranks list does not match top_degree"))
+        return
+    ok, witness = True, None
     for n in range(a.top_degree + 1):
         d = a.d(n)
         if d.rows != a.rank(n + 1) or d.cols != a.rank(n):
@@ -413,8 +413,7 @@ def cochain_algebra(k: SimplicialComplex, ring: Ring) -> DgAlgebra:
     product = {pq: tuple(ent) for pq, ent in product.items()}
 
     unit = as_vector(ring, [1] * ranks[0])
-    labels = {n: [list(s) for s in level] for n, level in enumerate(simplices)}
-    return DgAlgebra(ring, top, ranks, diff, product, unit, labels)
+    return DgAlgebra(ring, top, ranks, diff, product, unit)
 
 
 # ---------------------------------------------------------------------------

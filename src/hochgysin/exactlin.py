@@ -12,18 +12,19 @@ anywhere: scalars are Python ints (reduced mod p over F_p), over Q a
 integer arithmetic; the only division is ``Fraction(b) / a`` in Ring.
 
 Matrices are stored densely as 2-D numpy arrays of dtype=object.  The
-long-running kernels walk only nonzeros: the Smith normal form and replay
-hold their working rows as {col: value} (the SNF also its columns as
-{row: value}); a sparse left factor's product works row by row.
+long-running kernels walk only nonzeros.  There is one elimination
+kernel, _Lines: axpy, swap and scale on lines {index: value} with the
+transposed index kept in step, the Euclidean step of one line against
+another at an index, and the clear of the lines past t at an index.  The
+Smith normal form runs it on the rows and on the columns of one sparse
+copy of A (a column operation on A is a row operation on A.T), the
+column Hermite form on the columns only.  Replay holds its operand's
+rows as {col: value}; a sparse left factor's product works row by row.
 
-Pivot rule (fixed for reproducibility): among the nonzero candidates,
-pick the smallest ``ring.pivot_size``; ties broken by lowest (row, col).
-Over Z pivot_size is abs(); over fields every nonzero entry has size 1,
-so the rule degenerates to first-nonzero in scan order; rows already
-found zero on the trailing block are not scanned again.  The Smith
-normal form clears rows and columns with one Euclidean line reduction:
-a column operation on A is a row operation on A.T, so the column pass
-runs on the columns, with the rows as their index.  The reduction
+Pivot rule (fixed for reproducibility): among the nonzero candidates on
+the trailing block, over Z the smallest abs(), ties broken by lowest
+(row, col); over fields the first nonzero in scan order.  Rows already
+found zero on the trailing block are not scanned again.  The reduction
 updates only A and records each line operation; U, V and their
 inverses are never maintained.  A caller that needs T @ Y, X @ T or
 some rows or columns of a transform T gets them by replaying the
@@ -158,11 +159,6 @@ class Ring:
             return self.normalize(Fraction(b) / a)
         return (b * self.inv(a)) % self.p
 
-    def pivot_size(self, x) -> int:
-        if self.tag == "Z":
-            return abs(x)
-        return 1
-
     def canonical_unit(self, x):
         """Unit u with u*x 'positive' for x != 0: over Z the sign, over
         fields 1/x."""
@@ -238,13 +234,11 @@ def as_vector(ring: Ring, entries) -> np.ndarray:
 
 
 def zero_vector(ring: Ring, n: int) -> np.ndarray:
-    v = np.empty(n, dtype=object)
-    v[:] = 0
-    return v
+    return np.zeros(n, dtype=object)
 
 
 def vec_is_zero(v: np.ndarray) -> bool:
-    return all(x == 0 for x in v)
+    return not np.count_nonzero(v)
 
 
 class ExactMatrix:
@@ -266,16 +260,11 @@ class ExactMatrix:
 
     @staticmethod
     def zeros(ring: Ring, rows: int, cols: int) -> "ExactMatrix":
-        m = np.empty((rows, cols), dtype=object)
-        m[:] = 0
-        return ExactMatrix(ring, m)
+        return ExactMatrix(ring, np.zeros((rows, cols), dtype=object))
 
     @staticmethod
     def identity(ring: Ring, n: int) -> "ExactMatrix":
-        m = ExactMatrix.zeros(ring, n, n)
-        for i in range(n):
-            m.data[i, i] = 1
-        return m
+        return ExactMatrix(ring, np.identity(n, dtype=object))
 
     # -- shape
 
@@ -286,9 +275,6 @@ class ExactMatrix:
     @property
     def cols(self) -> int:
         return self.data.shape[1]
-
-    def copy(self) -> "ExactMatrix":
-        return ExactMatrix(self.ring, self.data.copy())
 
     # -- arithmetic
 
@@ -337,6 +323,11 @@ class ExactMatrix:
             raise DimensionMismatchError("hstack row mismatch")
         return ExactMatrix(self.ring, np.hstack([self.data, other.data]))
 
+    def vstack(self, other: "ExactMatrix") -> "ExactMatrix":
+        if self.cols != other.cols:
+            raise DimensionMismatchError("vstack column mismatch")
+        return ExactMatrix(self.ring, np.vstack([self.data, other.data]))
+
     def column(self, j: int) -> np.ndarray:
         return self.data[:, j].copy()
 
@@ -349,12 +340,12 @@ class ExactMatrix:
     # -- predicates
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.data.flat)
+        return not np.count_nonzero(self.data)
 
     def __eq__(self, other):
         return (isinstance(other, ExactMatrix) and self.ring == other.ring
                 and self.data.shape == other.data.shape
-                and all(a == b for a, b in zip(self.data.flat, other.data.flat)))
+                and not np.count_nonzero(self.data != other.data))
 
     def __repr__(self):
         return f"ExactMatrix({self.ring.name}, {self.rows}x{self.cols})"
@@ -521,55 +512,95 @@ class SNFResult:
         return self.take_columns("Vinv", range(self.D.cols))
 
 
-def smith_normal_form(M: ExactMatrix) -> SNFResult:
-    """Diagonalize M by invertible row/column operations, recording them."""
-    ring = M.ring
-    p = ring.p if ring.tag == "Fp" else None
-    rows, cols = M.data.shape
-    # A as its rows {col: value} and its columns {row: value}, nonzeros only
-    R, C = [{} for _ in range(rows)], [{} for _ in range(cols)]
-    r, c = M.data.nonzero()
-    for i, j, x in zip(r.tolist(), c.tolist(), M.data[r, c]):
-        R[i][j] = C[j][i] = x
-    ops = []
-    # dead[i]: row i is zero on the trailing block, and stays zero (row
-    # operations combine live rows, column operations trailing columns);
-    # the flag moves with its row, and dead[rows], always False, ends scans
-    dead = [False] * (rows + 1)
-    # a side: the lines that its operations act on, and their index
-    lines = {"row": (R, C), "col": (C, R)}
+class _Lines:
+    """One side of a matrix held over its nonzeros: the lines {k: value} and
+    their transposed index, index[k][i] == lines[i][k], kept in step.  Each
+    line operation appends (side, kind, dst, src, q) to ops, as SNFResult
+    reads them."""
 
-    def axpy(side, dst, src, q):
-        mine, other = lines[side]
-        line = mine[dst]
-        for k, x in mine[src].items():
+    def __init__(self, ring: Ring, lines: list, index: list, side: str, ops: list):
+        self.ring, self.p = ring, ring.p if ring.tag == "Fp" else None
+        self.lines, self.index, self.side, self.ops = lines, index, side, ops
+
+    def axpy(self, dst: int, src: int, q):
+        """line dst -= q * line src."""
+        index, p = self.index, self.p
+        line = self.lines[dst]
+        for k, x in self.lines[src].items():
             v = line.get(k, 0) - q * x
             if p is not None:
                 v %= p
             if v:
-                line[k] = other[k][dst] = v
+                line[k] = index[k][dst] = v
             else:
                 line.pop(k, None)
-                other[k].pop(dst, None)
-        ops.append((side, "axpy", dst, src, q))
+                index[k].pop(dst, None)
+        self.ops.append((self.side, "axpy", dst, src, q))
 
-    def swap(side, i, j):
+    def swap(self, i: int, j: int):
         if i != j:
-            mine, other = lines[side]
+            lines, index = self.lines, self.index
             for a in (i, j):
-                for k in mine[a]:
-                    del other[k][a]
-            mine[i], mine[j] = mine[j], mine[i]
+                for k in lines[a]:
+                    del index[k][a]
+            lines[i], lines[j] = lines[j], lines[i]
             for a in (i, j):
-                for k, x in mine[a].items():
-                    other[k][a] = x
-            if side == "row":
-                dead[i], dead[j] = dead[j], dead[i]
-            ops.append((side, "swap", i, j, None))
+                for k, x in lines[a].items():
+                    index[k][a] = x
+            self.ops.append((self.side, "swap", i, j, None))
+
+    def scale(self, i: int, u):
+        """line i *= u, a unit."""
+        line = self.lines[i]
+        for k, x in line.items():
+            line[k] = self.index[k][i] = self.ring.normalize(u * x)
+        self.ops.append((self.side, "scale", i, i, u))
+
+    def reduce(self, i: int, t: int, k: int) -> bool:
+        """line i -= q * line t, q the Euclidean quotient of their entries
+        at index k; True when a remainder is left there."""
+        q = self.ring.quo(self.lines[i][k], self.lines[t][k])
+        if q:
+            self.axpy(i, t, q)
+        return k in self.lines[i]
+
+    def clear(self, t: int, k: int) -> bool:
+        """Reduce index k of the lines past t against line t, swapping each
+        remainder into line t as it appears; True when one was, which
+        restarts the reduction."""
+        moved = False
+        for i in sorted(j for j in self.index[k] if j > t):
+            if self.reduce(i, t, k):
+                self.swap(t, i)
+                moved = True
+        return moved
+
+
+def _sparse(M: ExactMatrix):
+    """(rows, columns) of M: rows {col: value}, columns {row: value}, nonzeros only."""
+    R, C = [{} for _ in range(M.rows)], [{} for _ in range(M.cols)]
+    r, c = M.data.nonzero()
+    for i, j, x in zip(r.tolist(), c.tolist(), M.data[r, c]):
+        R[i][j] = C[j][i] = x
+    return R, C
+
+
+def smith_normal_form(M: ExactMatrix) -> SNFResult:
+    """Diagonalize M by invertible row/column operations, recording them."""
+    ring = M.ring
+    rows, cols = M.data.shape
+    R, C = _sparse(M)
+    ops = []
+    row_side, col_side = _Lines(ring, R, C, "row", ops), _Lines(ring, C, R, "col", ops)
+    # dead[i]: row i is zero on the trailing block, and stays zero (row
+    # operations combine live rows, column operations trailing columns);
+    # the flag moves with its row, and dead[rows], always False, ends scans
+    dead = [False] * (rows + 1)
 
     def find_pivot(t):
-        # the smallest pivot_size on the trailing block, ties by lowest
-        # (row, col); a live row i >= t holds only columns >= t
+        # the smallest pivot on the trailing block (by abs over Z; over a
+        # field the first), ties by lowest (row, col); a live row i >= t
+        # holds only columns >= t
         best = None
         i = dead.index(False, t)
         while i < rows:
@@ -587,20 +618,6 @@ def smith_normal_form(M: ExactMatrix) -> SNFResult:
             i = dead.index(False, i + 1)
         return None if best is None else best[1:]
 
-    def clear(side, t):
-        # clear line t's pivot column below t; True when a Euclid remainder
-        # was swapped into the pivot line, which restarts the reduction
-        mine, other = lines[side]
-        moved = False
-        for i in sorted(k for k in other[t] if k > t):
-            q = ring.quo(mine[i][t], mine[t][t])
-            if q:
-                axpy(side, i, t, q)
-            if t in mine[i]:
-                swap(side, t, i)
-                moved = True
-        return moved
-
     def fold(t):
         # the pivot must divide the trailing block: fold the first row it
         # does not divide into row t, which restarts the reduction
@@ -610,20 +627,22 @@ def smith_normal_form(M: ExactMatrix) -> SNFResult:
         bad = next((i for i in range(t + 1, rows)
                     if any(x % piv for x in R[i].values())), None)
         if bad is not None:
-            axpy("row", t, bad, -1)
+            row_side.axpy(t, bad, -1)
         return bad is not None
 
     t = 0
     while (piv := find_pivot(t)) is not None:
-        swap("row", t, piv[0])
-        swap("col", t, piv[1])
-        while clear("row", t) or clear("col", t) or fold(t):
+        # only this swap can move a dead row: the rows that clear swaps
+        # both hold an entry in column t
+        row_side.swap(t, piv[0])
+        dead[t], dead[piv[0]] = dead[piv[0]], dead[t]
+        col_side.swap(t, piv[1])
+        while row_side.clear(t, t) or col_side.clear(t, t) or fold(t):
             pass
         # row and column t now hold only the pivot
         u = ring.canonical_unit(R[t][t])
         if u != 1:
-            R[t][t] = C[t][t] = ring.normalize(u * R[t][t])
-            ops.append(("row", "scale", t, t, u))
+            row_side.scale(t, u)
         t += 1
 
     divisors = [R[i][i] for i in range(t)]
@@ -643,43 +662,39 @@ def column_hermite(M: ExactMatrix) -> ExactMatrix:
     [0, pivot); over a field: pivots 1, other entries in pivot rows 0.
     Zero columns are dropped.  Two matrices have equal column span iff
     their forms are equal, which is the independent oracle behind solve().
+    The form is unique, so it does not depend on the order of the
+    reduction, which runs on the SNF's line kernel, on the columns.
     """
     ring = M.ring
-    A = M.data.copy()
-    rows, cols = A.shape
-    pivot_col = 0
-    for r in range(rows):
-        if pivot_col >= cols:
+    R, C = _sparse(M)
+    cols = _Lines(ring, C, R, "col", [])
+    t = 0
+    for r in range(M.rows):
+        if t >= M.cols:
             break
-        # euclidean elimination across columns pivot_col.. in row r
-        while True:
-            nz = [j for j in range(pivot_col, cols) if A[r, j] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda j: (ring.pivot_size(A[r, j]), j))
-            p = nz[0]
-            for j in nz[1:]:
-                q = ring.quo(A[r, j], A[r, p])
-                if q:
-                    A[:, j] = ring.reduce_array(A[:, j] - q * A[:, p])
-        nz = [j for j in range(pivot_col, cols) if A[r, j] != 0]
-        if not nz:
+        live = [j for j in R[r] if j >= t]
+        if not live:
             continue
-        j = nz[0]
-        if j != pivot_col:
-            A[:, [pivot_col, j]] = A[:, [j, pivot_col]]
-        u = ring.canonical_unit(A[r, pivot_col])
+        # Euclid in rounds against the smallest entry (over a field the
+        # first): clear's swap of each remainder into the pivot as it comes
+        # compounds the growth in the other rows, as the pinned SNF must
+        while live:
+            cols.swap(t, min(live, key=lambda j: (abs(C[j][r]), j))
+                      if ring.tag == "Z" else min(live))
+            live = [i for i in sorted(j for j in R[r] if j > t) if cols.reduce(i, t, r)]
+        u = ring.canonical_unit(C[t][r])
         if u != 1:
-            A[:, pivot_col] = ring.reduce_array(u * A[:, pivot_col])
-        # reduce earlier columns against this pivot for canonicity
-        for j in range(pivot_col):
-            x = A[r, j]
-            if x != 0:
-                q = ring.quo(x, A[r, pivot_col])  # over Z leaves x in [0, pivot)
-                if q:
-                    A[:, j] = ring.reduce_array(A[:, j] - q * A[:, pivot_col])
-        pivot_col += 1
-    return ExactMatrix(ring, A[:, :pivot_col].copy())
+            cols.scale(t, u)
+        # reduce earlier columns against this pivot for canonicity; over Z
+        # this leaves their entries in [0, pivot)
+        for j in sorted(j for j in R[r] if j < t):
+            cols.reduce(j, t, r)
+        t += 1
+    # Fraction arithmetic can leave an integral Fraction; return it as an int
+    out = ExactMatrix.zeros(ring, M.rows, t)
+    for j in range(t):
+        out.data[list(C[j]), j] = [ring.normalize(x) for x in C[j].values()]
+    return out
 
 
 @dataclass
@@ -744,8 +759,8 @@ class Solver:
             divisor = s.divisors[i] if i < s.rank else 0
             row = s.take_rows("U", [i]).data[0]
             return None, NoSolutionCertificate(row, divisor, C.data[i, j])
-        X = ExactMatrix.zeros(self.ring, self.M.cols, Y.cols)
-        X.data[:s.rank] = Y.data          # V[:, :rank] @ Y is V @ (Y over zero rows)
+        # V[:, :rank] @ Y is V @ (Y over zero rows)
+        X = Y.vstack(ExactMatrix.zeros(self.ring, self.M.cols - s.rank, Y.cols))
         return shaped_like(B, s.lmul("V", X)), None
 
     def solve(self, B):

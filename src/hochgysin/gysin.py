@@ -58,32 +58,20 @@ def mapping_cone(a: DgAlgebra, c_degree: int, c_coords,
                  co: CohomologySections) -> ConeComplex:
     """Build cone(l_{s(c)}); validates D^2 = 0 and the dg-module axioms."""
     ring = a.ring
-    c_coords = as_vector(ring, list(c_coords))
-    z = co.s_matrix(c_degree).matvec(c_coords)
+    z = co.s_matrix(c_degree) @ as_columns(ring, as_vector(ring, list(c_coords)))
     lo = min(0, c_degree - 1)
     hi = a.top_degree + max(0, c_degree - 1)
     degrees = list(range(lo, hi + 1))
     ranks = {n: a.rank(n) + a.rank(n - c_degree + 1) for n in degrees}
     sign = ring.normalize(1 if (c_degree - 1) % 2 == 0 else -1)
 
+    # D(x, y) = (d x + z y, (-1)^{|c|-1} d y) for y in C^m, m = n - |c| + 1
     diff = {}
     for n in degrees:
-        rows = ranks.get(n + 1, a.rank(n + 1) + a.rank(n - c_degree + 2))
-        m = ExactMatrix.zeros(ring, rows, ranks[n])
-        bn, bn1 = a.rank(n), a.rank(n + 1)
-        sn = a.rank(n - c_degree + 1)
-        # d on the first summand
-        if bn and bn1:
-            m.data[:bn1, :bn] = a.d(n).data
-        # left multiplication by z into the first summand
-        for i, j, k, cc in a.entries(c_degree, n - c_degree + 1):
-            if z[i] != 0:
-                m.data[k, bn + j] = ring.normalize(m.data[k, bn + j] + cc * z[i])
-        # (-1)^{|c|-1} d on the shifted summand
-        ds = a.d(n - c_degree + 1)
-        if sn and ds.rows:
-            m.data[bn1:, bn:] = (sign * ds.data)
-        diff[n] = ExactMatrix(ring, ring.reduce_array(m.data))
+        m = n - c_degree + 1
+        zy = a.bilinear_block(c_degree, m, z, ExactMatrix.identity(ring, a.rank(m)))
+        zeros = ExactMatrix.zeros(ring, a.rank(m + 1), a.rank(n))
+        diff[n] = a.d(n).hstack(zy).vstack(zeros.hstack(a.d(m).scale(sign)))
 
     action = {}
     for q in range(a.top_degree + 1):
@@ -203,9 +191,8 @@ def gysin_extension(a: DgAlgebra, c_degree: int, c_coords,
     ann = _annihilator_bases(co, c_degree, c_col)
 
     # sigma(x) = class of (-q(c, x), s(x)) at cone degree m + |c| - 1
-    sigma_chain = {m: ExactMatrix(ring, np.vstack([
-        (-(co.qpair_block(c_degree, m) @ kron(c_col, basis))).data,
-        (co.s_matrix(m) @ basis).data])) for m, basis in ann.items()}
+    sigma_chain = {m: (-(co.qpair_block(c_degree, m) @ kron(c_col, basis))).vstack(
+        co.s_matrix(m) @ basis) for m, basis in ann.items()}
 
     ext = GysinExtension(a, co, c_degree, c_coords, cone, cone_h, kernel, ann,
                          sigma_chain)
@@ -216,9 +203,8 @@ def gysin_extension(a: DgAlgebra, c_degree: int, c_coords,
 def _s_in_cone(ext: GysinExtension, n: int, H: ExactMatrix) -> ExactMatrix:
     """The chains (s(h), 0) in cone^n, one per column h of H (in H^n)."""
     co = ext.sections
-    out = ExactMatrix.zeros(co.ring, ext.cone.rank(n), H.cols)
-    out.data[:co.algebra.rank(n)] = (co.s_matrix(n) @ H).data
-    return out
+    second = ext.cone.rank(n) - co.algebra.rank(n)
+    return (co.s_matrix(n) @ H).vstack(ExactMatrix.zeros(co.ring, second, H.cols))
 
 
 def _cone_class_preimage(ext: GysinExtension, n: int, W: ExactMatrix) -> ExactMatrix:

@@ -58,10 +58,10 @@ def massey_triple(co: CohomologySections, px: int, x, py: int, y,
                   pz: int, z) -> MasseyResult:
     """<x, y, z> for a Massey triple (xy = yz = 0), with its indeterminacy."""
     h = co.h()
-    xy = h.multiply(px, py, x, y)
+    xy = h.left_mult(px, as_columns(h.ring, x), py).matvec(y)
     if not vec_is_zero(xy):
         raise NotAMasseyTripleError("x*y", xy)
-    yz = h.multiply(py, pz, y, z)
+    yz = h.left_mult(py, as_columns(h.ring, y), pz).matvec(z)
     if not vec_is_zero(yz):
         raise NotAMasseyTripleError("y*z", yz)
     n = px + py + pz - 1

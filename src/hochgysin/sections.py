@@ -1,12 +1,14 @@
 """Cohomology of a dg-algebra with a chosen splitting package.
 
-From the Smith normal forms of the differentials we extract, per degree:
-a basis of cocycles, a basis of coboundaries, a basis of cohomology with
-chosen cocycle representatives s, a section q of d onto its image, and
-the class projection pi.  pi, q_of and image_coords take a matrix of
-columns (a vector is its one-column case) and re-verify what they
-return.  The decomposition requires H to be projective over the
-coefficient ring: over Z, torsion in any degree is a hard error.
+From the Smith normal forms of the differentials, which the package
+keeps, we extract per degree: a basis of cocycles, a basis of
+coboundaries, a basis of cohomology with chosen cocycle representatives
+s, a section q of d onto its image, and the class projection pi.  pi,
+q_of and image_coords take a matrix of columns (a vector is its
+one-column case) and re-verify what they return; image_coords
+back-substitutes through the SNF of d^{n-1}, as Solver does.  The
+decomposition requires H to be projective over the coefficient ring:
+over Z, torsion in any degree is a hard error.
 
 The canonical (seedless) package is fully determined by the fixed pivot
 rule.  A seed perturbs s by coboundaries and q by cocycle-valued
@@ -26,13 +28,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dga import DgAlgebra, dga_from_json, dga_to_json
 from .exactlin import (
     DimensionMismatchError, ExactMatrix, Ring, Subquotient, as_columns, complex_cohomology,
     divide_rows, int_from_json, kron, shaped_like, smith_normal_form, vec_is_zero,
-    zero_vector,
 )
 
 
@@ -86,11 +85,6 @@ class HRing:
         return ExactMatrix.zeros(self.ring, self.rank(p + q),
                                  self.rank(p) * self.rank(q))
 
-    def multiply(self, p: int, q: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if self.rank(p + q) == 0 or self.rank(p) == 0 or self.rank(q) == 0:
-            return zero_vector(self.ring, self.rank(p + q))
-        return self.mult_block(p, q).matvec(np.outer(x, y).reshape(len(x) * len(y)))
-
     def left_mult(self, p: int, X: ExactMatrix, q: int) -> ExactMatrix:
         """Products of the classes X (columns, in H^p) with the basis of H^q:
         column jx * h_q + jy is X_jx e_jy."""
@@ -114,8 +108,7 @@ class CohomologySections:
         self.q: dict = {}              # n -> C^{n-1} x b_n  (image-basis coords)
         self.image_basis: dict = {}    # n -> C^n x b_n      (basis of B^n)
         self.kernel_basis: dict = {}   # n -> C^n x z_n
-        self._im_rows: dict = {}       # n -> b_n x C^n rows of U with divisors
-        self._im_div: dict = {}
+        self._d_snf: dict = {}         # n -> SNF of d^n : C^n -> C^{n+1}
         self._pi_mat: dict = {}        # n -> h_n x C^n (valid on cocycles)
         self._h: HRing | None = None
         self._qpair_cache: dict = {}
@@ -165,7 +158,9 @@ class CohomologySections:
         """Coordinates on image_basis[n] of the columns of W (or of one
         vector); ProductNotACoboundaryError unless each is a coboundary."""
         Wm = as_columns(self.ring, W)
-        Y, bad = divide_rows(self._im_rows[n] @ Wm, self._im_div[n])
+        prev = self._d_snf.get(n - 1)     # B^0 = 0: no rows divide
+        Y, bad = (divide_rows(Wm, []) if prev is None
+                  else divide_rows(prev.lmul("U", Wm), prev.divisors))
         if bad.any() or self.image_basis[n] @ Y != Wm:
             raise ProductNotACoboundaryError(f"vector in degree {n} is not a coboundary")
         return shaped_like(W, Y)
@@ -225,15 +220,10 @@ def build_sections(a: DgAlgebra, seed=None) -> CohomologySections:
     for n, g in complex_cohomology(ring, range(a.top_degree + 1), a.d).items():
         co.kernel_basis[n] = g.kernel
         co.image_basis[n] = g.image
+        co._d_snf[n] = g.snf
         prev = g.prev
-        if prev is not None:
-            co.q[n] = prev.take_columns("V", range(prev.rank))
-            co._im_rows[n] = prev.take_rows("U", range(prev.rank))
-            co._im_div[n] = list(prev.divisors)
-        else:
-            co.q[0] = ExactMatrix.zeros(ring, 0, 0)
-            co._im_rows[0] = ExactMatrix.zeros(ring, 0, a.rank(0))
-            co._im_div[0] = []
+        co.q[n] = (ExactMatrix.zeros(ring, 0, 0) if prev is None
+                   else prev.take_columns("V", range(prev.rank)))
         # coboundaries in kernel coordinates
         z = co.z_rank(n)
         r = g.snf.rank

@@ -7,8 +7,8 @@ the secondary multiplication into Hom(S^3 V, Lambda^2 V), and solving
 for an integral trivialization of the full cocycle on the simplicial
 torus.
 
-Symmetrization sums over S_3 without signs by default; a signed variant
-is available behind a flag.  Neither is asserted to be canonical: the
+Symmetrization sums over S_3 without signs; the probe's matrix form has
+a signed variant behind a flag.  Neither is asserted to be canonical: the
 monomorphism probe reports what each variant does, including whether it
 descends to cohomology classes at all.
 """
@@ -68,9 +68,7 @@ def exterior_algebra(n: int, ring: Ring = ZZ) -> DgAlgebra:
                                         ring.normalize(sign)))
             if entries:
                 product[(p, q)] = tuple(entries)
-    unit = as_vector(ring, [1])
-    labels = {k: [list(s) for s in _subsets(n, k)] for k in range(n + 1)}
-    return DgAlgebra(ring, n, ranks, {}, product, unit, labels)
+    return DgAlgebra(ring, n, ranks, {}, product, as_vector(ring, [1]))
 
 
 # ---------------------------------------------------------------------------
@@ -81,12 +79,11 @@ def sym3_monomials(n: int) -> list[tuple]:
     return list(combinations_with_replacement(range(n), 3))
 
 
-def symmetrize(theta_cochain: HochschildCochain, signed: bool = False) -> ExactMatrix:
+def symmetrize(theta_cochain: HochschildCochain) -> ExactMatrix:
     """The induced map S^3 V -> Lambda^2 V from the (1,1,1) block.
 
     Column (i <= j <= k): sum over all S_3 orderings of (v_i, v_j, v_k)
-    of the block values (with permutation signs when signed=True);
-    rows are coordinates on H^2.
+    of the block values, without signs; rows are coordinates on H^2.
     """
     n = theta_cochain.rank(1)
     ring = theta_cochain.ring
@@ -96,19 +93,9 @@ def symmetrize(theta_cochain: HochschildCochain, signed: bool = False) -> ExactM
     out = ExactMatrix.zeros(ring, h2, len(monos))
     for col, (i, j, k) in enumerate(monos):
         acc = zero_vector(ring, h2)
-        for perm, sgn in _perms_with_signs():
-            a, b, c = (i, j, k)[perm[0]], (i, j, k)[perm[1]], (i, j, k)[perm[2]]
-            v = block.column((a * n + b) * n + c)
-            acc = acc + (ring.normalize(sgn) * v if signed else v)
+        for a, b, c in permutations((i, j, k)):
+            acc = acc + block.column((a * n + b) * n + c)
         out.data[:, col] = ring.reduce_array(acc)
-    return out
-
-
-def _perms_with_signs():
-    out = []
-    for perm in permutations(range(3)):
-        inv = sum(1 for a in range(3) for b in range(a + 1, 3) if perm[a] > perm[b])
-        out.append((perm, (-1) ** inv))
     return out
 
 
@@ -121,11 +108,13 @@ def symmetrize_matrix(h: HRing, layout: CochainLayout, signed: bool = False) -> 
     if (1, 1, 1) not in layout.offsets:
         return out
     off, brows, bcols = layout.offsets[(1, 1, 1)]
-    for col, (i, j, k) in enumerate(monos):
-        for perm, sgn in _perms_with_signs():
-            a, b, c = (i, j, k)[perm[0]], (i, j, k)[perm[1]], (i, j, k)[perm[2]]
+    for col, mono in enumerate(monos):
+        for perm in permutations(range(3)):
+            a, b, c = (mono[x] for x in perm)
             flat = (a * n + b) * n + c
-            w = h.ring.normalize(sgn) if signed else 1
+            # signed: the sign of perm, (-1) to the number of its inversions
+            inversions = sum(x > y for x, y in combinations(perm, 2))
+            w = h.ring.normalize((-1) ** inversions) if signed else 1
             for r in range(brows):
                 idx = col * brows + r
                 out.data[idx, off + r * bcols + flat] = h.ring.normalize(

@@ -86,6 +86,14 @@ def dga_multiply(a, p, q, u, v):
     return out
 
 
+def h_multiply(h, p, q, x, y):
+    """Product H^p x H^q -> H^{p+q} of two class vectors, through the
+    structure constants (the reference for HRing.left_mult)."""
+    if h.rank(p + q) == 0 or h.rank(p) == 0 or h.rank(q) == 0:
+        return zero_vector(h.ring, h.rank(p + q))
+    return h.mult_block(p, q).matvec(np.outer(x, y).reshape(len(x) * len(y)))
+
+
 def q_pair(co, p, x, q, y):
     """q(x, y) = q(s(x) s(y) - s(xy)) in C^{p+q-1} for classes x in H^p and
     y in H^q, one pair at a time (the reference for qpair_block), so that
@@ -95,7 +103,7 @@ def q_pair(co, p, x, q, y):
         return zero_vector(co.ring, a.rank(p + q - 1))
     s = co.s_matrix
     w = dga_multiply(a, p, q, s(p).matvec(x), s(q).matvec(y)) \
-        - s(p + q).matvec(co.h().multiply(p, q, x, y))
+        - s(p + q).matvec(h_multiply(co.h(), p, q, x, y))
     return co.q_of(p + q, co.ring.reduce_array(w))
 
 
@@ -112,8 +120,8 @@ def theta_value(co, px, x, py, y, pz, z):
     sign = ring.normalize((-1) ** px)
     out = out + sign * dga_multiply(a, px, py + pz - 1, co.s_matrix(px).matvec(x),
                                     q_pair(co, py, y, pz, z))
-    out = out - q_pair(co, px + py, h.multiply(px, py, x, y), pz, z)
-    out = out + q_pair(co, px, x, py + pz, h.multiply(py, pz, y, z))
+    out = out - q_pair(co, px + py, h_multiply(h, px, py, x, y), pz, z)
+    out = out + q_pair(co, px, x, py + pz, h_multiply(h, py, pz, y, z))
     out = out - dga_multiply(a, px + py - 1, pz, q_pair(co, px, x, py, y),
                              co.s_matrix(pz).matvec(z))
     return ring.reduce_array(out)
@@ -155,7 +163,7 @@ def exterior_iso(co):
             return ExactMatrix.identity(ring, h.rank(0)).column(0)
         vec, deg = basis1[subset[0]], 1
         for i in subset[1:]:
-            vec = h.multiply(deg, 1, vec, basis1[i])
+            vec = h_multiply(h, deg, 1, vec, basis1[i])
             deg += 1
         return vec
 
@@ -174,7 +182,7 @@ def exterior_iso(co):
         for q in range(h.top + 1 - p):
             for s in combinations(range(n), p):
                 for t in combinations(range(n), q):
-                    lhs = h.multiply(p, q, wedge_image(s), wedge_image(t))
+                    lhs = h_multiply(h, p, q, wedge_image(s), wedge_image(t))
                     w = _wedge(s, t)
                     if w is None:
                         rhs = zero_vector(ring, h.rank(p + q))
@@ -232,9 +240,9 @@ def dense_matmul(A, B):
 
 
 def _dense_find_pivot(ring, A, t, dead):
-    """(row, col) of the smallest pivot_size in A[t:, t:], ties by lowest
-    (row, col).  Rows flagged dead are zero on A[t:, t:] and skipped; rows
-    found zero here get flagged."""
+    """(row, col) of the smallest pivot in A[t:, t:] (by abs over Z; over a
+    field the first), ties by lowest (row, col).  Rows flagged dead are
+    zero on A[t:, t:] and skipped; rows found zero here get flagged."""
     best = None
     for i in (t + np.flatnonzero(~dead[t:])).tolist():
         nz = A[i, t:].nonzero()[0]
@@ -310,3 +318,45 @@ def dense_smith_normal_form(M):
 
     divisors = [A[i, i] for i in range(min(rows, cols)) if A[i, i] != 0]
     return SNFResult(ring, ExactMatrix(ring, A), len(divisors), divisors, ops)
+
+
+def dense_column_hermite(M):
+    """exactlin.column_hermite on whole numpy columns: Euclid across the
+    live columns of a row with the smallest entry as pivot (by abs over Z),
+    every column operation on a full column."""
+    ring = M.ring
+    A = M.data.copy()
+    rows, cols = A.shape
+    pivot_col = 0
+    for r in range(rows):
+        if pivot_col >= cols:
+            break
+        # euclidean elimination across columns pivot_col.. in row r
+        while True:
+            nz = [j for j in range(pivot_col, cols) if A[r, j] != 0]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda j: (abs(A[r, j]) if ring.tag == "Z" else 1, j))
+            p = nz[0]
+            for j in nz[1:]:
+                q = ring.quo(A[r, j], A[r, p])
+                if q:
+                    A[:, j] = ring.reduce_array(A[:, j] - q * A[:, p])
+        nz = [j for j in range(pivot_col, cols) if A[r, j] != 0]
+        if not nz:
+            continue
+        j = nz[0]
+        if j != pivot_col:
+            A[:, [pivot_col, j]] = A[:, [j, pivot_col]]
+        u = ring.canonical_unit(A[r, pivot_col])
+        if u != 1:
+            A[:, pivot_col] = ring.reduce_array(u * A[:, pivot_col])
+        # reduce earlier columns against this pivot for canonicity
+        for j in range(pivot_col):
+            x = A[r, j]
+            if x != 0:
+                q = ring.quo(x, A[r, pivot_col])  # over Z leaves x in [0, pivot)
+                if q:
+                    A[:, j] = ring.reduce_array(A[:, j] - q * A[:, pivot_col])
+        pivot_col += 1
+    return ExactMatrix(ring, A[:, :pivot_col].copy())

@@ -382,6 +382,16 @@ USAGE_CASES = {
     "gysin_seed_word": (["gysin", "--c", "2:[1]", "--seed", "x"], _t2_cochains),
     "torus_seed_underscore": (["torus", "--n", "2", "--seed", "3_0"], None),
 }
+# T^2 cochains whose ranks do not fit top_degree: the shapes check failed
+# but went on to read the differentials by those ranks, and every reader
+# printed a traceback (np.empty of a negative size, or an IndexError);
+# validate reports the failed check with exit 1, the others exit 2
+BAD_RANKS = {
+    "negative_rank": _with(_t2_cochains, "ranks", value=[9, 27, -18]),
+    "top_degree_past_the_ranks": _with(_t2_cochains, "top_degree", value=3),
+}
+USAGE_CASES.update({f"{cmd}_{name}": ([cmd], make)
+                    for cmd in ("cohomology", "theta") for name, make in BAD_RANKS.items()})
 # a complex without facets printed a ValueError traceback and exited 1
 # (empty complex); a bool vertex_count was read as 1 and a vertex 1.5
 # passed, both with exit 0
@@ -394,6 +404,13 @@ BAD_COMPLEXES = {
 USAGE_CASES.update({f"{cmd}_complex_{name}": ([cmd], lambda k=k: json.dumps(k))
                     for cmd in ("cochains", "cohomology")
                     for name, k in BAD_COMPLEXES.items()})
+
+
+@pytest.mark.parametrize("name", sorted(BAD_RANKS))
+def test_validate_reports_ranks_that_do_not_fit(name):
+    res = run_cli(["validate"], stdin=BAD_RANKS[name]())
+    assert res.returncode == 1 and "Traceback" not in res.stderr
+    assert json.loads(res.stdout)["checks"] == [{"name": "shapes", "pass": False}]
 
 
 @pytest.mark.parametrize("case", list(USAGE_CASES))

@@ -91,7 +91,7 @@ def test_snf_random_properties(ring):
 def test_snf_deterministic():
     rng = random.Random(7)
     M = random_matrix(ZZ, 5, 4, rng)
-    s1, s2 = smith_normal_form(M), smith_normal_form(M.copy())
+    s1, s2 = smith_normal_form(M), smith_normal_form(ExactMatrix(ZZ, M.data.copy()))
     assert s1.U == s2.U and s1.V == s2.V and s1.D == s2.D
 
 
@@ -380,6 +380,24 @@ def test_snf_matches_dense_oracle_on_the_monomorphism_probe(monkeypatch):
     assert (1365, 495) in [(M.rows, M.cols) for M in inputs]
     for M in inputs:
         assert_same_snf(snf(M), oracles.dense_smith_normal_form(M))
+
+
+def hermite_oracle_inputs():
+    """The SNF oracle inputs, a pin batch over F3 and the kernel bases of
+    d^0, ..., d^3 of the 3-torus over Z and over Q (Subquotient's inputs)."""
+    yield from snf_oracle_inputs()
+    rng = random.Random(1004)
+    yield from (pin_matrix(GF(3), rng, k % 3) for k in range(60))
+    for ring in (ZZ, QQ):
+        a = cochain_algebra(build_torus(3), ring)
+        yield from (kernel_basis(a.d(n)) for n in range(4))
+
+
+def test_column_hermite_matches_dense_oracle():
+    for M in hermite_oracle_inputs():
+        H = column_hermite(M)
+        assert_same_entries(H, oracles.dense_column_hermite(M))
+        assert all(type(x) is int for x in H.data.flat if x == int(x)), M
 
 
 @pytest.mark.parametrize("ring", ORACLE_RINGS)

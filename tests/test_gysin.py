@@ -18,8 +18,8 @@ from hochgysin.hochschild import (
     TwistedBimodule, admissible_tuples, coboundary, theta, trivialize, zero_cochain,
 )
 from hochgysin.sections import build_sections
-from hochgysin.simplicial import build_sphere, build_torus
-from oracles import cochain_value
+from hochgysin.simplicial import build_circle, build_sphere, build_torus, product
+from oracles import cochain_value, h_multiply
 
 FIXTURE = Path(__file__).parent.parent / "src" / "hochgysin" / "fixtures" / \
     "massey_fixture.dga.json"
@@ -175,18 +175,18 @@ def test_beta_geo_satisfies_extension_cocycle_law(torus2):
                     continue
                 x = as_vector(ZZ, [rng.randint(-2, 2) for _ in range(h.rank(qx))])
                 y = as_vector(ZZ, [rng.randint(-2, 2) for _ in range(h.rank(qy))])
-                xy = h.multiply(qx, qy, x, y)
+                xy = h_multiply(h, qx, qy, x, y)
                 lhs = beta(m, nc, qx + qy, xy)
                 # nx in Ann coordinates
                 from hochgysin.exactlin import solve
                 namb = basis.matvec(nc)
-                nx = h.multiply(m, qx, namb, x)
+                nx = h_multiply(h, m, qx, namb, x)
                 nx_ann = solve(ext.ann_basis[m + qx], nx)
                 t1 = beta(m + qx, nx_ann, qy, y)
                 bny = beta(m, nc, qx, x)
                 kq1 = ext.kernel[ext.target_degree(m, qx)]
                 amb = kq1.reduced_gens.matvec(bny)
-                ractd = h.multiply(ext.target_degree(m, qx), qy, amb, y)
+                ractd = h_multiply(h, ext.target_degree(m, qx), qy, amb, y)
                 kq2 = ext.kernel[ext.target_degree(m, qx + qy)]
                 t2 = kq2.classify(ractd)
                 rhs = kq2.classify(kq2.reduced_gens.matvec(t1 + t2))
@@ -222,9 +222,9 @@ def test_beta_from_coboundary_has_trivial_shape(torus2):
             for jy in range(hq):
                 y = zero_vector(ZZ, hq)
                 y[jy] = 1
-                xy = h.multiply(m, q, x, y)
+                xy = h_multiply(h, m, q, x, y)
                 bxy = cochain_value(acochain, (2, m + q), [as_vector(ZZ, [1]), xy])
-                expected = bxy - h.multiply(m + 1, q, bx, y)
+                expected = bxy - h_multiply(h, m + 1, q, bx, y)
                 got = kq.reduced_gens.matvec(block.column(jx * hq + jy))
                 assert list(kq.classify(expected)) == list(kq.classify(got))
 
@@ -333,6 +333,25 @@ def test_cross_oracle_trivial_theta_implies_split(torus2):
         assert sec is not None, (c_deg, c)
 
 
+@pytest.mark.parametrize("factors, seed", [
+    ((build_circle, lambda: build_sphere(2)), 3),
+    ((lambda: build_sphere(2), lambda: build_sphere(2)), None),
+], ids=["S1xS2-seed3", "S2xS2"])
+def test_formal_case_over_q_splits_for_every_class(factors, seed):
+    # the paper's first case: over Q a formal base has trivial [theta], and
+    # the extension of every class splits and matches the image of [theta]
+    a = cochain_algebra(product(*(f() for f in factors)), QQ)
+    co = build_sections(a, seed=seed)
+    th = theta(co)
+    assert trivialize(th, TwistedBimodule(co.h()))[0] is not None
+    for n in range(1, co.top + 1):
+        for i in range(co.hr(n)):
+            c = [int(j == i) for j in range(co.hr(n))]
+            ext = gysin_extension(a, n, c, co)
+            assert verify_theorem_th(a, n, c, co, th=th, ext=ext)[0], (n, c)
+            assert split_extension(ext)[0] is not None, (n, c)
+
+
 def test_action_well_defined_across_seed(torus2):
     # the H-action on cone cohomology computed through a second section
     # package agrees with the canonical one in the fixed presentation
@@ -368,7 +387,7 @@ def test_cone_module_check_catches_corrupt_action(torus2):
 def test_cone_module_check_catches_corrupt_differential(torus2):
     a, co = torus2
     module = mapping_cone(a, 2, [1], co).module
-    d = module.d(1).copy()
+    d = ExactMatrix(a.ring, module.d(1).data.copy())
     d.data[0, 0] += 1
     bad = dataclasses.replace(module, diff={**module.diff, 1: d})
     failures = _failures(validate_module(bad))

@@ -15,7 +15,7 @@ from hochgysin.hochschild import (
 from hochgysin.sections import HRing, NotACocycleError, build_sections
 from hochgysin.simplicial import build_sphere, build_torus
 from hochgysin.torus import exterior_algebra
-from oracles import cochain_value, dga_multiply, q_pair, theta_value
+from oracles import cochain_value, dga_multiply, h_multiply, q_pair, theta_value
 
 MASSEY_FIXTURE = Path(__file__).parent.parent / "src" / "hochgysin" / "fixtures" / \
     "massey_fixture.dga.json"
@@ -113,7 +113,8 @@ def test_perturbed_theta_fails_cocycle_check():
     th = theta(co)
     M = TwistedBimodule(co.h())
     assert verify_cocycle(th, M)
-    block = th.block_or_zero((1, 1, 1)).copy()
+    block = th.block_or_zero((1, 1, 1))
+    block = ExactMatrix(block.ring, block.data.copy())
     block.data[1, 0] = block.data[1, 0] + 1    # value [e23] on (h1,h1,h1)
     th.set_block((1, 1, 1), block)
     assert not verify_cocycle(th, M)
@@ -139,9 +140,9 @@ def test_sign_audit_delta_s_theta():
         lhs = lhs + ((-1) ** px) * dga_multiply(
             a, px, py + pz + pw - 1, co.s_matrix(px).matvec(x),
             theta_value(co, py, y, pz, z, pw, w))
-        lhs = lhs - theta_value(co, px + py, h.multiply(px, py, x, y), pz, z, pw, w)
-        lhs = lhs + theta_value(co, px, x, py + pz, h.multiply(py, pz, y, z), pw, w)
-        lhs = lhs - theta_value(co, px, x, py, y, pz + pw, h.multiply(pz, pw, z, w))
+        lhs = lhs - theta_value(co, px + py, h_multiply(h, px, py, x, y), pz, z, pw, w)
+        lhs = lhs + theta_value(co, px, x, py + pz, h_multiply(h, py, pz, y, z), pw, w)
+        lhs = lhs - theta_value(co, px, x, py, y, pz + pw, h_multiply(h, pz, pw, z, w))
         lhs = lhs + dga_multiply(a, px + py + pz - 1, pw,
                                  theta_value(co, px, x, py, y, pz, z),
                                  co.s_matrix(pw).matvec(w))

@@ -14,7 +14,7 @@ from hochgysin.massey import (
 )
 from hochgysin.sections import build_sections
 from hochgysin.simplicial import build_sphere, build_torus
-from oracles import cochain_value, theta_value
+from oracles import cochain_value, h_multiply, theta_value
 
 FIXTURE = Path(__file__).parent.parent / "src" / "hochgysin" / "fixtures" / \
     "massey_fixture.dga.json"
@@ -127,8 +127,8 @@ def test_massey_representative_is_the_theta_value(case):
         px, py, pz = rng.choice(low if i % 2 else tuples)
         x, y, z = (as_vector(co.ring, [rng.randint(-1, 1) for _ in range(co.hr(p))])
                    for p in (px, py, pz))
-        if not (vec_is_zero(h.multiply(px, py, x, y))
-                and vec_is_zero(h.multiply(py, pz, y, z))):
+        if not (vec_is_zero(h_multiply(h, px, py, x, y))
+                and vec_is_zero(h_multiply(h, py, pz, y, z))):
             continue
         rep = list(massey_triple(co, px, x, py, y, pz, z).representative)
         n = px + py + pz - 1

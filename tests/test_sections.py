@@ -13,7 +13,7 @@ from hochgysin.sections import (
     compute_cohomology, sections_from_json, sections_to_json,
 )
 from hochgysin.simplicial import build_circle, build_sphere, build_torus, make_complex
-from oracles import dga_multiply, homology_groups, q_pair
+from oracles import dga_multiply, h_multiply, homology_groups, q_pair
 
 MASSEY_FIXTURE = Path(__file__).parent.parent / "src" / "hochgysin" / "fixtures" / \
     "massey_fixture.dga.json"
@@ -90,7 +90,7 @@ def test_disconnected_complex_unit_rotation():
     h = co.h()
     e0 = as_vector(ZZ, [1, 0])
     e1 = as_vector(ZZ, [0, 1])
-    assert list(h.multiply(0, 0, e0, e1)) == list(e1)   # unit acts as identity
+    assert list(h_multiply(h, 0, 0, e0, e1)) == list(e1)   # unit acts as identity
 
 
 def test_pi_of_section_and_coboundary():
@@ -183,7 +183,7 @@ def test_q_pair_defining_property_on_torus():
         lhs = a.d(1).matvec(qxy)
         sx = co.s_matrix(1).matvec(x)
         sy = co.s_matrix(1).matvec(y)
-        rhs = dga_multiply(a, 1, 1, sx, sy) - co.s_matrix(2).matvec(h.multiply(1, 1, x, y))
+        rhs = dga_multiply(a, 1, 1, sx, sy) - co.s_matrix(2).matvec(h_multiply(h, 1, 1, x, y))
         assert all(u == v for u, v in zip(lhs, rhs))
 
 
@@ -204,11 +204,11 @@ def test_torus2_ring_structure():
     e1 = as_vector(ZZ, [1, 0])
     e2 = as_vector(ZZ, [0, 1])
     # degree-1 generators square to zero, their product generates H^2
-    assert vec_is_zero(h.multiply(1, 1, e1, e1))
-    assert vec_is_zero(h.multiply(1, 1, e2, e2))
-    prod = h.multiply(1, 1, e1, e2)
+    assert vec_is_zero(h_multiply(h, 1, 1, e1, e1))
+    assert vec_is_zero(h_multiply(h, 1, 1, e2, e2))
+    prod = h_multiply(h, 1, 1, e1, e2)
     assert list(prod) in ([1], [-1])
-    anti = h.multiply(1, 1, e2, e1)
+    anti = h_multiply(h, 1, 1, e2, e1)
     assert list(anti) == [-prod[0]]
 
 
@@ -229,8 +229,7 @@ def test_sections_roundtrip():
             assert co2.pi_matrix(n) == co.pi_matrix(n)
             assert co2.image_basis[n] == co.image_basis[n]
             assert co2.kernel_basis[n] == co.kernel_basis[n]
-            assert co2._im_rows[n] == co._im_rows[n]
-            assert co2._im_div[n] == co._im_div[n]
+            assert co2._d_snf[n].ops == co._d_snf[n].ops
         assert co2.h().mult.keys() == co.h().mult.keys()
         assert all(co2.h().mult[k] == co.h().mult[k] for k in co.h().mult)
         assert cochain_to_json(theta(co2)) == cochain_to_json(theta(co))

@@ -5,12 +5,12 @@ import pytest
 from hochgysin.dga import cochain_algebra, validate
 from hochgysin.exactlin import QQ, ZZ, ExactMatrix, as_vector, vec_is_zero
 from hochgysin.hochschild import (
-    TwistedBimodule, admissible_tuples, coboundary, theta, zero_cochain,
+    CochainLayout, TwistedBimodule, admissible_tuples, coboundary, theta, zero_cochain,
 )
 from hochgysin.sections import build_sections
 from hochgysin.simplicial import build_torus
 from hochgysin.torus import (
-    exterior_algebra, symmetrize, sym3_monomials, torus_theta_trivial,
+    exterior_algebra, symmetrize, symmetrize_matrix, sym3_monomials, torus_theta_trivial,
 )
 from oracles import dga_multiply, exterior_iso
 
@@ -78,7 +78,10 @@ def test_symmetrize_zero():
     co = build_sections(a)
     z = zero_cochain(co.h(), 3, -1)
     assert symmetrize(z).is_zero()
-    assert symmetrize(z, signed=True).is_zero()
+    layout = CochainLayout.build(co.h(), 3, -1)
+    for signed in (False, True):
+        assert vec_is_zero(symmetrize_matrix(co.h(), layout, signed=signed).matvec(
+            layout.pack(z)))
 
 
 def test_symmetrize_is_s3_invariant():
