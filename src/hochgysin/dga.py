@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .exactlin import (
-    ExactMatrix, Ring, as_vector, int_from_json, ints_from_key, ring_from_name,
+    ExactMatrix, Ring, as_vector, as_words, int_from_json, ints_from_key, ring_from_name,
 )
 from .simplicial import SimplicialComplex
 
@@ -141,16 +141,32 @@ class DgModule:
         return _bilinear_block(self.entries(n, q), self.rank(n + q), left, right)
 
 
+# The object loop costs a few microseconds per tensor entry, whatever its
+# size; the vectorized word path pays from about this many entries on
+_WORD_MIN_ENTRIES = 6
+
+
 def _bilinear_block(entries, size: int, left: ExactMatrix,
                     right: ExactMatrix) -> ExactMatrix:
     """The bilinear map of a sparse (i, j, k, coeff) tensor on the column
     pairs of left and right, pair (a, b) in column a * right.cols + b."""
     ring = left.ring
     a, b = left.cols, right.cols
-    out = np.zeros((size, a * b), dtype=object)
-    for i, j, k, c in entries:
-        out[k] += c * np.outer(left.data[i], right.data[j]).reshape(a * b)
-    return ExactMatrix(ring, ring.reduce_array(out))
+    words = None
+    if len(entries) >= _WORD_MIN_ENTRIES:
+        I, J, K, coeffs = zip(*entries)
+        words = as_words(ring, len(entries), np.array(coeffs, dtype=object),
+                         left.data, right.data)
+    if words is None:
+        out = np.zeros((size, a * b), dtype=object)
+        for i, j, k, c in entries:
+            out[k] += c * np.outer(left.data[i], right.data[j]).reshape(a * b)
+        return ExactMatrix(ring, ring.reduce_array(out))
+    C, L, R = words
+    terms = C[:, None, None] * L[list(I)][:, :, None] * R[list(J)][:, None, :]
+    out = np.zeros((size, a * b), dtype=np.int64)
+    np.add.at(out, list(K), terms.reshape(len(C), a * b))
+    return ExactMatrix(ring, ring.reduce_array(out).astype(object))
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,15 @@ anywhere: scalars are Python ints (reduced mod p over F_p), over Q a
 integer arithmetic; the only division is ``Fraction(b) / a`` in Ring.
 
 Matrices are stored densely as 2-D numpy arrays of dtype=object.  The
-long-running kernels walk only nonzeros.  There is one elimination
-kernel, _Lines: axpy, swap and scale on lines {index: value} with the
-transposed index kept in step, the Euclidean step of one line against
-another at an index, and the clear of the lines past t at an index.  The
-Smith normal form runs it on the rows and on the columns of one sparse
-copy of A (a column operation on A is a row operation on A.T), the
-column Hermite form on the columns only.  Replay holds its operand's
+long-running kernels walk only nonzeros.  A product over Z or F_p whose
+sums provably fit a machine word runs in int64 (as_words) and comes
+back as Python ints.  There is one elimination kernel, _Lines: axpy,
+swap and scale on lines {index: value} with the transposed index kept
+in step, the Euclidean step of one line against another at an index,
+and the clear of the lines past t at an index.  The Smith normal form
+runs it on the rows and on the columns of one sparse copy of A (a
+column operation on A is a row operation on A.T), the column Hermite
+form on the columns only.  Replay holds its operand's
 rows as {col: value}; a sparse left factor's product works row by row.
 
 Pivot rule (fixed for reproducibility): among the nonzero candidates on
@@ -166,7 +168,7 @@ class Ring:
             return 1 if x > 0 else -1
         return self.inv(x)
 
-    # -- array helpers (dtype=object everywhere)
+    # -- array helpers (object arrays, and the int64 results of as_words)
 
     def reduce_array(self, arr: np.ndarray) -> np.ndarray:
         if self.tag == "Fp":
@@ -230,7 +232,7 @@ def ints_from_key(key: str) -> list:
 
 def as_vector(ring: Ring, entries) -> np.ndarray:
     """1-D object array of normalized scalars."""
-    return _object_rows([entries], ring.normalize)[0]
+    return _object_rows(ring, [entries], ring.normalize)[0]
 
 
 def zero_vector(ring: Ring, n: int) -> np.ndarray:
@@ -241,8 +243,42 @@ def vec_is_zero(v: np.ndarray) -> bool:
     return not np.count_nonzero(v)
 
 
+# A product of fewer multiply-adds stays on objects: there, converting the
+# operands and the result costs more than the word arithmetic saves (over
+# 200 random shapes on a 2-core Xeon, numpy 2.4.6, the summed time was
+# least with this gate)
+WORD_MIN_MADDS = 1000
+
+
+def as_words(ring: Ring, terms: int, *arrays):
+    """int64 copies of the object arrays for a product in which each result
+    is a sum of at most `terms` products of one entry from each array, or
+    None where the product must stay on objects.
+
+    Words are exact when terms * (the product of the arrays' largest
+    absolute entries) < 2**63, computed in Python ints: no partial sum can
+    leave int64 (the a-priori bound of Dumas, Giorgi and Pernet,
+    FFLAS-FFPACK, ACM TOMS 35(3), 2008).  None over Q, on an entry that is
+    not a word (astype raises OverflowError) and past the bound.  A result
+    w comes back as ring.reduce_array(w).astype(object): Python ints,
+    reduced mod p over F_p.
+    """
+    if ring.tag == "Q":
+        return None
+    words, bound = [], terms
+    for a in arrays:
+        try:
+            w = a.astype(np.int64)
+        except OverflowError:
+            return None
+        bound *= max(int(w.max(initial=0)), -int(w.min(initial=0)))
+        words.append(w)
+    return words if bound < 2 ** 63 else None
+
+
 class ExactMatrix:
-    """Dense matrix over a Ring; entries are exact scalars (dtype=object)."""
+    """Dense matrix over a Ring; entries are exact scalars (dtype=object).
+    Storage stays object; a product may run in int64 words (as_words)."""
 
     __slots__ = ("ring", "data")
 
@@ -256,7 +292,7 @@ class ExactMatrix:
 
     @staticmethod
     def from_rows(ring: Ring, rows) -> "ExactMatrix":
-        return ExactMatrix(ring, _object_rows(rows, ring.normalize))
+        return ExactMatrix(ring, _object_rows(ring, rows, ring.normalize))
 
     @staticmethod
     def zeros(ring: Ring, rows: int, cols: int) -> "ExactMatrix":
@@ -283,23 +319,34 @@ class ExactMatrix:
             if self.cols != other.rows:
                 raise DimensionMismatchError(
                     f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-            if self.cols == 0:
-                return ExactMatrix.zeros(self.ring, self.rows, other.cols)
-            A, B = self.data, other.data
-            # numpy's dense product costs about 1 per multiply-add; a row
-            # built from the nonzeros of the left costs about 2 per
-            # multiply-add with a nonzero and 256 more, after a scan of A
-            # at about 1 per entry; skip the scan when it cannot pay
-            if self.cols * (other.cols - 1) > 256:
+            ring = self.ring
+            (m, k), n = self.data.shape, other.cols
+            big = m * k * n >= WORD_MIN_MADDS
+            # a zero right factor (a vanishing cochain, say) gives zero
+            # without the pass over the left that either path makes; a
+            # test on B costs less than a conversion of B
+            if k == 0 or big and not np.count_nonzero(other.data):
+                return ExactMatrix.zeros(ring, m, n)
+            words = as_words(ring, k, self.data, other.data) if big else None
+            A, B = words or (self.data, other.data)
+            # one rule for words and objects, in object costs: numpy's
+            # dense product costs about 1 per multiply-add; a row built
+            # from the nonzeros of the left costs about 2 per multiply-add
+            # with a nonzero and 256 more, after a scan of A at about 1 per
+            # entry; skip the scan when it cannot pay.  In words a scan and
+            # a row weigh more against a multiply-add, but constants fitted
+            # to words changed neither the seeded T^3 nor the T^4 pipeline
+            out = None
+            if k * (n - 1) > 256:
                 r, c = A.nonzero()
-                if 2 * len(r) * other.cols + 256 * self.rows < A.size * other.cols:
-                    out = ExactMatrix.zeros(self.ring, self.rows, other.cols)
+                if 2 * len(r) * n + 256 * m < A.size * n:
+                    out = np.zeros((m, n), dtype=A.dtype)
                     starts = np.flatnonzero(np.diff(r, prepend=-1)).tolist()
                     for lo, hi in zip(starts, starts[1:] + [len(r)]):
                         nz = c[lo:hi]
-                        out.data[r[lo]] = self.ring.reduce_array(A[r[lo], nz] @ B[nz])
-                    return out
-            return ExactMatrix(self.ring, self.ring.reduce_array(A @ B))
+                        out[r[lo]] = A[r[lo], nz] @ B[nz]
+            out = ring.reduce_array(A @ B if out is None else out)
+            return ExactMatrix(ring, out if words is None else out.astype(object))
         raise TypeError("use matvec for vectors")
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -362,15 +409,16 @@ class ExactMatrix:
     def from_lists(ring: Ring, rows, shape=None) -> "ExactMatrix":
         if shape is not None and not rows:
             return ExactMatrix.zeros(ring, shape[0], shape[1])
-        # rows of JSON ints, all of one length, convert as a whole
-        if set(map(type, chain.from_iterable(rows))) <= {int} and len(set(map(len, rows))) == 1:
-            return ExactMatrix(ring, ring.reduce_array(np.array(rows, dtype=object)))
-        return ExactMatrix(ring, _object_rows(rows, ring.scalar_from_json))
+        return ExactMatrix(ring, _object_rows(ring, rows, ring.scalar_from_json))
 
 
-def _object_rows(rows, scalar) -> np.ndarray:
-    """2-D object array of scalar(x) for the entries x of the rows."""
+def _object_rows(ring: Ring, rows, scalar) -> np.ndarray:
+    """2-D object array of scalar(x) for the entries x of the rows; scalar
+    takes an int to its normalized value, so rows of ints, all of one
+    length, convert as a whole."""
     rows = list(rows)
+    if set(map(type, chain.from_iterable(rows))) <= {int} and len(set(map(len, rows))) == 1:
+        return ring.reduce_array(np.array(rows, dtype=object))
     m = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
     for i, row in enumerate(rows):
         if len(row) != m.shape[1]:
@@ -413,7 +461,9 @@ _TRANSFORMS = {"U": ("row", False, False), "Uinv": ("row", True, False),
 class SNFResult:
     """U @ M @ V == D with U, V invertible over the ring.
 
-    divisors = the nonzero diagonal of D (d_i | d_{i+1}); rank = len(divisors).
+    shape = the shape of M.  D, of that shape, holds the divisors
+    (d_i | d_{i+1}) on its diagonal and zeros elsewhere; it is not
+    stored.  rank = len(divisors).
     The reduction records its line operations instead of maintaining the
     transforms: ops holds (side, kind, dst, src, q) in order, side "row"
     (U collects these) or "col" (V), kind "axpy" (line dst -= q * line
@@ -424,7 +474,7 @@ class SNFResult:
     """
 
     ring: Ring
-    D: ExactMatrix
+    shape: tuple
     rank: int
     divisors: list
     ops: list
@@ -480,7 +530,7 @@ class SNFResult:
 
     def _units(self, name: str, idx) -> ExactMatrix:
         """The columns idx of the identity the size of the transform name."""
-        size = self.D.rows if name in ("U", "Uinv") else self.D.cols
+        size = self.shape[0] if name in ("U", "Uinv") else self.shape[1]
         m = ExactMatrix.zeros(self.ring, size, len(idx))
         for k, i in enumerate(idx):
             m.data[i, k] = 1
@@ -497,19 +547,19 @@ class SNFResult:
 
     @cached_property
     def U(self) -> ExactMatrix:
-        return self.take_columns("U", range(self.D.rows))
+        return self.take_columns("U", range(self.shape[0]))
 
     @cached_property
     def Uinv(self) -> ExactMatrix:
-        return self.take_columns("Uinv", range(self.D.rows))
+        return self.take_columns("Uinv", range(self.shape[0]))
 
     @cached_property
     def V(self) -> ExactMatrix:
-        return self.take_columns("V", range(self.D.cols))
+        return self.take_columns("V", range(self.shape[1]))
 
     @cached_property
     def Vinv(self) -> ExactMatrix:
-        return self.take_columns("Vinv", range(self.D.cols))
+        return self.take_columns("Vinv", range(self.shape[1]))
 
 
 class _Lines:
@@ -645,10 +695,7 @@ def smith_normal_form(M: ExactMatrix) -> SNFResult:
             row_side.scale(t, u)
         t += 1
 
-    divisors = [R[i][i] for i in range(t)]
-    D = ExactMatrix.zeros(ring, rows, cols)
-    D.data[range(t), range(t)] = np.array(divisors, dtype=object)
-    return SNFResult(ring, D, t, divisors, ops)
+    return SNFResult(ring, (rows, cols), t, [R[i][i] for i in range(t)], ops)
 
 
 # ---------------------------------------------------------------------------
@@ -894,13 +941,13 @@ class CohomologyDegree:
 
     @property
     def kernel(self) -> ExactMatrix:
-        return self.snf.take_columns("V", range(self.snf.rank, self.snf.D.cols))
+        return self.snf.take_columns("V", range(self.snf.rank, self.snf.shape[1]))
 
     @property
     def image(self) -> ExactMatrix:
         p = self.prev
         if p is None:
-            return ExactMatrix.zeros(self.ring, self.snf.D.cols, 0)
+            return ExactMatrix.zeros(self.ring, self.snf.shape[1], 0)
         scale = np.array(p.divisors, dtype=object)
         return ExactMatrix(self.ring, p.take_columns("Uinv", range(p.rank)).data * scale)
 

@@ -267,19 +267,33 @@ def _normalize_unit(co: CohomologySections) -> None:
     co.s[0].data[:, 0] = co.algebra.unit
 
 
+def _draws(rng: random.Random, rows: int, cols: int) -> list:
+    """rows x cols draws of rng.randint(-2, 2), row by row: the rejection
+    sampling that randint runs inside, on getrandbits(3), without its
+    per-call overhead."""
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            while (x := getrandbits(3)) >= 5:
+                pass
+            row.append(x - 2)
+        out.append(row)
+    return out
+
+
 def _randomize(co: CohomologySections, rng: random.Random) -> None:
     """Perturb s by coboundaries and q by cocycle-valued corrections."""
     ring = co.ring
     for n in range(co.top + 1):
         b, h = co.b_rank(n), co.hr(n)
         if b and h:
-            r = ExactMatrix.from_rows(
-                ring, [[rng.randint(-2, 2) for _ in range(h)] for _ in range(b)])
+            r = ExactMatrix.from_rows(ring, _draws(rng, b, h))
             co.s[n] = co.s[n] + co.image_basis[n] @ r
         z_prev = co.z_rank(n - 1)
         if b and z_prev:
-            r2 = ExactMatrix.from_rows(
-                ring, [[rng.randint(-2, 2) for _ in range(b)] for _ in range(z_prev)])
+            r2 = ExactMatrix.from_rows(ring, _draws(rng, z_prev, b))
             co.q[n] = co.q[n] + co.kernel_basis[n - 1] @ r2
     co._qpair_cache.clear()
     co._ss_cache.clear()

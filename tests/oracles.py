@@ -9,9 +9,11 @@ at a time, where the package works on whole blocks: the cochain product
 entry by entry, q(x, y) and theta(x, y, z) of single classes, the value
 of a Hochschild cochain on a tuple of classes, and the comparison of the
 cohomology of a torus with an exterior algebra.  The dense references
-run the sparse kernels of exactlin on whole numpy rows.  Helpers that
-only the tests need (a matrix from its columns, the Euler
-characteristic) live here too.
+run the sparse kernels of exactlin on whole numpy rows, and the
+products, which the package may run in int64 words, on Python ints.
+Helpers that only the tests need (a matrix from its columns, the Euler
+characteristic, the diagonal matrix of a Smith normal form) live here
+too.
 """
 
 from itertools import combinations
@@ -239,6 +241,19 @@ def dense_matmul(A, B):
     return ExactMatrix(A.ring, A.ring.reduce_array(A.data @ B.data))
 
 
+def bilinear_block(entries, size, left, right):
+    """dga._bilinear_block one column pair (x, y) at a time, summing
+    c * left[i, x] * right[j, y] into row k for each entry (i, j, k, c) in
+    Python ints."""
+    ring, b = left.ring, right.cols
+    out = np.zeros((size, left.cols * b), dtype=object)
+    for x in range(left.cols):
+        for y in range(b):
+            for i, j, k, c in entries:
+                out[k, x * b + y] += c * left.data[i, x] * right.data[j, y]
+    return ExactMatrix(ring, ring.reduce_array(out))
+
+
 def _dense_find_pivot(ring, A, t, dead):
     """(row, col) of the smallest pivot in A[t:, t:] (by abs over Z; over a
     field the first), ties by lowest (row, col).  Rows flagged dead are
@@ -317,7 +332,19 @@ def dense_smith_normal_form(M):
         t += 1
 
     divisors = [A[i, i] for i in range(min(rows, cols)) if A[i, i] != 0]
-    return SNFResult(ring, ExactMatrix(ring, A), len(divisors), divisors, ops)
+    s = SNFResult(ring, (rows, cols), len(divisors), divisors, ops)
+    if ExactMatrix(ring, A) != snf_diagonal(s):
+        raise AssertionError("the reduction did not end on a diagonal matrix")
+    return s
+
+
+def snf_diagonal(s):
+    """D of U M V = D for the SNFResult s: its divisors on the diagonal of
+    a zero matrix of its shape."""
+    D = ExactMatrix.zeros(s.ring, *s.shape)
+    for i, d in enumerate(s.divisors):
+        D.data[i, i] = d
+    return D
 
 
 def dense_column_hermite(M):

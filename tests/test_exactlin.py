@@ -11,7 +11,7 @@ import pytest
 import oracles
 from hochgysin.dga import cochain_algebra
 from hochgysin.exactlin import (
-    ZZ, QQ, GF, ExactMatrix, NotInSpanError, Solver, Subquotient, as_vector,
+    WORD_MIN_MADDS, ZZ, QQ, GF, ExactMatrix, NotInSpanError, Solver, Subquotient, as_vector,
     column_hermite, kernel_basis, ring_from_name, smith_normal_form, solve, solve_matrix,
     solve_with_certificate, vec_is_zero, zero_vector,
 )
@@ -43,7 +43,7 @@ def is_identity(m):
 
 def test_snf_identity():
     s = smith_normal_form(ExactMatrix.identity(ZZ, 2))
-    assert s.D == ExactMatrix.identity(ZZ, 2)
+    assert oracles.snf_diagonal(s) == ExactMatrix.identity(ZZ, 2)
     assert is_identity(s.U @ s.Uinv)
     assert is_identity(s.V @ s.Vinv)
 
@@ -52,14 +52,14 @@ def test_snf_two_by_two_example():
     M = ExactMatrix.from_rows(ZZ, [[2, 4], [6, 8]])
     s = smith_normal_form(M)
     assert s.divisors == [2, 4]            # |det M| = 8 = 2*4
-    assert (s.U @ M) @ s.V == s.D
+    assert (s.U @ M) @ s.V == oracles.snf_diagonal(s)
     assert is_identity(s.U @ s.Uinv) and is_identity(s.V @ s.Vinv)
 
 
 def test_snf_zero_matrix():
     M = ExactMatrix.zeros(ZZ, 3, 2)
     s = smith_normal_form(M)
-    assert s.D.is_zero()
+    assert oracles.snf_diagonal(s).is_zero()
     assert is_identity(s.U) and is_identity(s.V)
     assert s.rank == 0
 
@@ -71,14 +71,14 @@ def test_snf_random_properties(ring):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         M = random_matrix(ring, rows, cols, rng)
         s = smith_normal_form(M)
-        assert (s.U @ M) @ s.V == s.D
+        assert (s.U @ M) @ s.V == oracles.snf_diagonal(s)
         assert is_identity(s.U @ s.Uinv)
         assert is_identity(s.V @ s.Vinv)
         # diagonal, divisibility chain, canonical pivots
         for i in range(rows):
             for j in range(cols):
                 if i != j:
-                    assert s.D.data[i, j] == 0
+                    assert oracles.snf_diagonal(s).data[i, j] == 0
         ds = s.divisors
         for a, b in zip(ds, ds[1:]):
             assert ring.divides(a, b)
@@ -92,7 +92,8 @@ def test_snf_deterministic():
     rng = random.Random(7)
     M = random_matrix(ZZ, 5, 4, rng)
     s1, s2 = smith_normal_form(M), smith_normal_form(ExactMatrix(ZZ, M.data.copy()))
-    assert s1.U == s2.U and s1.V == s2.V and s1.D == s2.D
+    assert s1.U == s2.U and s1.V == s2.V
+    assert s1.shape == s2.shape and s1.divisors == s2.divisors
 
 
 def test_snf_matches_minor_gcd_oracle():
@@ -168,7 +169,8 @@ def snf_digest(ring, matrices) -> str:
     h = hashlib.sha256()
     for M in matrices:
         s = smith_normal_form(M)
-        h.update(json.dumps([m.to_lists() for m in (s.U, s.D, s.V, s.Uinv, s.Vinv)]
+        D = oracles.snf_diagonal(s)
+        h.update(json.dumps([m.to_lists() for m in (s.U, D, s.V, s.Uinv, s.Vinv)]
                             + [[ring.scalar_to_json(d) for d in s.divisors]]).encode())
     return h.hexdigest()
 
@@ -252,7 +254,7 @@ def test_snf_replay_matches_materialized_transforms(ring):
             assert fresh.take_rows(name, idx) == T.take_rows(idx)
             assert fresh.take_columns(name, idx) == T.take_columns(idx)
         assert not set(TRANSFORMS) & set(vars(fresh))
-        assert (s.U @ M) @ s.V == s.D
+        assert (s.U @ M) @ s.V == oracles.snf_diagonal(s)
         assert is_identity(s.U @ s.Uinv) and is_identity(s.V @ s.Vinv)
 
 
@@ -309,7 +311,7 @@ def pin_29():
 
 def check_replay_against_oracle(s, rng, operands=oracle_operands):
     for name in TRANSFORMS:
-        n = s.D.rows if name in ("U", "Uinv") else s.D.cols
+        n = s.shape[0] if name in ("U", "Uinv") else s.shape[1]
         for Y in operands(s.ring, n, rng):
             assert_same_entries(s.lmul(name, Y), oracles.dense_lmul(s, name, Y))
             X = ExactMatrix(s.ring, Y.data.T.copy())
@@ -341,13 +343,14 @@ def test_replay_matches_dense_oracle_on_long_operation_list():
 
 
 def assert_same_snf(s, ref):
-    """Equal operation lists, divisors and D; over Z and F_p with equal
-    Python types, over Q as assert_same_entries says."""
-    assert s.ops == ref.ops and s.rank == ref.rank and s.divisors == ref.divisors
+    """Equal operation lists, shapes and divisors (the dense oracle checks
+    that its reduction ends on their diagonal); over Z and F_p with equal
+    Python types."""
+    assert s.ops == ref.ops and s.shape == ref.shape
+    assert s.rank == ref.rank and s.divisors == ref.divisors
     if s.ring.tag != "Q":
         assert [type(op[4]) for op in s.ops] == [type(op[4]) for op in ref.ops]
         assert all(type(d) is int for d in s.divisors + ref.divisors)
-    assert_same_entries(s.D, ref.D)
 
 
 def snf_oracle_inputs():
@@ -412,6 +415,161 @@ def test_matmul_matches_dense_oracle(ring):
             A = oracle_matrix(ring, rows, inner, rng, density)
             B = oracle_matrix(ring, inner, cols, rng, 0.5)
             assert_same_entries(A @ B, oracles.dense_matmul(A, B))
+
+
+# ---------------------------------------------------------------------------
+# Products in int64 words against their object references
+# ---------------------------------------------------------------------------
+
+WORD_RINGS = [ZZ, GF(2), GF(3), GF(5)]
+# the seeds of the pin batches (test_column_hermite_matches_dense_oracle
+# draws the F3 batch)
+PIN_SEEDS = {"Z": 1000, "F2": 1002, "F5": 1003, "F3": 1004}
+
+
+@pytest.fixture
+def word_calls(monkeypatch):
+    """Make as_words, where the product and the bilinear block call it,
+    append (number of operands, True when it gave words) to the returned
+    list."""
+    from hochgysin import dga, exactlin
+    calls, as_words = [], exactlin.as_words
+
+    def spy(ring, terms, *arrays):
+        words = as_words(ring, terms, *arrays)
+        calls.append((len(arrays), words is not None))
+        return words
+    monkeypatch.setattr(exactlin, "as_words", spy)
+    monkeypatch.setattr(dga, "as_words", spy)
+    return calls
+
+
+@pytest.mark.parametrize("ring", WORD_RINGS)
+def test_word_products_match_dense_oracle(ring, word_calls):
+    # each matrix of a pin batch times a factor that takes the product past
+    # the size gate, on either side
+    rng = random.Random(PIN_SEEDS[ring.name])
+    pairs = []
+    for k in range(60):
+        M = pin_matrix(ring, rng, k % 3)
+        n = WORD_MIN_MADDS // (M.rows * M.cols) + rng.randint(1, 30)
+        pairs += [(M, random_matrix(ring, M.cols, n, rng, -9, 9)),
+                  (random_matrix(ring, n, M.rows, rng, -9, 9), M)]
+    # no rows, no columns (both below the gate); past the scan threshold a
+    # 1 % dense left takes the sparse rows, a left with at least two thirds
+    # of its entries nonzero (1, 2 and 3 over every ring) the dense product
+    pairs += [(ExactMatrix.zeros(ring, 0, 50), random_matrix(ring, 50, 40, rng)),
+              (random_matrix(ring, 40, 50, rng), ExactMatrix.zeros(ring, 50, 0)),
+              (oracle_matrix(ring, 40, 400, rng, 0.01), random_matrix(ring, 400, 40, rng)),
+              (random_matrix(ring, 40, 400, rng, 1, 3), random_matrix(ring, 400, 40, rng))]
+    for A, B in pairs:
+        assert_same_entries(A @ B, oracles.dense_matmul(A, B))
+    # every product past the gate with a nonzero right factor ran in words
+    assert word_calls == [(2, True)] * sum(A.rows * A.cols * B.cols >= WORD_MIN_MADDS
+                                           and not B.is_zero() for A, B in pairs)
+
+
+def test_word_bound_is_strict(word_calls):
+    top = ExactMatrix.from_rows(ZZ, [[2 ** 31, 2 ** 31]]) @ \
+        ExactMatrix.from_rows(ZZ, [[2 ** 31], [2 ** 31]])
+    assert_same_entries(top, ExactMatrix.from_rows(ZZ, [[2 ** 63]]))
+    # one row times one column of k = 1024 entries a and b: past the size
+    # gate, words exactly when k * |a| * |b| < 2**63
+    k = 1024
+    cases = [(2 ** 26, 2 ** 27, False), (-2 ** 26, 2 ** 27, False),
+             (2 ** 26, 2 ** 27 - 1, True), (-2 ** 26, 1 - 2 ** 27, True),
+             (0, 2 ** 63 - 1, True), (2 ** 62, 1, False), (2 ** 63, 1, False),
+             (0, -2 ** 63 - 1, False), (2 ** 100, -3, False)]
+    for a, b, words in cases:
+        A = ExactMatrix.from_rows(ZZ, [[a] * k])
+        B = ExactMatrix.from_rows(ZZ, [[b]] * k)
+        assert_same_entries(A @ B, ExactMatrix.from_rows(ZZ, [[k * a * b]]))
+        assert word_calls.pop() == (2, words), (a, b)
+    # a zero right factor gives zero without converting anything
+    A, B = ExactMatrix.from_rows(ZZ, [[2 ** 100] * k]), ExactMatrix.zeros(ZZ, k, 1)
+    assert_same_entries(A @ B, ExactMatrix.zeros(ZZ, 1, 1))
+    assert word_calls == []
+    # one entry that is not a word keeps the whole product on objects
+    rng = random.Random(17)
+    A, B = random_matrix(ZZ, 12, 12, rng), random_matrix(ZZ, 12, 12, rng)
+    A.data[3, 5] = 2 ** 63
+    assert_same_entries(A @ B, oracles.dense_matmul(A, B))
+    assert word_calls == [(2, False)]
+
+
+def test_word_products_over_the_largest_prime(word_calls):
+    # F4294967291: k * (p - 1)**2 >= 2**63 for every k, so products of
+    # entries near p stay on objects; small entries still run in words
+    ring = GF(4294967291)
+    rng = random.Random(19)
+    for lo, hi, words in [(ring.p - 9, ring.p - 1, False), (0, ring.p - 1, False),
+                          (-3, 3, False), (0, 99, True)]:
+        A = random_matrix(ring, 12, 12, rng, lo, hi)
+        B = random_matrix(ring, 12, 9, rng, lo, hi)
+        assert_same_entries(A @ B, oracles.dense_matmul(A, B))
+        assert word_calls.pop() == (2, words), (lo, hi)
+
+
+@pytest.mark.parametrize("ring", WORD_RINGS)
+def test_bilinear_block_matches_reference(ring, word_calls):
+    from hochgysin.dga import _bilinear_block
+    rng = random.Random(71 + ring_seed(ring) % 61)
+    for t in (0, 1, 5, 6, 40, 300):
+        for a, b in ((0, 3), (3, 0), (1, 1), (2, 5), (4, 9)):
+            rl, rr, size = rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 12)
+            entries = tuple((rng.randrange(rl), rng.randrange(rr), rng.randrange(size),
+                             ring.normalize(rng.choice([1, -1, 2, -3])))
+                            for _ in range(t))
+            left, right = random_matrix(ring, rl, a, rng), random_matrix(ring, rr, b, rng)
+            assert_same_entries(_bilinear_block(entries, size, left, right),
+                                oracles.bilinear_block(entries, size, left, right))
+    assert set(word_calls) == {(3, True)}
+
+
+def test_bilinear_block_word_bound(word_calls):
+    from hochgysin.dga import _bilinear_block
+    # 300 terms into one row: words exactly when 300 * |c| * |l| * |r| < 2**63
+    # (at 2**27 * 2**28 the sum itself leaves int64)
+    entries = [(i % 3, i % 4, 0) for i in range(300)]
+    for c, el, er, words in [(1, 2 ** 27, 2 ** 27, True), (1, 2 ** 27, 2 ** 28, False),
+                             (-1, 2 ** 27, -2 ** 28, False), (2 ** 64, 1, 1, False),
+                             (1, 2 ** 63, 1, False)]:
+        ent = tuple(e + (c,) for e in entries)
+        left = ExactMatrix.from_rows(ZZ, [[el, -el]] * 3)
+        right = ExactMatrix.from_rows(ZZ, [[er]] * 4)
+        assert_same_entries(_bilinear_block(ent, 2, left, right),
+                            oracles.bilinear_block(ent, 2, left, right))
+        assert word_calls.pop() == (3, words), (c, el, er)
+
+
+def test_word_products_of_the_seeded_t3_pipeline(monkeypatch, word_calls):
+    # every product and bilinear block that theta of seeded T^3 sections
+    # makes, against the object references; both kernels take words
+    from hochgysin import dga
+    from hochgysin.hochschild import theta
+    products, blocks = [], []
+    matmul, bilinear = ExactMatrix.__matmul__, dga._bilinear_block
+
+    def copy(m):
+        return ExactMatrix(m.ring, m.data.copy())
+
+    def recording_matmul(A, B):
+        out = matmul(A, B)
+        products.append((copy(A), copy(B), copy(out)))
+        return out
+
+    def recording_bilinear(entries, size, left, right):
+        out = bilinear(entries, size, left, right)
+        blocks.append((entries, size, copy(left), copy(right), copy(out)))
+        return out
+    monkeypatch.setattr(ExactMatrix, "__matmul__", recording_matmul)
+    monkeypatch.setattr(dga, "_bilinear_block", recording_bilinear)
+    theta(build_sections(cochain_algebra(build_torus(3), ZZ), seed=3))
+    for A, B, out in products:
+        assert_same_entries(out, oracles.dense_matmul(A, B))
+    for entries, size, left, right, out in blocks:
+        assert_same_entries(out, oracles.bilinear_block(entries, size, left, right))
+    assert {(2, True), (3, True)} <= set(word_calls)
 
 
 def recorded_snfs(monkeypatch) -> list:
@@ -724,7 +882,7 @@ def test_snf_divisors_match_sympy_over_z():
         full = s.divisors + [0] * (min(M.rows, M.cols) - s.rank)
         expected = invariant_factors(_sympy_matrix(sympy, M.data), domain=sympy.ZZ)
         assert full == [int(d) for d in expected], (trial, M.to_lists())
-        assert _no_floats(*(m.data for m in (s.U, s.D, s.V, s.Uinv, s.Vinv)))
+        assert _no_floats(*(m.data for m in (s.U, s.V, s.Uinv, s.Vinv)), s.divisors)
 
 
 def test_rank_and_solutions_match_sympy_over_q():
@@ -740,7 +898,7 @@ def test_rank_and_solutions_match_sympy_over_q():
         s = smith_normal_form(M)
         sM = _sympy_matrix(sympy, M.data)
         assert s.rank == sM.rank(), (trial, M.to_lists())
-        assert _no_floats(*(m.data for m in (s.U, s.D, s.V, s.Uinv, s.Vinv)))
+        assert _no_floats(*(m.data for m in (s.U, s.V, s.Uinv, s.Vinv)), s.divisors)
         solver = Solver(M)
         rhs = (M.matvec(as_vector(QQ, [entry() for _ in range(cols)])),
                as_vector(QQ, [entry() for _ in range(rows)]))

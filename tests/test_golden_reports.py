@@ -64,6 +64,17 @@ CASES = {
                          "--ring", "Q"], "build_t2", "text"),
     "torus_2": (["torus", "--n", "2"], None, "text"),
     "monomorphism_2": (["monomorphism", "--n", "2"], None, "text"),
+    # inputs at the int64 edges: products over a prime whose squares pass
+    # 2**63 and over one whose squares sit just below it, and classes whose
+    # coefficient is not a word or is 2**62
+    "torus_2_f4294967291_seed3": (["torus", "--n", "2", "--ring", "F4294967291",
+                                   "--seed", "3"], None, "text"),
+    "torus_3_f2147483647_seed5": (["torus", "--n", "3", "--ring", "F2147483647",
+                                   "--seed", "5"], None, "text"),
+    "gysin_t2_z_c_23_digits": (["gysin", "--c", "2:[99999999999999999999999]",
+                                "--check-th", "--split"], "cochains_t2", "text"),
+    "gysin_t2_z_c_2_pow_62": (["gysin", "--c", "2:[4611686018427387904]",
+                               "--check-th", "--split"], "cochains_t2", "text"),
 }
 
 

@@ -9,7 +9,7 @@ from hochgysin.dga import cochain_algebra, load_dga
 from hochgysin.exactlin import GF, QQ, ZZ, ExactMatrix, as_vector, solve, vec_is_zero
 from hochgysin.hochschild import cochain_to_json, theta
 from hochgysin.sections import (
-    NotACocycleError, SectionsFormatError, TorsionHomologyError, build_sections,
+    NotACocycleError, SectionsFormatError, TorsionHomologyError, _draws, build_sections,
     compute_cohomology, sections_from_json, sections_to_json,
 )
 from hochgysin.simplicial import build_circle, build_sphere, build_torus, make_complex
@@ -143,6 +143,17 @@ def test_seeded_sections_differ_by_coboundaries():
                 assert vec_is_zero(col)
             else:
                 assert solve(a.d(n - 1), col) is not None
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 77, 2024])
+def test_seeded_draws_are_randint_draws(seed):
+    # draw for draw what rng.randint(-2, 2) gives, and the generator left
+    # where randint leaves it, so seeded packages do not change
+    fast, ref = random.Random(seed), random.Random(seed)
+    for rows, cols in [(0, 3), (3, 0), (1, 1), (4, 7), (27, 9), (60, 2), (2, 60)]:
+        assert _draws(fast, rows, cols) == [[ref.randint(-2, 2) for _ in range(cols)]
+                                            for _ in range(rows)]
+        assert fast.getstate() == ref.getstate()
 
 
 def test_seeded_package_still_satisfies_invariants():
