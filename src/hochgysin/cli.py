@@ -43,8 +43,11 @@ class UsageError(Exception):
 
 def _read_payload(args):
     if getattr(args, "infile", None):
-        with open(args.infile, "rb") as f:
-            raw = f.read()
+        try:
+            with open(args.infile, "rb") as f:
+                raw = f.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read --in {args.infile!r}: {exc.strerror}") from exc
         source = args.infile
     else:
         raw = sys.stdin.buffer.read()
@@ -337,7 +340,11 @@ def cmd_torus(args):
     out = {"command": "torus", "n": n, "ring": ring.name, "checks": checks,
            "h_rank": co.h_rank}
     if args.emit_witness:
-        save_cochain(witness, args.emit_witness)
+        try:
+            save_cochain(witness, args.emit_witness)
+        except OSError as exc:
+            raise UsageError(f"cannot write --emit-witness {args.emit_witness!r}: "
+                             f"{exc.strerror}") from exc
         out["witness_path"] = args.emit_witness
     else:
         out["witness"] = cochain_to_json(witness)

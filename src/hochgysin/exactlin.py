@@ -3,13 +3,15 @@
 Everything downstream (cochain algebras, section packages, Hochschild
 solves, cone cohomology) reduces to the operations in this module:
 Smith normal form with its recorded line operations, column Hermite
-form, exact solvers, kernels, subquotient presentations, and the
-per-degree cohomology of a cochain complex.  Solvers and class maps take a matrix
-of columns, a vector being its one-column case (as_columns/shaped_like);
-one back-substitution serves all of them.  No floating point is used
-anywhere: scalars are Python ints (reduced mod p over F_p), over Q a
-``fractions.Fraction`` only when not integral, so zeros and units cost
-integer arithmetic; the only division is ``Fraction(b) / a`` in Ring.
+form, subquotient presentations, and the per-degree cohomology of a
+cochain complex.  The SNF of M answers every linear question about M:
+solves with certificates, kernel, image and image coordinates.  Solves
+and class maps take a matrix of columns, a vector being its one-column
+case (as_columns/shaped_like); one back-substitution serves all of
+them.  No floating point is used anywhere: scalars are Python ints
+(reduced mod p over F_p), over Q a ``fractions.Fraction`` only when not
+integral, so zeros and units cost integer arithmetic; the only division
+is ``Fraction(b) / a`` in Ring.
 
 Matrices are stored densely as 2-D numpy arrays of dtype=object.  The
 long-running kernels walk only nonzeros.  A product over Z or F_p whose
@@ -30,9 +32,8 @@ found zero on the trailing block are not scanned again.  The reduction
 updates only A and records each line operation; U, V and their
 inverses are never maintained.  A caller that needs T @ Y, X @ T or
 some rows or columns of a transform T gets them by replaying the
-operations on that operand, and the full transforms are built the same
-way, on first read.  Tests pin U, V and their inverses by digest, so
-the operation sequence cannot drift.
+operations on that operand; no transform is built whole.  Tests pin U,
+V and their inverses by digest, so the operation sequence cannot drift.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from math import isqrt
@@ -469,8 +469,8 @@ class SNFResult:
     (U collects these) or "col" (V), kind "axpy" (line dst -= q * line
     src), "swap" (lines dst and src; q is None) or "scale" (line dst *= q,
     a unit; src == dst).  lmul, rmul, take_rows and take_columns replay
-    them on an operand; U, Uinv, V and Vinv are built the same way on
-    first read and then cached, so treat them as read-only.
+    them on an operand.  The solves, kernel, image and image_coords read
+    only the rows or columns of the transforms that they need.
     """
 
     ring: Ring
@@ -545,21 +545,41 @@ class SNFResult:
         """The columns idx of the transform name."""
         return self.lmul(name, self._units(name, idx))
 
-    @cached_property
-    def U(self) -> ExactMatrix:
-        return self.take_columns("U", range(self.shape[0]))
+    def solve_with_certificate(self, B):
+        """(X, None) with M X = B, or (None, NoSolutionCertificate) for the
+        first column of B without a solution, at its first failing row; B is
+        a matrix of right-hand sides, or one vector as its one-column case,
+        and X comes back in that form."""
+        C = self.lmul("U", as_columns(self.ring, B))
+        Y, bad = divide_rows(C, self.divisors)
+        if bad.any():
+            j = bad.any(axis=0).argmax()
+            i = bad[:, j].argmax()
+            divisor = self.divisors[i] if i < self.rank else 0
+            row = self.take_rows("U", [i]).data[0]
+            return None, NoSolutionCertificate(row, divisor, C.data[i, j])
+        # V[:, :rank] @ Y is V @ (Y over zero rows)
+        X = Y.vstack(ExactMatrix.zeros(self.ring, self.shape[1] - self.rank, Y.cols))
+        return shaped_like(B, self.lmul("V", X)), None
 
-    @cached_property
-    def Uinv(self) -> ExactMatrix:
-        return self.take_columns("Uinv", range(self.shape[0]))
+    def solve(self, B):
+        """X with M X = B, or None when a column of B has no solution."""
+        return self.solve_with_certificate(B)[0]
 
-    @cached_property
-    def V(self) -> ExactMatrix:
-        return self.take_columns("V", range(self.shape[1]))
+    def kernel(self) -> ExactMatrix:
+        """Columns forming a basis of Ker(M) (over Z: of the full lattice):
+        the last columns of V."""
+        return self.take_columns("V", range(self.rank, self.shape[1]))
 
-    @cached_property
-    def Vinv(self) -> ExactMatrix:
-        return self.take_columns("Vinv", range(self.shape[1]))
+    def image(self) -> ExactMatrix:
+        """Columns forming a basis of Im(M): the leading columns of Uinv
+        scaled by the divisors."""
+        scale = np.array(self.divisors, dtype=object)
+        return ExactMatrix(self.ring, self.take_columns("Uinv", range(self.rank)).data * scale)
+
+    def image_coords(self, W: ExactMatrix):
+        """(Y, bad) for the columns of W on the basis image(): see divide_rows."""
+        return divide_rows(self.lmul("U", W), self.divisors)
 
 
 class _Lines:
@@ -785,55 +805,24 @@ def divide_rows(C: ExactMatrix, divisors):
     return ExactMatrix(C.ring, head), bad
 
 
-class Solver:
-    """Reusable exact solver for M X = B; B is a matrix of right-hand sides,
-    or one vector as its one-column case, and X comes back in that form."""
-
-    def __init__(self, M: ExactMatrix):
-        self.M = M
-        self.snf = smith_normal_form(M)
-        self.ring = M.ring
-
-    def solve_with_certificate(self, B):
-        """(X, None) with M X = B, or (None, NoSolutionCertificate) for the
-        first column of B without a solution, at its first failing row."""
-        s = self.snf
-        C = s.lmul("U", as_columns(self.ring, B))
-        Y, bad = divide_rows(C, s.divisors)
-        if bad.any():
-            j = bad.any(axis=0).argmax()
-            i = bad[:, j].argmax()
-            divisor = s.divisors[i] if i < s.rank else 0
-            row = s.take_rows("U", [i]).data[0]
-            return None, NoSolutionCertificate(row, divisor, C.data[i, j])
-        # V[:, :rank] @ Y is V @ (Y over zero rows)
-        X = Y.vstack(ExactMatrix.zeros(self.ring, self.M.cols - s.rank, Y.cols))
-        return shaped_like(B, s.lmul("V", X)), None
-
-    def solve(self, B):
-        """X with M X = B, or None when a column of B has no solution."""
-        return self.solve_with_certificate(B)[0]
-
-
 def solve(M: ExactMatrix, b: np.ndarray):
     """One exact solution of M x = b, or None.  Deterministic."""
-    return Solver(M).solve(b)
+    return smith_normal_form(M).solve(b)
 
 
 def solve_with_certificate(M: ExactMatrix, B):
-    """(solution, None) or (None, NoSolutionCertificate); see Solver."""
-    return Solver(M).solve_with_certificate(B)
+    """(solution, None) or (None, NoSolutionCertificate); see SNFResult."""
+    return smith_normal_form(M).solve_with_certificate(B)
 
 
 def solve_matrix(M: ExactMatrix, B: ExactMatrix):
     """X with M @ X == B, or None when a column of B has no solution."""
-    return Solver(M).solve(B)
+    return smith_normal_form(M).solve(B)
 
 
 def kernel_basis(M: ExactMatrix) -> ExactMatrix:
     """Columns form a basis of Ker(M) (over Z: a basis of the full lattice)."""
-    s = smith_normal_form(M)
-    return s.take_columns("V", range(s.rank, M.cols))
+    return smith_normal_form(M).kernel()
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +846,7 @@ class Subquotient:
     reduced_gens: ExactMatrix = None
     orders: list = field(default_factory=list)
     _basis: ExactMatrix = None      # canonical basis of span(generators)
-    _gen_solver: Solver = None
+    _gen_snf: SNFResult = None      # of _basis
     _coord_map: ExactMatrix = None  # basis-coords -> reduced coords (kept rows of U)
 
     @staticmethod
@@ -874,8 +863,8 @@ class Subquotient:
         # their span so the invariant factors describe the actual group
         self._basis = column_hermite(self.generators)
         g = self._basis.cols
-        self._gen_solver = Solver(self._basis)
-        Xm = self._gen_solver.solve(self.relations)
+        self._gen_snf = smith_normal_form(self._basis)
+        Xm = self._gen_snf.solve(self.relations)
         if Xm is None:
             raise NotInSpanError("relations not contained in span(generators)")
         s = smith_normal_form(Xm)
@@ -900,13 +889,13 @@ class Subquotient:
         return [d for d in self.orders if d != 0]
 
     def is_member(self, v: np.ndarray) -> bool:
-        return self._gen_solver.solve(v) is not None
+        return self._gen_snf.solve(v) is not None
 
     def classify(self, V):
         """Coordinates on reduced_gens of the classes of the columns of V (or
         of one vector), torsion ones reduced mod their orders; NotInSpanError
         when a column is not in span(generators)."""
-        X = self._gen_solver.solve(as_columns(self.ring, V))
+        X = self._gen_snf.solve(as_columns(self.ring, V))
         if X is None:
             raise NotInSpanError("vector not in span(generators)")
         return shaped_like(V, self.reduce(self._coord_map @ X))
@@ -941,15 +930,13 @@ class CohomologyDegree:
 
     @property
     def kernel(self) -> ExactMatrix:
-        return self.snf.take_columns("V", range(self.snf.rank, self.snf.shape[1]))
+        return self.snf.kernel()
 
     @property
     def image(self) -> ExactMatrix:
-        p = self.prev
-        if p is None:
+        if self.prev is None:
             return ExactMatrix.zeros(self.ring, self.snf.shape[1], 0)
-        scale = np.array(p.divisors, dtype=object)
-        return ExactMatrix(self.ring, p.take_columns("Uinv", range(p.rank)).data * scale)
+        return self.prev.image()
 
     def group(self) -> Subquotient:
         """H^n = Z^n / B^n as a presented subquotient (torsion included)."""

@@ -19,9 +19,9 @@ vector and the jy-th basis class of H^q.  beta_geo, beta_theta, the
 trivial shapes, the trivial-shape system and the splitting check are all
 built per (m, q) block: products with a whole basis through
 HRing.left_mult, the cone action through the module's bilinear blocks,
-and coordinates on Ann(c) and cone preimages through one cached solver
-per degree of the extension.  Cone cohomology goes through the shared
-complex_cohomology routine.
+and coordinates on Ann(c) and cone preimages through one cached Smith
+normal form per degree of the extension.  Cone cohomology goes through
+the shared complex_cohomology routine.
 
 Everything here works at two independent levels on purpose: chain-level
 cone computations (preimages solved exactly) versus H-level theta
@@ -36,8 +36,9 @@ import numpy as np
 
 from .dga import DgAlgebra, DgModule, validate_module
 from .exactlin import (
-    ExactMatrix, Solver, Subquotient, as_columns, as_vector, complex_cohomology,
-    kernel_basis, kron, solve_matrix, solve_with_certificate, zero_vector,
+    ExactMatrix, SNFResult, Subquotient, as_columns, as_vector, complex_cohomology,
+    kernel_basis, kron, smith_normal_form, solve_matrix, solve_with_certificate,
+    zero_vector,
 )
 from .hochschild import HochschildCochain, theta
 from .sections import CohomologySections
@@ -130,16 +131,16 @@ class GysinExtension:
     ann_basis: dict               # H-degree m -> ExactMatrix (h_m x ann rank)
     sigma_chain: dict             # m -> ExactMatrix (cone^{m+|c|-1} x ann rank)
     beta_geo: dict = field(default_factory=dict)   # (m, q) -> ExactMatrix
-    _solvers: dict = field(default_factory=dict, repr=False)
+    _snfs: dict = field(default_factory=dict, repr=False)
 
     def ann_rank(self, m: int) -> int:
         return self.ann_basis[m].cols if m in self.ann_basis else 0
 
-    def _solver(self, key, matrix) -> Solver:
-        """One solver per system; matrix() builds it on first use."""
-        if key not in self._solvers:
-            self._solvers[key] = Solver(matrix())
-        return self._solvers[key]
+    def _snf(self, key, matrix) -> SNFResult:
+        """One Smith normal form per system; matrix() builds it on first use."""
+        if key not in self._snfs:
+            self._snfs[key] = smith_normal_form(matrix())
+        return self._snfs[key]
 
     def ann_coords(self, m: int, V: ExactMatrix):
         """Coordinates of the columns of V (in H^m) on the Ann(c) basis, or
@@ -147,7 +148,7 @@ class GysinExtension:
 
         The basis has full column rank, so the coordinates are unique.
         """
-        return self._solver(("ann", m), lambda: self.ann_basis[m]).solve(V)
+        return self._snf(("ann", m), lambda: self.ann_basis[m]).solve(V)
 
     def target_degree(self, m: int, q: int) -> int:
         return m + q + self.c_degree - 1
@@ -219,7 +220,7 @@ def _cone_class_preimage(ext: GysinExtension, n: int, W: ExactMatrix) -> ExactMa
     def system():
         ident = ExactMatrix.identity(ext.sections.ring, hn)
         return _s_in_cone(ext, n, ident).hstack(ext.cone.module.d(n - 1))
-    sol = ext._solver(("preimage", n), system).solve(W)
+    sol = ext._snf(("preimage", n), system).solve(W)
     if sol is None:
         raise AssertionError("cone class has no preimage in H; exactness broken?")
     return sol.take_rows(range(hn))
@@ -357,18 +358,11 @@ def _solve_trivial_shape(ext: GysinExtension, beta: dict):
 
 
 def _beta_difference(ext: GysinExtension, b1: dict, b2: dict) -> dict:
-    ring = ext.sections.ring
-    out = {}
-    for key in set(b1) | set(b2):
-        m, q = key
-        kt = ext.kernel[ext.target_degree(m, q)]
-        rows = len(kt.orders)
-        cols = ext.ann_rank(m) * ext.sections.h().rank(q)
-        a1 = b1.get(key, ExactMatrix.zeros(ring, rows, cols))
-        a2 = b2.get(key, ExactMatrix.zeros(ring, rows, cols))
-        # classified coordinates live modulo the torsion orders
-        out[key] = kt.reduce(a1 - a2)
-    return out
+    """b1 - b2 block by block; both come from _beta_blocks, whose keys
+    depend on ext only.  Classified coordinates live modulo the torsion
+    orders."""
+    return {(m, q): ext.kernel[ext.target_degree(m, q)].reduce(b1[m, q] - b2[m, q])
+            for m, q in b1}
 
 
 def verify_theorem_th(a: DgAlgebra, c_degree: int, c_coords,

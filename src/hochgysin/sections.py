@@ -6,7 +6,7 @@ coboundaries, a basis of cohomology with chosen cocycle representatives
 s, a section q of d onto its image, and the class projection pi.  pi,
 q_of and image_coords take a matrix of columns (a vector is its
 one-column case) and re-verify what they return; image_coords
-back-substitutes through the SNF of d^{n-1}, as Solver does.  The
+back-substitutes through the SNF of d^{n-1}, as its solves do.  The
 decomposition requires H to be projective over the coefficient ring:
 over Z, torsion in any degree is a hard error.
 
@@ -159,8 +159,7 @@ class CohomologySections:
         vector); ProductNotACoboundaryError unless each is a coboundary."""
         Wm = as_columns(self.ring, W)
         prev = self._d_snf.get(n - 1)     # B^0 = 0: no rows divide
-        Y, bad = (divide_rows(Wm, []) if prev is None
-                  else divide_rows(prev.lmul("U", Wm), prev.divisors))
+        Y, bad = divide_rows(Wm, []) if prev is None else prev.image_coords(Wm)
         if bad.any() or self.image_basis[n] @ Y != Wm:
             raise ProductNotACoboundaryError(f"vector in degree {n} is not a coboundary")
         return shaped_like(W, Y)
@@ -261,9 +260,9 @@ def _normalize_unit(co: CohomologySections) -> None:
         raise UnitNotPrimitiveError(
             f"unit class {list(u_cls)} is not part of a basis of H^0")
     # U takes u_cls to its divisor, a unit made 1 by the SNF's canonical_unit
-    co._pi_mat[0] = s.U @ co._pi_mat[0]
+    co._pi_mat[0] = s.lmul("U", co._pi_mat[0])
     # s gets the inverse recombination; then the unit column is pinned to 1
-    co.s[0] = co.s[0] @ s.Uinv
+    co.s[0] = s.rmul(co.s[0], "Uinv")
     co.s[0].data[:, 0] = co.algebra.unit
 
 

@@ -12,8 +12,8 @@ cohomology of a torus with an exterior algebra.  The dense references
 run the sparse kernels of exactlin on whole numpy rows, and the
 products, which the package may run in int64 words, on Python ints.
 Helpers that only the tests need (a matrix from its columns, the Euler
-characteristic, the diagonal matrix of a Smith normal form) live here
-too.
+characteristic, the diagonal matrix and the whole transforms of a Smith
+normal form) live here too.
 """
 
 from itertools import combinations
@@ -345,6 +345,13 @@ def snf_diagonal(s):
     for i, d in enumerate(s.divisors):
         D.data[i, i] = d
     return D
+
+
+def transform(s, name):
+    """The whole transform U, Uinv, V or Vinv of the SNFResult s, as its
+    replay gives all of its columns; the package reads only the rows or
+    columns that it needs."""
+    return s.take_columns(name, range(s.shape[0] if name in ("U", "Uinv") else s.shape[1]))
 
 
 def dense_column_hermite(M):

@@ -317,6 +317,12 @@ MASSEY = ["massey", "--in", str(FIXTURE), "--y", "1:[0,1]"]
 # naming the fields that the fixed pivot rule derives, and a package without q
 # are rejected likewise
 USAGE_CASES = {
+    # an --in that cannot be read, or an --emit-witness that cannot be
+    # written, printed an OSError traceback and exited 1
+    "validate_in_missing_file": (["validate", "--in", "tests/no-such-file.json"], None),
+    "validate_in_directory": (["validate", "--in", "tests"], None),
+    "torus_emit_witness_missing_dir": (["torus", "--n", "1", "--emit-witness",
+                                        "tests/no-such-dir/w.json"], None),
     "torus_n0": (["torus", "--n", "0"], None),
     "monomorphism_n0": (["monomorphism", "--n", "0"], None),
     "sections_old_format": (["theta"], _sections_old_format),

@@ -11,9 +11,9 @@ import pytest
 import oracles
 from hochgysin.dga import cochain_algebra
 from hochgysin.exactlin import (
-    WORD_MIN_MADDS, ZZ, QQ, GF, ExactMatrix, NotInSpanError, Solver, Subquotient, as_vector,
-    column_hermite, kernel_basis, ring_from_name, smith_normal_form, solve, solve_matrix,
-    solve_with_certificate, vec_is_zero, zero_vector,
+    WORD_MIN_MADDS, ZZ, QQ, GF, ExactMatrix, NotInSpanError, SNFResult, Subquotient,
+    as_vector, column_hermite, kernel_basis, ring_from_name, smith_normal_form, solve,
+    solve_matrix, solve_with_certificate, vec_is_zero, zero_vector,
 )
 from hochgysin.sections import build_sections
 from hochgysin.simplicial import build_torus
@@ -37,30 +37,45 @@ def is_identity(m):
     return m == ExactMatrix.identity(m.ring, m.rows)
 
 
+TRANSFORMS = ("U", "Uinv", "V", "Vinv")
+
+
+def transforms(s) -> list:
+    """U, Uinv, V and Vinv of the SNFResult s, whole."""
+    return [oracles.transform(s, name) for name in TRANSFORMS]
+
+
+def assert_snf_contract(M, s):
+    """U M V == D with U Uinv and V Vinv identities."""
+    U, Uinv, V, Vinv = transforms(s)
+    assert (U @ M) @ V == oracles.snf_diagonal(s)
+    assert is_identity(U @ Uinv) and is_identity(V @ Vinv)
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
 
 def test_snf_identity():
-    s = smith_normal_form(ExactMatrix.identity(ZZ, 2))
+    M = ExactMatrix.identity(ZZ, 2)
+    s = smith_normal_form(M)
     assert oracles.snf_diagonal(s) == ExactMatrix.identity(ZZ, 2)
-    assert is_identity(s.U @ s.Uinv)
-    assert is_identity(s.V @ s.Vinv)
+    assert_snf_contract(M, s)
 
 
 def test_snf_two_by_two_example():
     M = ExactMatrix.from_rows(ZZ, [[2, 4], [6, 8]])
     s = smith_normal_form(M)
     assert s.divisors == [2, 4]            # |det M| = 8 = 2*4
-    assert (s.U @ M) @ s.V == oracles.snf_diagonal(s)
-    assert is_identity(s.U @ s.Uinv) and is_identity(s.V @ s.Vinv)
+    assert_snf_contract(M, s)
 
 
 def test_snf_zero_matrix():
     M = ExactMatrix.zeros(ZZ, 3, 2)
     s = smith_normal_form(M)
     assert oracles.snf_diagonal(s).is_zero()
-    assert is_identity(s.U) and is_identity(s.V)
+    U, _, V, _ = transforms(s)
+    assert is_identity(U) and is_identity(V)
     assert s.rank == 0
 
 
@@ -71,9 +86,7 @@ def test_snf_random_properties(ring):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         M = random_matrix(ring, rows, cols, rng)
         s = smith_normal_form(M)
-        assert (s.U @ M) @ s.V == oracles.snf_diagonal(s)
-        assert is_identity(s.U @ s.Uinv)
-        assert is_identity(s.V @ s.Vinv)
+        assert_snf_contract(M, s)
         # diagonal, divisibility chain, canonical pivots
         for i in range(rows):
             for j in range(cols):
@@ -92,7 +105,7 @@ def test_snf_deterministic():
     rng = random.Random(7)
     M = random_matrix(ZZ, 5, 4, rng)
     s1, s2 = smith_normal_form(M), smith_normal_form(ExactMatrix(ZZ, M.data.copy()))
-    assert s1.U == s2.U and s1.V == s2.V
+    assert transforms(s1) == transforms(s2)
     assert s1.shape == s2.shape and s1.divisors == s2.divisors
 
 
@@ -170,7 +183,8 @@ def snf_digest(ring, matrices) -> str:
     for M in matrices:
         s = smith_normal_form(M)
         D = oracles.snf_diagonal(s)
-        h.update(json.dumps([m.to_lists() for m in (s.U, D, s.V, s.Uinv, s.Vinv)]
+        U, Uinv, V, Vinv = transforms(s)
+        h.update(json.dumps([m.to_lists() for m in (U, D, V, Uinv, Vinv)]
                             + [[ring.scalar_to_json(d) for d in s.divisors]]).encode())
     return h.hexdigest()
 
@@ -221,9 +235,6 @@ def test_snf_operation_sequence_pinned_sparse(name):
     assert snf_digest(ring, (sparse_pin_matrix(ring, rng) for _ in range(24))) == expected
 
 
-TRANSFORMS = ("U", "Uinv", "V", "Vinv")
-
-
 def replay_cases(ring, rng):
     """Seeded inputs: empty shapes, zero, identity, full rank and random."""
     yield ExactMatrix.zeros(ring, 0, 3)
@@ -242,20 +253,17 @@ def test_snf_replay_matches_materialized_transforms(ring):
     rng = random.Random(31 + ring_seed(ring) % 83)
     for M in replay_cases(ring, rng):
         s = smith_normal_form(M)
-        fresh = smith_normal_form(M)           # only replays: it builds no transform
         for name in TRANSFORMS:
-            T = getattr(s, name)
+            T = oracles.transform(s, name)
             n = T.rows
             k = rng.randint(0, 3)
             Y, X = random_matrix(ring, n, k, rng), random_matrix(ring, k, n, rng)
-            assert fresh.lmul(name, Y) == T @ Y
-            assert fresh.rmul(X, name) == X @ T
+            assert s.lmul(name, Y) == T @ Y
+            assert s.rmul(X, name) == X @ T
             idx = sorted(rng.sample(range(n), rng.randint(0, n)))
-            assert fresh.take_rows(name, idx) == T.take_rows(idx)
-            assert fresh.take_columns(name, idx) == T.take_columns(idx)
-        assert not set(TRANSFORMS) & set(vars(fresh))
-        assert (s.U @ M) @ s.V == oracles.snf_diagonal(s)
-        assert is_identity(s.U @ s.Uinv) and is_identity(s.V @ s.Vinv)
+            assert s.take_rows(name, idx) == T.take_rows(idx)
+            assert s.take_columns(name, idx) == T.take_columns(idx)
+        assert_snf_contract(M, s)
 
 
 # ---------------------------------------------------------------------------
@@ -572,21 +580,22 @@ def test_word_products_of_the_seeded_t3_pipeline(monkeypatch, word_calls):
     assert {(2, True), (3, True)} <= set(word_calls)
 
 
-def recorded_snfs(monkeypatch) -> list:
-    """Make smith_normal_form append its results to the returned list."""
-    from hochgysin import exactlin
-    made, snf = [], exactlin.smith_normal_form
+def recorded_replays(monkeypatch) -> list:
+    """Make SNFResult.lmul and rmul append (SNFResult, transform name,
+    number of vectors replayed) to the returned list: the columns of the
+    operand of lmul, the rows of the operand of rmul.  take_rows and
+    take_columns replay through them on the identity's rows or columns."""
+    seen, lmul, rmul = [], SNFResult.lmul, SNFResult.rmul
+    monkeypatch.setattr(SNFResult, "lmul",
+                        lambda s, name, Y: seen.append((s, name, Y.cols)) or lmul(s, name, Y))
+    monkeypatch.setattr(SNFResult, "rmul",
+                        lambda s, X, name: seen.append((s, name, X.rows)) or rmul(s, X, name))
+    return seen
 
-    def recording(M):
-        made.append(snf(M))
-        return made[-1]
-    monkeypatch.setattr(exactlin, "smith_normal_form", recording)
-    return made
 
-
-def built(snfs) -> set:
-    """The names of the transforms that some of the SNF results has built."""
-    return {name for s in snfs for name in TRANSFORMS if name in vars(s)}
+def widths(replays) -> list:
+    """(transform name, vectors replayed) of each recorded replay, in order."""
+    return [(name, width) for _, name, width in replays]
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(5)])
@@ -596,23 +605,31 @@ def test_solve_kernel_classify_leave_transforms_unbuilt(ring, monkeypatch):
     M.data[:, 3] = M.data[:, 0]                 # rank deficient
     M.data[5] = 0                               # e_5 is not in the image
     B = M @ random_matrix(ring, 4, 3, rng)
-    made = recorded_snfs(monkeypatch)
-    assert Solver(M).solve(B) is not None
-    assert made and built(made) == set()
-    made.clear()
+    s = smith_normal_form(M)
+    replays = recorded_replays(monkeypatch)
+    # a solve replays U and V on the 3 columns of B, never on all 4 of V
+    assert s.solve(B) is not None
+    assert widths(replays) == [("U", 3), ("V", 3)]
+    # a refusal replays U on its one column, then the one certificate row of U
+    replays.clear()
+    assert s.solve(as_vector(ring, [0, 0, 0, 0, 0, 1])) is None
+    assert widths(replays) == [("U", 1), ("U", 1)]
+    # the kernel is the columns of V past the rank
+    replays.clear()
     kernel_basis(M)
-    assert made and built(made) == set()
-    made.clear()
-    Subquotient.from_gens_rels(ring, M, M.take_columns([0])).classify(B)
-    assert made and built(made) == set()
-    # a refusal replays the one certificate row of U, and builds nothing
-    made.clear()
-    assert Solver(M).solve(as_vector(ring, [0, 0, 0, 0, 0, 1])) is None
-    assert made and built(made) == set()
-    # the sections read rows of Vinv of each SNF(d^n), never the whole of it
-    made.clear()
+    assert widths(replays) == [("V", M.cols - s.rank)]
+    # classify is one solve on the SNF of the generator basis
+    sq = Subquotient.from_gens_rels(ring, M, M.take_columns([0]))
+    replays.clear()
+    sq.classify(B)
+    assert widths(replays) == [("U", 3), ("V", 3)]
+    # the sections read rows of Vinv of each SNF(d^n) past its rank and
+    # apply it to the image basis: all of Vinv only where d^n = 0, whose
+    # SNF records no operation
+    replays.clear()
     build_sections(cochain_algebra(build_torus(2), ring), seed=1)
-    assert made and "Vinv" not in built(made)
+    vinv = [(t, width) for t, name, width in replays if name == "Vinv"]
+    assert vinv and all(width < t.shape[1] or t.rank == 0 for t, width in vinv)
 
 
 # ---------------------------------------------------------------------------
@@ -882,7 +899,7 @@ def test_snf_divisors_match_sympy_over_z():
         full = s.divisors + [0] * (min(M.rows, M.cols) - s.rank)
         expected = invariant_factors(_sympy_matrix(sympy, M.data), domain=sympy.ZZ)
         assert full == [int(d) for d in expected], (trial, M.to_lists())
-        assert _no_floats(*(m.data for m in (s.U, s.V, s.Uinv, s.Vinv)), s.divisors)
+        assert _no_floats(*(m.data for m in transforms(s)), s.divisors)
 
 
 def test_rank_and_solutions_match_sympy_over_q():
@@ -898,8 +915,8 @@ def test_rank_and_solutions_match_sympy_over_q():
         s = smith_normal_form(M)
         sM = _sympy_matrix(sympy, M.data)
         assert s.rank == sM.rank(), (trial, M.to_lists())
-        assert _no_floats(*(m.data for m in (s.U, s.V, s.Uinv, s.Vinv)), s.divisors)
-        solver = Solver(M)
+        assert _no_floats(*(m.data for m in transforms(s)), s.divisors)
+        solver = smith_normal_form(M)
         rhs = (M.matvec(as_vector(QQ, [entry() for _ in range(cols)])),
                as_vector(QQ, [entry() for _ in range(rows)]))
         for b in rhs:

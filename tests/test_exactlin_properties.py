@@ -37,9 +37,10 @@ def test_snf_invariants_on_random_sparse_matrices(M):
     D = ExactMatrix.zeros(ring, M.rows, M.cols)
     for i, d in enumerate(s.divisors):
         D.data[i, i] = d
-    assert s.shape == (M.rows, M.cols) and (s.U @ M) @ s.V == D
-    assert s.U @ s.Uinv == ExactMatrix.identity(ring, M.rows)
-    assert s.V @ s.Vinv == ExactMatrix.identity(ring, M.cols)
+    U, Uinv, V, Vinv = (oracles.transform(s, name) for name in ("U", "Uinv", "V", "Vinv"))
+    assert s.shape == (M.rows, M.cols) and (U @ M) @ V == D
+    assert U @ Uinv == ExactMatrix.identity(ring, M.rows)
+    assert V @ Vinv == ExactMatrix.identity(ring, M.cols)
     assert all(ring.divides(a, b) for a, b in zip(s.divisors, s.divisors[1:]))
     assert all(d > 0 if ring.tag == "Z" else d == 1 for d in s.divisors)
     assert s.rank == len(s.divisors) == oracles.dense_smith_normal_form(M).rank

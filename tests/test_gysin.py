@@ -322,6 +322,30 @@ def test_trivial_shape_round_trip(heis, ring_name, c_degree, c):
     assert _trivial_shape_beta(ext, solved) == beta
 
 
+T2_CLASSES = [(0, [1]), (1, [1, 0]), (1, [0, 0]), (2, [1])]
+
+
+@pytest.mark.parametrize("ring_name,c_degree,c", [
+    (name, deg, c) for name in ("Z", "F3", "Q") for deg, c in T2_CLASSES
+] + [("fixture", 1, [0, 1]), ("fixture", 0, [0]), ("fixture", 3, [1])])
+def test_beta_blocks_share_their_keys(heis, ring_name, c_degree, c):
+    # _beta_difference subtracts over the keys of its first argument: every
+    # beta comes from _beta_blocks, whose keys depend on the extension only
+    from hochgysin.gysin import _trivial_shape_beta
+    if ring_name == "fixture":
+        a, co = heis
+    else:
+        a = cochain_algebra(build_torus(2), ring_from_name(ring_name))
+        co = build_sections(a)
+    h = co.h()
+    ext = gysin_extension(a, c_degree, c, co)
+    b = {m: ExactMatrix.zeros(a.ring, h.rank(m + c_degree - 1), basis.cols)
+         for m, basis in ext.ann_basis.items()}
+    keys = set(ext.beta_geo)
+    assert set(beta_from_theta(theta(co), ext)) == keys
+    assert set(_trivial_shape_beta(ext, b)) == keys
+
+
 def test_cross_oracle_trivial_theta_implies_split(torus2):
     a, co = torus2
     th = theta(co)
