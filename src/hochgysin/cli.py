@@ -56,7 +56,8 @@ def _read_payload(args):
         raise UsageError("no input supplied (use --in FILE or a pipe)")
     try:
         payload = json.loads(raw.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # RecursionError: nested deeper than the decoder's recursion limit
         raise UsageError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise UsageError("input is not a JSON object")
@@ -111,7 +112,7 @@ def _json_int(name, text):
     """A flag or variable read as a JSON integer ("0_2", "+1" are errors)."""
     try:
         return int_from_json(json.loads(text))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise UsageError(f"{name}={text!r} is not an integer") from exc
 
 
@@ -144,7 +145,7 @@ def _parse_class(co, token):
             raise ValueError(f"H^{degree} has rank {co.hr(degree)}, "
                              f"got {len(values)} coordinates")
         vector = as_vector(co.ring, [co.ring.scalar_from_json(v) for v in values])
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, RecursionError) as exc:
         raise UsageError(f"bad class literal {token!r}: {exc}") from exc
     return degree, vector
 

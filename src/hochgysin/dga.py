@@ -176,8 +176,9 @@ def _bilinear_block(entries, size: int, left: ExactMatrix,
 def _sparse_cols(m: ExactMatrix):
     """column j -> list of (row, coeff) for the nonzero entries."""
     cols = [[] for _ in range(m.cols)]
-    for i, j in zip(*np.nonzero(m.data)):
-        cols[j].append((int(i), m.data[i, j]))
+    r, c = (m.data != 0).nonzero()
+    for i, j, x in zip(r.tolist(), c.tolist(), m.data[r, c]):
+        cols[j].append((i, x))
     return cols
 
 

@@ -24,6 +24,11 @@ runs it on the rows and on the columns of one sparse copy of A (a
 column operation on A is a row operation on A.T), the column Hermite
 form on the columns only.  Replay holds its operand's
 rows as {col: value}; a sparse left factor's product works row by row.
+These scans find the nonzeros of an object matrix through the mask
+``a != 0``, nearly twice as fast as ``a.nonzero()`` on objects.  A
+product with a Kronecker factor that is an identity, M @ kron(X, I) or
+M @ kron(I, X), is matmul_kron: a reshape of M, one product @ X and a
+reshape back, so the word path and the reduction mod p stay those of @.
 
 Pivot rule (fixed for reproducibility): among the nonzero candidates on
 the trailing block, over Z the smallest abs(), ties broken by lowest
@@ -338,7 +343,7 @@ class ExactMatrix:
             # to words changed neither the seeded T^3 nor the T^4 pipeline
             out = None
             if k * (n - 1) > 256:
-                r, c = A.nonzero()
+                r, c = (A != 0).nonzero()
                 if 2 * len(r) * n + 256 * m < A.size * n:
                     out = np.zeros((m, n), dtype=A.dtype)
                     starts = np.flatnonzero(np.diff(r, prepend=-1)).tolist()
@@ -444,6 +449,23 @@ def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(a.ring, a.ring.reduce_array(np.kron(a.data, b.data)))
 
 
+def matmul_kron(M: ExactMatrix, X: ExactMatrix, k: int,
+                identity_first: bool = False) -> ExactMatrix:
+    """M @ kron(X, I_k), or M @ kron(I_k, X) when identity_first, without
+    forming the Kronecker product: M's columns are pairs (row of X, index
+    of I_k) or the reverse, so M reshapes to one block of rows per index
+    of I_k, one product @ X contracts the rows of X, and the result
+    reshapes back (Van Loan's (B (x) A) vec Y = vec(A Y B^T))."""
+    (m, n), (a, b) = M.data.shape, X.data.shape
+    if n != a * k:
+        raise DimensionMismatchError(f"{m}x{n} @ kron of {a}x{b} and I_{k}")
+    if identity_first:
+        Y = ExactMatrix(M.ring, M.data.reshape(m * k, a)) @ X
+        return ExactMatrix(M.ring, Y.data.reshape(m, k * b))
+    Y = ExactMatrix(M.ring, M.data.reshape(m, a, k).transpose(0, 2, 1).reshape(m * k, a)) @ X
+    return ExactMatrix(M.ring, Y.data.reshape(m, k, b).transpose(0, 2, 1).reshape(m, b * k))
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
@@ -483,14 +505,17 @@ class SNFResult:
         """Apply to the rows of Y, in place, the product of the side's
         operations (inverse: its inverse; transpose: its transpose).  The
         rows are held as {col: value} of their nonzeros while the
-        operations run, so each one walks only the nonzeros it reads."""
+        operations run, so each one walks only the nonzeros it reads.  A
+        side that recorded no operation leaves Y as it is."""
+        ops = [op for op in self.ops if op[0] == side]
+        if not ops:
+            return
         ring = self.ring
         p = ring.p if ring.tag == "Fp" else None
         rows = [{} for _ in range(Y.shape[0])]
-        r, c = Y.nonzero()
+        r, c = (Y != 0).nonzero()
         for i, j, x in zip(r.tolist(), c.tolist(), Y[r, c]):
             rows[i][j] = x
-        ops = [op for op in self.ops if op[0] == side]
         for _, kind, dst, src, q in (ops if inverse == transpose else reversed(ops)):
             if kind == "swap":
                 rows[dst], rows[src] = rows[src], rows[dst]
@@ -649,7 +674,7 @@ class _Lines:
 def _sparse(M: ExactMatrix):
     """(rows, columns) of M: rows {col: value}, columns {row: value}, nonzeros only."""
     R, C = [{} for _ in range(M.rows)], [{} for _ in range(M.cols)]
-    r, c = M.data.nonzero()
+    r, c = (M.data != 0).nonzero()
     for i, j, x in zip(r.tolist(), c.tolist(), M.data[r, c]):
         R[i][j] = C[j][i] = x
     return R, C

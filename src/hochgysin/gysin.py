@@ -37,7 +37,7 @@ import numpy as np
 from .dga import DgAlgebra, DgModule, validate_module
 from .exactlin import (
     ExactMatrix, SNFResult, Subquotient, as_columns, as_vector, complex_cohomology,
-    kernel_basis, kron, smith_normal_form, solve_matrix, solve_with_certificate,
+    kernel_basis, matmul_kron, smith_normal_form, solve_matrix, solve_with_certificate,
     zero_vector,
 )
 from .hochschild import HochschildCochain, theta
@@ -192,8 +192,9 @@ def gysin_extension(a: DgAlgebra, c_degree: int, c_coords,
     ann = _annihilator_bases(co, c_degree, c_col)
 
     # sigma(x) = class of (-q(c, x), s(x)) at cone degree m + |c| - 1
-    sigma_chain = {m: (-(co.qpair_block(c_degree, m) @ kron(c_col, basis))).vstack(
-        co.s_matrix(m) @ basis) for m, basis in ann.items()}
+    # kron(c, basis) = kron(c, I) @ basis
+    sigma_chain = {m: (-(matmul_kron(co.qpair_block(c_degree, m), c_col, basis.rows) @ basis)
+                       ).vstack(co.s_matrix(m) @ basis) for m, basis in ann.items()}
 
     ext = GysinExtension(a, co, c_degree, c_coords, cone, cone_h, kernel, ann,
                          sigma_chain)
@@ -281,9 +282,10 @@ def beta_from_theta(th: HochschildCochain, ext: GysinExtension) -> dict:
     c_col = as_columns(h.ring, ext.c_coords)
 
     def values(m, q):
-        ident = ExactMatrix.identity(h.ring, h.rank(q))
-        return th.block_or_zero((ext.c_degree, m, q)) @ \
-            kron(c_col, kron(ext.ann_basis[m], ident))
+        # kron(c, kron(A, I)) = kron(c, I) @ kron(A, I)
+        hq = h.rank(q)
+        cx = matmul_kron(th.block_or_zero((ext.c_degree, m, q)), c_col, h.rank(m) * hq)
+        return matmul_kron(cx, ext.ann_basis[m], hq)
     return _beta_blocks(ext, values)
 
 
@@ -298,63 +300,73 @@ def _solve_trivial_shape(ext: GysinExtension, beta: dict):
     slack coefficients absorbing the cH ambiguity per equation block.
     Returns (b_blocks, None) or (None, certificate).
     """
-    h = ext.sections.h()
-    ring = h.ring
-    shift = ext.c_degree - 1
-    offsets = {}                            # m -> (first column, rank, h rank)
-    total = 0
-    for m in sorted(ext.ann_basis):
-        r = ext.ann_rank(m)
-        ht = h.rank(m + shift)
-        offsets[m] = (total, r, ht)
-        total += r * ht
-
-    # one row block per (m, q), rows in (x, y, H-coordinate) order
-    blocks = []                             # (unknown part, slack part, rhs)
-    for (m, q), block in sorted(beta.items()):
-        ktarget = ext.kernel[ext.target_degree(m, q)]
-        rels = ktarget.relations            # ambient columns spanning cH
-        hn = rels.rows
-        hq = h.rank(q)
-        off, r, ht1 = offsets[m]
-        eq = ExactMatrix.zeros(ring, r * hq * hn, total)
-        # + b(xy): kron(A^T, I) for the Ann(c) coordinates A of the products
-        if (m + q) in offsets:
-            off2, r2, _ = offsets[m + q]
-            coords = ext.ann_coords(m + q, h.left_mult(m, ext.ann_basis[m], q))
-            eq.data[:, off2:off2 + r2 * hn] = kron(
-                ExactMatrix(ring, coords.data.T.copy()), ExactMatrix.identity(ring, hn)).data
-        # - b(x) y: R stacks the columns of mult_block(m + shift, q) by y
-        R = h.mult_block(m + shift, q).data.reshape(hn, ht1, hq).transpose(2, 0, 1)
-        right = kron(ExactMatrix.identity(ring, r),
-                     ExactMatrix(ring, R.reshape(hq * hn, ht1)))
-        cols = slice(off, off + r * ht1)
-        eq.data[:, cols] = ring.reduce_array(eq.data[:, cols] - right.data)
-        # slack - rels * t per equation, working modulo cH
-        slack = kron(ExactMatrix.identity(ring, r * hq), -rels)
-        rhs = (ktarget.reduced_gens @ block).data.T.reshape(-1)
-        blocks.append((eq, slack, rhs))
-
-    x = zero_vector(ring, total)
-    if blocks:
-        nrows = sum(eq.rows for eq, _, _ in blocks)
-        system = ExactMatrix.zeros(ring, nrows,
-                                   total + sum(sl.cols for _, sl, _ in blocks))
-        rhs = zero_vector(ring, nrows)
-        row0 = 0
-        col0 = total
-        for eq, slack, beta_amb in blocks:
-            rows = slice(row0, row0 + eq.rows)
-            system.data[rows, :total] = eq.data
-            system.data[rows, col0:col0 + slack.cols] = slack.data
-            rhs[rows] = beta_amb
-            row0 += eq.rows
-            col0 += slack.cols
+    ring = ext.sections.ring
+    system, rhs, offsets = _trivial_shape_system(ext, beta)
+    x = zero_vector(ring, system.cols)
+    if beta:
         x, cert = solve_with_certificate(system, rhs)
         if x is None:
             return None, cert
     return {m: ExactMatrix(ring, x[off:off + r * ht].reshape(r, ht).T.copy())
             for m, (off, r, ht) in offsets.items()}, None
+
+
+def _trivial_shape_system(ext: GysinExtension, beta: dict):
+    """(matrix, right-hand side, offsets) of b(xy) - b(x) y - rels t = beta.
+
+    The columns hold the unknowns of b, at offsets[m] = (first column,
+    Ann(c) rank, H rank) per degree m, then one slack block per (m, q).
+    There is one row block per (m, q), its rows in (x, y, H-coordinate)
+    order.  Its pieces kron(A^T, I), kron(I, R) and kron(I, -rels) are
+    written block by block, without forming the Kronecker products.
+    """
+    h = ext.sections.h()
+    ring = h.ring
+    shift = ext.c_degree - 1
+    offsets, total = {}, 0
+    for m in sorted(ext.ann_basis):
+        r, ht = ext.ann_rank(m), h.rank(m + shift)
+        offsets[m] = (total, r, ht)
+        total += r * ht
+    # per (m, q): n = r h_q equations (x, y) of h_n rows each, and n slack
+    # blocks of the columns of rels, which span cH
+    parts = []                              # (m, q, n, rels, rhs)
+    for (m, q), block in sorted(beta.items()):
+        ktarget = ext.kernel[ext.target_degree(m, q)]
+        parts.append((m, q, offsets[m][1] * h.rank(q), ktarget.relations,
+                      (ktarget.reduced_gens @ block).data.T.reshape(-1)))
+    nrows = sum(len(rhs) for *_, rhs in parts)
+    system = ExactMatrix.zeros(ring, nrows, total + sum(
+        n * rels.cols for _, _, n, rels, _ in parts)).data
+    rhs_all = zero_vector(ring, nrows)
+    row0, col0 = 0, total
+    for m, q, n, rels, rhs in parts:
+        hn, hq, k = rels.rows, h.rank(q), rels.cols
+        off, r, ht1 = offsets[m]
+        eq = system[row0:row0 + len(rhs)]   # a view into system
+        # + b(xy): kron(A^T, I_hn) for the Ann(c) coordinates A of the
+        # products; row s of each equation gets A^T in columns s mod hn
+        if (m + q) in offsets:
+            off2, r2, _ = offsets[m + q]
+            coords = ext.ann_coords(m + q, h.left_mult(m, ext.ann_basis[m], q))
+            for s in range(hn):
+                eq[s::hn, off2 + s:off2 + r2 * hn:hn] = coords.data.T
+        # - b(x) y: kron(I_r, R), R stacking the columns of
+        # mult_block(m + shift, q) by y
+        R = h.mult_block(m + shift, q).data.reshape(hn, ht1, hq).transpose(2, 0, 1)
+        R = R.reshape(hq * hn, ht1)
+        for i in range(r):
+            rows = slice(i * hq * hn, (i + 1) * hq * hn)
+            cols = slice(off + i * ht1, off + (i + 1) * ht1)
+            eq[rows, cols] = ring.reduce_array(eq[rows, cols] - R)
+        # slack: kron(I_n, -rels), working modulo cH
+        neg = (-rels).data
+        for i in range(n):
+            eq[i * hn:(i + 1) * hn, col0 + i * k:col0 + (i + 1) * k] = neg
+        rhs_all[row0:row0 + len(rhs)] = rhs
+        row0 += len(rhs)
+        col0 += n * k
+    return ExactMatrix(ring, system), rhs_all, offsets
 
 
 def _beta_difference(ext: GysinExtension, b1: dict, b2: dict) -> dict:
@@ -408,7 +420,8 @@ def split_extension(ext: GysinExtension, theta_witness: HochschildCochain = None
     seed_blocks = None
     if theta_witness is not None:
         c_col = as_columns(ring, ext.c_coords)
-        seed_blocks = {m: theta_witness.block_or_zero((ext.c_degree, m)) @ kron(c_col, basis)
+        seed_blocks = {m: matmul_kron(theta_witness.block_or_zero((ext.c_degree, m)),
+                                      c_col, basis.rows) @ basis
                        for m, basis in ext.ann_basis.items()}
 
     target = ext.beta_geo

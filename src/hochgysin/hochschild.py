@@ -14,7 +14,11 @@ tuples whose source and target ranks are all nonzero can carry blocks.
 The triviality and class-equality solvers assemble the coboundary as an
 exact matrix, one signed Kronecker block per (target tuple, source
 tuple) and term of delta, and hand the system to the exact linear
-solver; infeasibility comes back as a checkable certificate.
+solver; infeasibility comes back as a checkable certificate.  No
+Kronecker product is formed: each block is a multiplication block
+repeated on a grid of cells, written by index arithmetic from its
+nonzeros.  Products with a Kronecker factor elsewhere (theta's chain
+blocks, HRing.left_mult) contract through exactlin.matmul_kron.
 coboundary() is the independent evaluator: every witness is re-checked
 with it, and the tests compare the assembled matrix with coboundary() of
 each elementary cochain, so the two cannot drift apart.  When H^0 is
@@ -35,12 +39,13 @@ import json
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product as iproduct
+from math import prod
 from pathlib import Path
 
 import numpy as np
 
 from .exactlin import (
-    ExactMatrix, Ring, int_from_json, ints_from_key, kron, ring_from_name,
+    ExactMatrix, Ring, int_from_json, ints_from_key, kron, matmul_kron, ring_from_name,
     solve_with_certificate, zero_vector,
 )
 from .sections import CohomologySections, HRing, NotACocycleError
@@ -191,12 +196,12 @@ def theta_chain_block(co: CohomologySections, p: int, q: int, r: int) -> ExactMa
     block = ExactMatrix.zeros(ring, rows, hp * hq * hr)
     if rows == 0 or hp * hq * hr == 0:
         return block
-    ident = lambda n: ExactMatrix.identity(ring, n)
     q_yz = co.qpair_block(q, r)
     if not q_yz.is_zero():
         block = block + a.bilinear_block(p, q + r - 1, co.s_matrix(p), q_yz).scale((-1) ** p)
-    block = block - co.qpair_block(p + q, r) @ kron(h.mult_block(p, q), ident(hr))
-    block = block + co.qpair_block(p, q + r) @ kron(ident(hp), h.mult_block(q, r))
+    block = block - matmul_kron(co.qpair_block(p + q, r), h.mult_block(p, q), hr)
+    block = block + matmul_kron(co.qpair_block(p, q + r), h.mult_block(q, r), hp,
+                                identity_first=True)
     q_xy = co.qpair_block(p, q)
     if not q_xy.is_zero():
         block = block - a.bilinear_block(p + q - 1, r, q_xy, co.s_matrix(r))
@@ -269,22 +274,34 @@ def coboundary_matrix(M: TwistedBimodule, arity: int, internal_degree: int,
     """(matrix of delta, source layout, target layout) in flat coordinates.
 
     Assembled block by block: for each target tuple T, each term of
-    coboundary() reads one source tuple S and adds one signed block at
-    the layout offsets of (T, S); an S outside the source layout (a
-    unit slot when positive_only) adds nothing.
+    coboundary() reads one source tuple S and adds one signed Kronecker
+    block at the layout offsets of (T, S); an S outside the source layout
+    (a unit slot when positive_only) adds nothing.  The Kronecker block
+    is not formed: each nonzero of its multiplication block lands on a
+    grid of cells, found by index arithmetic.  The sums per cell are
+    normalized once, and only the nonzero ones are written.
     """
     h = M.base
     ring = h.ring
     l, t = arity, internal_degree
     src = CochainLayout.build(h, l, t, positive_only)
     dst = CochainLayout.build(h, l + 1, t, positive_only)
-    mat = ExactMatrix.zeros(ring, dst.total, src.total).data
-    eye = lambda n: ExactMatrix.identity(ring, n).data
+    n = src.total
+    sums = {}                               # flat cell row * n + col -> sum
+    nonzeros = {}                           # (p, q) -> [(u, v, m[u, v])]
 
-    def add(T, S, sign, block):
-        r0, c0 = dst.offsets[T][0], src.offsets[S][0]
-        rows, cols = block.shape
-        mat[r0:r0 + rows, c0:c0 + cols] += sign * block
+    def add(T, S, sign, pq, cell, grid):
+        """sign * m[u, v] into the cells cell(u, v) + g, g in grid, of the
+        (T, S) block, for each nonzero m[u, v] of m = mult_block(*pq)."""
+        if pq not in nonzeros:
+            a = h.mult_block(*pq).data
+            u, v = (a != 0).nonzero()
+            nonzeros[pq] = list(zip(u.tolist(), v.tolist(), a[u, v]))
+        base = dst.offsets[T][0] * n + src.offsets[S][0]
+        for u, v, x in nonzeros[pq]:
+            k, x = base + cell(u, v), sign * x
+            for g in grid:
+                sums[k + g] = sums.get(k + g, 0) + x
 
     # a row is (i, source classes) for the value's class i; a column is
     # (r, c) for the row and column of the source block
@@ -294,26 +311,42 @@ def coboundary_matrix(M: TwistedBimodule, arity: int, internal_degree: int,
         S = T[1:]
         if S in src.offsets:
             _, ra, ca = src.offsets[S]
-            m = h.mult_block(T[0], sum(S) + t).data.reshape(rt * h.rank(T[0]), ra)
-            add(T, S, (-1) ** T[0], np.kron(m, eye(ca)))
-        # a(..., x_i x_{i+1}, ...): [(r, j), (r, c)] is X[c, j], X = I (x) m (x) I
+            hx = h.rank(T[0])
+            add(T, S, (-1) ** T[0], (T[0], sum(S) + t),
+                lambda i, xr: (i * hx + xr // ra) * ca * n + xr % ra * ca,
+                _grid((ca, n + 1)))
+        # a(..., x_i x_{i+1}, ...): [(r, (a, v, b)), (r, (a, u, b))] is m[u, v]
+        # for the classes a before and b after the pair
         for i in range(l):
             S = T[:i] + (T[i] + T[i + 1],) + T[i + 2:]
             if S in src.offsets:
-                mats = [eye(h.rank(p)) for p in T[:i]]
-                mats.append(h.mult_block(T[i], T[i + 1]).data)
-                mats.extend(eye(h.rank(p)) for p in T[i + 2:])
-                add(T, S, (-1) ** (i + 1), np.kron(eye(rt), reduce(np.kron, mats).T))
+                ca = src.offsets[S][2]
+                hm, hv = h.rank(S[i]), h.rank(T[i]) * h.rank(T[i + 1])
+                post = prod(map(h.rank, T[i + 2:]))
+                add(T, S, (-1) ** (i + 1), (T[i], T[i + 1]), lambda u, v: (v * n + u) * post,
+                    _grid((rt, ct * n + ca), (prod(map(h.rank, T[:i])), (hv * n + hm) * post),
+                          (post, n + 1)))
         # a(x_1, ..., x_l) x_{l+1}: [(i, c, y), (r, c)] is m[i, (r, y)]
         S = T[:l]
         if S in src.offsets:
             _, ra, ca = src.offsets[S]
             hk = h.rank(T[l])
-            m = h.mult_block(sum(S) + t, T[l]).data.reshape(rt, ra, hk)
-            k = np.kron(m.transpose(0, 2, 1).reshape(rt * hk, ra), eye(ca))
-            k = k.reshape(rt, hk, ca, ra * ca).transpose(0, 2, 1, 3)
-            add(T, S, (-1) ** (l + 1), k.reshape(rt * ct, ra * ca))
-    return ExactMatrix(ring, ring.reduce_array(mat)), src, dst
+            add(T, S, (-1) ** (l + 1), (sum(S) + t, T[l]),
+                lambda i, ry: (i * ca * hk + ry % hk) * n + ry // hk * ca,
+                _grid((ca, hk * n + 1)))
+    cells = {k: x for k, x in zip(sums, map(ring.normalize, sums.values())) if x}
+    mat = np.zeros(dst.total * n, dtype=object)
+    mat[list(cells)] = list(cells.values())
+    return ExactMatrix(ring, mat.reshape(dst.total, n)), src, dst
+
+
+def _grid(*axes) -> list:
+    """The offsets i_1 s_1 + ... + i_k s_k, 0 <= i_j < count_j, of the
+    axes (count_j, stride s_j)."""
+    out = [0]
+    for count, stride in axes:
+        out = [o + i * stride for o in out for i in range(count)]
+    return out
 
 
 def _vanishes_on_unit_slots(a: HochschildCochain, h: HRing) -> bool:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .dga import DgAlgebra, dga_from_json, dga_to_json
 from .exactlin import (
     DimensionMismatchError, ExactMatrix, Ring, Subquotient, as_columns, complex_cohomology,
-    divide_rows, int_from_json, kron, shaped_like, smith_normal_form, vec_is_zero,
+    divide_rows, int_from_json, matmul_kron, shaped_like, smith_normal_form, vec_is_zero,
 )
 
 
@@ -88,13 +88,12 @@ class HRing:
     def left_mult(self, p: int, X: ExactMatrix, q: int) -> ExactMatrix:
         """Products of the classes X (columns, in H^p) with the basis of H^q:
         column jx * h_q + jy is X_jx e_jy."""
-        ident = ExactMatrix.identity(self.ring, self.rank(q))
-        return self.mult_block(p, q) @ kron(X, ident)
+        return matmul_kron(self.mult_block(p, q), X, self.rank(q))
 
     def right_mult(self, p: int, q: int, z) -> ExactMatrix:
         """Matrix of y -> y z on H^p, for the class z in H^q."""
-        ident = ExactMatrix.identity(self.ring, self.rank(p))
-        return self.mult_block(p, q) @ kron(ident, as_columns(self.ring, z))
+        return matmul_kron(self.mult_block(p, q), as_columns(self.ring, z), self.rank(p),
+                           identity_first=True)
 
 
 class CohomologySections:

@@ -11,17 +11,22 @@ of a Hochschild cochain on a tuple of classes, and the comparison of the
 cohomology of a torus with an exterior algebra.  The dense references
 run the sparse kernels of exactlin on whole numpy rows, and the
 products, which the package may run in int64 words, on Python ints.
-Helpers that only the tests need (a matrix from its columns, the Euler
-characteristic, the diagonal matrix and the whole transforms of a Smith
-normal form) live here too.
+The Kronecker references build each product with a Kronecker factor,
+kron(X, I) and the like, in full and multiply by it, where the package
+contracts without forming it; coboundary_matrix, written by index
+arithmetic, has coboundary() itself as its reference.  Helpers that only
+the tests need (a matrix from its columns, the Euler characteristic, the
+diagonal matrix and the whole transforms of a Smith normal form) live
+here too.
 """
 
 from itertools import combinations
 
 import numpy as np
 
+from hochgysin import gysin
 from hochgysin.exactlin import (
-    ExactMatrix, SNFResult, ZZ, as_vector, smith_normal_form, zero_vector,
+    ExactMatrix, SNFResult, ZZ, as_columns, as_vector, kron, smith_normal_form, zero_vector,
 )
 
 
@@ -394,3 +399,105 @@ def dense_column_hermite(M):
                     A[:, j] = ring.reduce_array(A[:, j] - q * A[:, pivot_col])
         pivot_col += 1
     return ExactMatrix(ring, A[:, :pivot_col].copy())
+
+
+# ---------------------------------------------------------------------------
+# Kronecker references for the products that the package contracts
+# ---------------------------------------------------------------------------
+
+def _eye(ring, n):
+    return ExactMatrix.identity(ring, n)
+
+
+def kron_left_mult(h, p, X, q):
+    """HRing.left_mult through mult_block(p, q) @ kron(X, I)."""
+    return h.mult_block(p, q) @ kron(X, _eye(h.ring, h.rank(q)))
+
+
+def kron_right_mult(h, p, q, z):
+    """HRing.right_mult through mult_block(p, q) @ kron(I, z)."""
+    return h.mult_block(p, q) @ kron(_eye(h.ring, h.rank(p)), as_columns(h.ring, z))
+
+
+def kron_theta_chain_block(co, p, q, r):
+    """hochschild.theta_chain_block with its two H-products as products
+    with the Kronecker products kron(m, I) and kron(I, m)."""
+    a, h, ring = co.algebra, co.h(), co.ring
+    hp, hq, hr = co.hr(p), co.hr(q), co.hr(r)
+    rows = a.rank(p + q + r - 1)
+    block = ExactMatrix.zeros(ring, rows, hp * hq * hr)
+    if rows == 0 or hp * hq * hr == 0:
+        return block
+    q_yz = co.qpair_block(q, r)
+    if not q_yz.is_zero():
+        block = block + a.bilinear_block(p, q + r - 1, co.s_matrix(p), q_yz).scale((-1) ** p)
+    block = block - co.qpair_block(p + q, r) @ kron(h.mult_block(p, q), _eye(ring, hr))
+    block = block + co.qpair_block(p, q + r) @ kron(_eye(ring, hp), h.mult_block(q, r))
+    q_xy = co.qpair_block(p, q)
+    if not q_xy.is_zero():
+        block = block - a.bilinear_block(p + q - 1, r, q_xy, co.s_matrix(r))
+    return block
+
+
+def kron_sigma_chain(ext):
+    """GysinExtension.sigma_chain with q(c, x) as qpair_block @ kron(c, basis)."""
+    co = ext.sections
+    c_col = as_columns(co.ring, ext.c_coords)
+    return {m: (-(co.qpair_block(ext.c_degree, m) @ kron(c_col, basis))).vstack(
+        co.s_matrix(m) @ basis) for m, basis in ext.ann_basis.items()}
+
+
+def kron_beta_from_theta(th, ext):
+    """gysin.beta_from_theta with theta(c, x, y) as the block of theta @
+    kron(c, kron(Ann basis, I))."""
+    h = ext.sections.h()
+    c_col = as_columns(h.ring, ext.c_coords)
+
+    def values(m, q):
+        return th.block_or_zero((ext.c_degree, m, q)) @ \
+            kron(c_col, kron(ext.ann_basis[m], _eye(h.ring, h.rank(q))))
+    return gysin._beta_blocks(ext, values)
+
+
+def kron_trivial_shape_system(ext, beta):
+    """gysin._trivial_shape_system with its three pieces built as Kronecker
+    products, kron(A^T, I), kron(I, R) and kron(I, -rels), and copied in."""
+    h = ext.sections.h()
+    ring = h.ring
+    shift = ext.c_degree - 1
+    offsets, total = {}, 0
+    for m in sorted(ext.ann_basis):
+        r, ht = ext.ann_rank(m), h.rank(m + shift)
+        offsets[m] = (total, r, ht)
+        total += r * ht
+    blocks = []                             # (unknown part, slack part, rhs)
+    for (m, q), block in sorted(beta.items()):
+        ktarget = ext.kernel[ext.target_degree(m, q)]
+        rels = ktarget.relations
+        hn, hq = rels.rows, h.rank(q)
+        off, r, ht1 = offsets[m]
+        eq = ExactMatrix.zeros(ring, r * hq * hn, total)
+        if (m + q) in offsets:
+            off2, r2, _ = offsets[m + q]
+            coords = ext.ann_coords(m + q, h.left_mult(m, ext.ann_basis[m], q))
+            eq.data[:, off2:off2 + r2 * hn] = kron(
+                ExactMatrix(ring, coords.data.T.copy()), _eye(ring, hn)).data
+        R = h.mult_block(m + shift, q).data.reshape(hn, ht1, hq).transpose(2, 0, 1)
+        right = kron(_eye(ring, r), ExactMatrix(ring, R.reshape(hq * hn, ht1)))
+        cols = slice(off, off + r * ht1)
+        eq.data[:, cols] = ring.reduce_array(eq.data[:, cols] - right.data)
+        slack = kron(_eye(ring, r * hq), -rels)
+        rhs = (ktarget.reduced_gens @ block).data.T.reshape(-1)
+        blocks.append((eq, slack, rhs))
+    nrows = sum(eq.rows for eq, _, _ in blocks)
+    system = ExactMatrix.zeros(ring, nrows, total + sum(sl.cols for _, sl, _ in blocks))
+    rhs = zero_vector(ring, nrows)
+    row0, col0 = 0, total
+    for eq, slack, beta_amb in blocks:
+        rows = slice(row0, row0 + eq.rows)
+        system.data[rows, :total] = eq.data
+        system.data[rows, col0:col0 + slack.cols] = slack.data
+        rhs[rows] = beta_amb
+        row0 += eq.rows
+        col0 += slack.cols
+    return system, rhs, offsets

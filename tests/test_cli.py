@@ -307,6 +307,7 @@ def _sections_fractional_s():
 
 
 MASSEY = ["massey", "--in", str(FIXTURE), "--y", "1:[0,1]"]
+DEEP = "[" * 100_000 + "]" * 100_000
 
 # each input once printed a traceback and exited 1 (or 0, reading 1.5, -1.0
 # or "1_0" as an integer, or ignoring --ring on a dg-algebra or section input;
@@ -323,6 +324,12 @@ USAGE_CASES = {
     "validate_in_directory": (["validate", "--in", "tests"], None),
     "torus_emit_witness_missing_dir": (["torus", "--n", "1", "--emit-witness",
                                         "tests/no-such-dir/w.json"], None),
+    # nested deeper than the JSON decoder's recursion limit: a payload, a
+    # JSON-integer flag and a class literal printed a RecursionError
+    # traceback and exited 1
+    "validate_deep_nesting": (["validate"], lambda: '{"a": ' + DEEP + "}"),
+    "torus_n_deep_nesting": (["torus", "--n", DEEP], None),
+    "massey_x_deep_nesting": (MASSEY + ["--x", "1:" + DEEP, "--z", "1:[1,0]"], None),
     "torus_n0": (["torus", "--n", "0"], None),
     "monomorphism_n0": (["monomorphism", "--n", "0"], None),
     "sections_old_format": (["theta"], _sections_old_format),

@@ -195,7 +195,9 @@ NO_DRIFT_CASES = {
               (1, 2, 3), (-1,)),
     "massey-seeded": (lambda: build_sections(load_dga(MASSEY_FIXTURE), seed=6),
                       (1, 2, 3), (-1,)),
-    "exterior3-F5": (lambda: build_sections(exterior_algebra(3, GF(5))), (1, 2), (-1,)),
+    # arity 3 over F5 is the 1365 x 495 matrix of the hh3 benchmark workload
+    "exterior3-F5": (lambda: build_sections(exterior_algebra(3, GF(5))), (1, 2, 3), (-1,)),
+    "exterior3-Z": (lambda: build_sections(exterior_algebra(3, ZZ)), (1, 2, 3), (-1,)),
 }
 
 
