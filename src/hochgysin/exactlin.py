@@ -13,19 +13,22 @@ them.  No floating point is used anywhere: scalars are Python ints
 integral, so zeros and units cost integer arithmetic; the only division
 is ``Fraction(b) / a`` in Ring.
 
-Matrices are stored densely as 2-D numpy arrays of dtype=object.  The
-long-running kernels walk only nonzeros.  A product over Z or F_p whose
-sums provably fit a machine word runs in int64 (as_words) and comes
-back as Python ints.  There is one elimination kernel, _Lines: axpy,
-swap and scale on lines {index: value} with the transposed index kept
-in step, the Euclidean step of one line against another at an index,
-and the clear of the lines past t at an index.  The Smith normal form
-runs it on the rows and on the columns of one sparse copy of A (a
-column operation on A is a row operation on A.T), the column Hermite
-form on the columns only.  Replay holds its operand's
-rows as {col: value}; a sparse left factor's product works row by row.
-These scans find the nonzeros of an object matrix through the mask
-``a != 0``, nearly twice as fast as ``a.nonzero()`` on objects.  A
+Matrices are stored densely as 2-D numpy arrays of dtype=object, except
+one built from its nonzeros (ExactMatrix.from_nonzeros), which keeps its
+rows {col: value} until `.data` densifies it once.  The long-running
+kernels walk only nonzeros.  A product over Z or F_p whose sums provably
+fit a machine word runs in int64 (as_words) and comes back as Python
+ints.  There is one elimination kernel, _Lines: axpy, swap and scale on
+lines {index: value} with the transposed index kept in step, the
+Euclidean step of one line against another at an index, and the clear
+of the lines past t at an index.  The Smith normal form runs it on the
+rows and on the columns of one sparse copy of A (a column operation on
+A is a row operation on A.T), the column Hermite form on the columns
+only.  Replay holds its operand's rows as {col: value}; a sparse left
+factor's product works row by row.  The Smith normal form, the Hermite
+form and replay take kept rows without a scan (a product reads `.data`);
+on a dense matrix they find the nonzeros through the mask ``a != 0``,
+nearly twice as fast as ``a.nonzero()`` on objects.  A
 product with a Kronecker factor that is an identity, M @ kron(X, I) or
 M @ kron(I, X), is matmul_kron: a reshape of M, one product @ X and a
 reshape back, so the word path and the reduction mod p stay those of @.
@@ -282,10 +285,21 @@ def as_words(ring: Ring, terms: int, *arrays):
 
 
 class ExactMatrix:
-    """Dense matrix over a Ring; entries are exact scalars (dtype=object).
-    Storage stays object; a product may run in int64 words (as_words)."""
+    """Matrix over a Ring; entries are exact scalars.
+
+    Storage is one of two forms, exactly one of them authoritative: a
+    dense 2-D object array `data`, which every constructor but
+    from_nonzeros makes, or the rows {col: value} of the nonzeros, kept
+    by from_nonzeros for a matrix born sparse (a coboundary matrix).
+    The readers of nonzeros (the Smith normal form and the Hermite
+    form, replay's operand) take the kept rows as they are; everything
+    else reads `.data`.  Reading `.data` builds the dense
+    array once and drops the rows for good, so writes through `.data`
+    are seen by every later reader.  A product may run in int64 words
+    (as_words)."""
 
     __slots__ = ("ring", "data")
+    _kept = None  # (shape, rows) while a _KeptRows matrix keeps its rows
 
     def __init__(self, ring: Ring, data: np.ndarray):
         if data.dtype != object or data.ndim != 2:
@@ -298,6 +312,15 @@ class ExactMatrix:
     @staticmethod
     def from_rows(ring: Ring, rows) -> "ExactMatrix":
         return ExactMatrix(ring, _object_rows(ring, rows, ring.normalize))
+
+    @staticmethod
+    def from_nonzeros(ring: Ring, shape: tuple, rows: list) -> "ExactMatrix":
+        """The matrix of the given shape whose row i holds rows[i], a dict
+        {col: value} of normalized nonzeros in ascending columns, kept as
+        it is until `.data` is read."""
+        m = _KeptRows.__new__(_KeptRows)
+        m.ring, m._kept = ring, (shape, rows)
+        return m
 
     @staticmethod
     def zeros(ring: Ring, rows: int, cols: int) -> "ExactMatrix":
@@ -417,6 +440,64 @@ class ExactMatrix:
         return ExactMatrix(ring, _object_rows(ring, rows, ring.scalar_from_json))
 
 
+class _KeptRows(ExactMatrix):
+    """A matrix born sparse (ExactMatrix.from_nonzeros).  Its `data` stays
+    unset while it keeps its rows, so a read of it falls through to
+    __getattr__, which densifies; a class of its own spares every dense
+    matrix that hook on each attribute read."""
+
+    __slots__ = ("_kept",)
+
+    def __getattr__(self, name):
+        if name != "data" or self._kept is None:
+            raise AttributeError(name)
+        (rows, cols), kept = self._kept
+        self.data = _dense(kept, rows, cols)
+        self._kept = None
+        return self.data
+
+    @property
+    def rows(self) -> int:
+        return self.data.shape[0] if self._kept is None else self._kept[0][0]
+
+    @property
+    def cols(self) -> int:
+        return self.data.shape[1] if self._kept is None else self._kept[0][1]
+
+
+def _dense(lines: list, rows: int, cols: int) -> np.ndarray:
+    """The rows x cols object array whose row i holds lines[i] {col: value}."""
+    out = np.zeros((rows, cols), dtype=object)
+    for i, line in enumerate(lines):
+        if line:
+            out[i, list(line)] = list(line.values())
+    return out
+
+
+def _lines(M: ExactMatrix, transposed: bool = False) -> list:
+    """The rows of M (transposed: its columns) as fresh dicts {index: value}
+    of their nonzeros: a scan of the dense array, or copies of kept rows."""
+    if M._kept is not None:
+        rows = M._kept[1]
+        return _transposed(rows, M.cols) if transposed else [dict(row) for row in rows]
+    data = M.data.T if transposed else M.data
+    out = [{} for _ in range(data.shape[0])]
+    r, c = (data != 0).nonzero()
+    for i, j, x in zip(r.tolist(), c.tolist(), data[r, c]):
+        out[i][j] = x
+    return out
+
+
+def _transposed(lines: list, n: int) -> list:
+    """The n lines {index: value} of the transpose of lines, each in
+    ascending index order."""
+    out = [{} for _ in range(n)]
+    for i, line in enumerate(lines):
+        for j, x in line.items():
+            out[j][i] = x
+    return out
+
+
 def _object_rows(ring: Ring, rows, scalar) -> np.ndarray:
     """2-D object array of scalar(x) for the entries x of the rows; scalar
     takes an int to its normalized value, so rows of ints, all of one
@@ -501,21 +582,20 @@ class SNFResult:
     divisors: list
     ops: list
 
-    def _replay(self, Y: np.ndarray, side: str, inverse: bool, transpose: bool):
-        """Apply to the rows of Y, in place, the product of the side's
-        operations (inverse: its inverse; transpose: its transpose).  The
-        rows are held as {col: value} of their nonzeros while the
-        operations run, so each one walks only the nonzeros it reads.  A
-        side that recorded no operation leaves Y as it is."""
+    def _replay(self, Y: ExactMatrix, side: str, inverse: bool, transpose: bool,
+                columns: bool = False) -> np.ndarray:
+        """The rows of Y (columns: of Y.T) with the product of the side's
+        operations applied (inverse: its inverse; transpose: its
+        transpose), as a new dense array.  The rows are held as {col:
+        value} of their nonzeros while the operations run, so each one
+        walks only the nonzeros it reads; kept rows of Y are copied, not
+        scanned.  A side that recorded no operation gives Y as it is."""
         ops = [op for op in self.ops if op[0] == side]
-        if not ops:
-            return
+        if not ops and Y._kept is None:
+            return (Y.data.T if columns else Y.data).copy()
         ring = self.ring
         p = ring.p if ring.tag == "Fp" else None
-        rows = [{} for _ in range(Y.shape[0])]
-        r, c = (Y != 0).nonzero()
-        for i, j, x in zip(r.tolist(), c.tolist(), Y[r, c]):
-            rows[i][j] = x
+        rows = _lines(Y, columns)
         for _, kind, dst, src, q in (ops if inverse == transpose else reversed(ops)):
             if kind == "swap":
                 rows[dst], rows[src] = rows[src], rows[dst]
@@ -535,23 +615,16 @@ class SNFResult:
                         row[j] = v
                     else:
                         row.pop(j, None)
-        Y[:] = 0
-        for i, row in enumerate(rows):
-            if row:
-                Y[i, list(row)] = list(row.values())
+        return _dense(rows, len(rows), Y.rows if columns else Y.cols)
 
     def lmul(self, name: str, Y: ExactMatrix) -> ExactMatrix:
         """T @ Y for the transform T named U, Uinv, V or Vinv, without building T."""
-        out = Y.data.copy()
-        self._replay(out, *_TRANSFORMS[name])
-        return ExactMatrix(self.ring, out)
+        return ExactMatrix(self.ring, self._replay(Y, *_TRANSFORMS[name]))
 
     def rmul(self, X: ExactMatrix, name: str) -> ExactMatrix:
         """X @ T for the transform T named U, Uinv, V or Vinv, without building T."""
         side, inverse, transpose = _TRANSFORMS[name]
-        out = X.data.T.copy()
-        self._replay(out, side, inverse, not transpose)
-        return ExactMatrix(self.ring, out.T)
+        return ExactMatrix(self.ring, self._replay(X, side, inverse, not transpose, True).T)
 
     def _units(self, name: str, idx) -> ExactMatrix:
         """The columns idx of the identity the size of the transform name."""
@@ -651,10 +724,12 @@ class _Lines:
             line[k] = self.index[k][i] = self.ring.normalize(u * x)
         self.ops.append((self.side, "scale", i, i, u))
 
-    def reduce(self, i: int, t: int, k: int) -> bool:
+    def reduce(self, i: int, t: int, k: int, inv=None) -> bool:
         """line i -= q * line t, q the Euclidean quotient of their entries
-        at index k; True when a remainder is left there."""
-        q = self.ring.quo(self.lines[i][k], self.lines[t][k])
+        at index k; True when a remainder is left there.  Over F_p, inv
+        may be the inverse of line t's entry, and then q = x * inv % p."""
+        x = self.lines[i][k]
+        q = self.ring.quo(x, self.lines[t][k]) if inv is None else x * inv % self.p
         if q:
             self.axpy(i, t, q)
         return k in self.lines[i]
@@ -662,28 +737,29 @@ class _Lines:
     def clear(self, t: int, k: int) -> bool:
         """Reduce index k of the lines past t against line t, swapping each
         remainder into line t as it appears; True when one was, which
-        restarts the reduction."""
+        restarts the reduction.  Over F_p no remainder is left, so line t
+        stays and its entry is inverted once."""
         moved = False
-        for i in sorted(j for j in self.index[k] if j > t):
-            if self.reduce(i, t, k):
+        below = sorted(j for j in self.index[k] if j > t)
+        inv = self.ring.inv(self.lines[t][k]) if below and self.p is not None else None
+        for i in below:
+            if self.reduce(i, t, k, inv):
                 self.swap(t, i)
                 moved = True
         return moved
 
 
 def _sparse(M: ExactMatrix):
-    """(rows, columns) of M: rows {col: value}, columns {row: value}, nonzeros only."""
-    R, C = [{} for _ in range(M.rows)], [{} for _ in range(M.cols)]
-    r, c = (M.data != 0).nonzero()
-    for i, j, x in zip(r.tolist(), c.tolist(), M.data[r, c]):
-        R[i][j] = C[j][i] = x
-    return R, C
+    """(rows, columns) of M as fresh dicts: rows {col: value}, columns
+    {row: value}, nonzeros only, each in ascending index order."""
+    R = _lines(M)
+    return R, _transposed(R, M.cols)
 
 
 def smith_normal_form(M: ExactMatrix) -> SNFResult:
     """Diagonalize M by invertible row/column operations, recording them."""
     ring = M.ring
-    rows, cols = M.data.shape
+    rows, cols = M.rows, M.cols
     R, C = _sparse(M)
     ops = []
     row_side, col_side = _Lines(ring, R, C, "row", ops), _Lines(ring, C, R, "col", ops)
@@ -816,7 +892,8 @@ def divide_rows(C: ExactMatrix, divisors):
     """(Y, bad) for diag(divisors) Y = C: Y is the leading rows of C divided
     by the divisors, bad marks the entries without a quotient (indivisible,
     or nonzero past the divisors).  Over a field every SNF divisor is 1, so
-    Y is those rows in canonical form (integral Fractions become ints)."""
+    Y is those rows: over F_p as they are, already reduced, and over Q in
+    canonical form (integral Fractions become ints)."""
     r = len(divisors)
     head = C.data[:r]
     bad = C.data != 0
@@ -825,7 +902,7 @@ def divide_rows(C: ExactMatrix, divisors):
         d = np.array(divisors, dtype=object).reshape(r, 1)
         bad[:r] = head % d != 0
         head = head // d
-    else:
+    elif C.ring.tag == "Q":
         head = np.frompyfunc(C.ring.normalize, 1, 1)(head)
     return ExactMatrix(C.ring, head), bad
 

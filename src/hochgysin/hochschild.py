@@ -279,7 +279,8 @@ def coboundary_matrix(M: TwistedBimodule, arity: int, internal_degree: int,
     (a unit slot when positive_only) adds nothing.  The Kronecker block
     is not formed: each nonzero of its multiplication block lands on a
     grid of cells, found by index arithmetic.  The sums per cell are
-    normalized once, and only the nonzero ones are written.
+    normalized once, and the nonzero ones are kept as the matrix's rows
+    (ExactMatrix.from_nonzeros): no dense array is allocated.
     """
     h = M.base
     ring = h.ring
@@ -334,10 +335,12 @@ def coboundary_matrix(M: TwistedBimodule, arity: int, internal_degree: int,
             add(T, S, (-1) ** (l + 1), (sum(S) + t, T[l]),
                 lambda i, ry: (i * ca * hk + ry % hk) * n + ry // hk * ca,
                 _grid((ca, hk * n + 1)))
-    cells = {k: x for k, x in zip(sums, map(ring.normalize, sums.values())) if x}
-    mat = np.zeros(dst.total * n, dtype=object)
-    mat[list(cells)] = list(cells.values())
-    return ExactMatrix(ring, mat.reshape(dst.total, n)), src, dst
+    rows = [{} for _ in range(dst.total)]
+    for k in sorted(sums):
+        x = ring.normalize(sums[k])
+        if x:
+            rows[k // n][k % n] = x
+    return ExactMatrix.from_nonzeros(ring, (dst.total, n), rows), src, dst
 
 
 def _grid(*axes) -> list:
