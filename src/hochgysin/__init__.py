@@ -9,7 +9,7 @@ witnesses, all over Z, Q or a prime field, with exact arithmetic.
 from .exactlin import (
     ZZ, QQ, GF, Ring, ExactMatrix, Subquotient,
     smith_normal_form, solve, solve_with_certificate, solve_matrix,
-    kernel_basis, column_hermite, complex_cohomology, as_vector, zero_vector,
+    column_hermite, complex_cohomology, as_vector, zero_vector,
 )
 from .simplicial import (
     SimplicialComplex, build_circle, build_sphere, build_torus, product,

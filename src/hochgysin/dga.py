@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .exactlin import (
-    ExactMatrix, Ring, as_vector, as_words, int_from_json, ints_from_key, ring_from_name,
+    ExactMatrix, Ring, as_vector, as_words, int_from_json, ints_from_key, nonzero_lines,
+    ring_from_name,
 )
 from .simplicial import SimplicialComplex
 
@@ -141,46 +142,30 @@ class DgModule:
         return _bilinear_block(self.entries(n, q), self.rank(n + q), left, right)
 
 
-# The object loop costs a few microseconds per tensor entry, whatever its
-# size; the vectorized word path pays from about this many entries on
-_WORD_MIN_ENTRIES = 6
-
-
 def _bilinear_block(entries, size: int, left: ExactMatrix,
                     right: ExactMatrix) -> ExactMatrix:
     """The bilinear map of a sparse (i, j, k, coeff) tensor on the column
-    pairs of left and right, pair (a, b) in column a * right.cols + b."""
+    pairs of left and right, pair (a, b) in column a * right.cols + b:
+    c * left[i] (x) right[j] summed into row k, in int64 words when
+    as_words allows them and on the object arrays otherwise."""
     ring = left.ring
     a, b = left.cols, right.cols
-    words = None
-    if len(entries) >= _WORD_MIN_ENTRIES:
-        I, J, K, coeffs = zip(*entries)
-        words = as_words(ring, len(entries), np.array(coeffs, dtype=object),
-                         left.data, right.data)
-    if words is None:
-        out = np.zeros((size, a * b), dtype=object)
-        for i, j, k, c in entries:
-            out[k] += c * np.outer(left.data[i], right.data[j]).reshape(a * b)
-        return ExactMatrix(ring, ring.reduce_array(out))
-    C, L, R = words
+    if not entries:
+        return ExactMatrix.zeros(ring, size, a * b)
+    I, J, K, coeffs = zip(*entries)
+    arrays = (np.array(coeffs, dtype=object), left.data, right.data)
+    words = as_words(ring, len(entries), *arrays)
+    C, L, R = words or arrays
     terms = C[:, None, None] * L[list(I)][:, :, None] * R[list(J)][:, None, :]
-    out = np.zeros((size, a * b), dtype=np.int64)
-    np.add.at(out, list(K), terms.reshape(len(C), a * b))
-    return ExactMatrix(ring, ring.reduce_array(out).astype(object))
+    out = np.zeros((size, a * b), dtype=C.dtype)
+    np.add.at(out, list(K), terms.reshape(len(entries), a * b))
+    out = ring.reduce_array(out)
+    return ExactMatrix(ring, out if words is None else out.astype(object))
 
 
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
-
-def _sparse_cols(m: ExactMatrix):
-    """column j -> list of (row, coeff) for the nonzero entries."""
-    cols = [[] for _ in range(m.cols)]
-    r, c = (m.data != 0).nonzero()
-    for i, j, x in zip(r.tolist(), c.tolist(), m.data[r, c]):
-        cols[j].append((i, x))
-    return cols
-
 
 def _first_mismatch(ring: Ring, lhs: dict, rhs: dict):
     for key in set(lhs) | set(rhs):
@@ -196,8 +181,8 @@ def _d_squared_defect(m: DgModule, cols):
         dn1 = cols(n + 1)
         for j, col in enumerate(cols(n)):
             acc = {}
-            for i, c in col:
-                for i2, c2 in dn1[i]:
+            for i, c in col.items():
+                for i2, c2 in dn1[i].items():
                     acc[i2] = acc.get(i2, 0) + c * c2
             bad = [k for k, v in acc.items() if ring.normalize(v) != 0]
             if bad:
@@ -217,7 +202,7 @@ def _leibniz_defect(m: DgModule, cols):
     for (n, q), ent in sorted(m.action.items()):
         dnq = cols(n + q)
         dn = cols(n)
-        dq = _sparse_cols(a.d(q))
+        dq = nonzero_lines(a.d(q), transposed=True)
         up = {}
         right = {}
         for i, j, k, c in sorted(m.entries(n + 1, q), key=lambda e: e[1]):
@@ -226,19 +211,19 @@ def _leibniz_defect(m: DgModule, cols):
             right.setdefault(j, []).append((i, k, c))
         lhs = {}
         for i, j, k, c in ent:
-            for t, c2 in dnq[k]:
+            for t, c2 in dnq[k].items():
                 key = (i, j, t)
                 lhs[key] = lhs.get(key, 0) + c * c2
         rhs = {}
         for i in range(m.rank(n)):
-            for i2, c in dn[i]:
+            for i2, c in dn[i].items():
                 for j, t, c2 in up.get(i2, ()):
                     key = (i, j, t)
                     rhs[key] = rhs.get(key, 0) + c * c2
         # n < 0 in a shifted module, where (-1) ** n would be a float
         sign = ring.normalize(-1 if n % 2 else 1)
         for j in range(a.rank(q)):
-            for j2, c in dq[j]:
+            for j2, c in dq[j].items():
                 for i, t, c2 in right.get(j2, ()):
                     key = (i, j, t)
                     rhs[key] = rhs.get(key, 0) + sign * c * c2
@@ -301,7 +286,7 @@ def _module_defects(m: DgModule) -> dict:
 
     def cols(n):
         if n not in cache:
-            cache[n] = _sparse_cols(m.d(n))
+            cache[n] = nonzero_lines(m.d(n), transposed=True)
         return cache[n]
 
     a = m.algebra
@@ -319,6 +304,10 @@ def _check_shapes(a: DgAlgebra, checks):
         checks.append(Check("shapes", False, "ranks list does not match top_degree"))
         return
     ok, witness = True, None
+    for n in a.diff:
+        # dga_from_json reads a key below 0 through negative indexing
+        if not 0 <= n <= a.top_degree:
+            ok, witness = False, f"diff[{n}] outside degree range"
     for n in range(a.top_degree + 1):
         d = a.d(n)
         if d.rows != a.rank(n + 1) or d.cols != a.rank(n):

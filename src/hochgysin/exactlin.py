@@ -25,10 +25,12 @@ of the lines past t at an index.  The Smith normal form runs it on the
 rows and on the columns of one sparse copy of A (a column operation on
 A is a row operation on A.T), the column Hermite form on the columns
 only.  Replay holds its operand's rows as {col: value}; a sparse left
-factor's product works row by row.  The Smith normal form, the Hermite
-form and replay take kept rows without a scan (a product reads `.data`);
-on a dense matrix they find the nonzeros through the mask ``a != 0``,
-nearly twice as fast as ``a.nonzero()`` on objects.  A
+factor's product works row by row.  Every other reader of a matrix's
+nonzeros (the Smith normal form, the Hermite form, replay, the axiom
+checks of dga and the coboundary assembly) calls nonzero_lines, which
+takes kept rows without a scan and finds the nonzeros of a dense array
+through the mask ``a != 0``, nearly twice as fast as ``a.nonzero()`` on
+objects; a product reads `.data`.  A
 product with a Kronecker factor that is an identity, M @ kron(X, I) or
 M @ kron(I, X), is matmul_kron: a reshape of M, one product @ X and a
 reshape back, so the word path and the reduction mod p stay those of @.
@@ -291,9 +293,8 @@ class ExactMatrix:
     dense 2-D object array `data`, which every constructor but
     from_nonzeros makes, or the rows {col: value} of the nonzeros, kept
     by from_nonzeros for a matrix born sparse (a coboundary matrix).
-    The readers of nonzeros (the Smith normal form and the Hermite
-    form, replay's operand) take the kept rows as they are; everything
-    else reads `.data`.  Reading `.data` builds the dense
+    The readers of nonzeros (nonzero_lines) take the kept rows as they
+    are; everything else reads `.data`.  Reading `.data` builds the dense
     array once and drops the rows for good, so writes through `.data`
     are seen by every later reader.  A product may run in int64 words
     (as_words)."""
@@ -474,9 +475,11 @@ def _dense(lines: list, rows: int, cols: int) -> np.ndarray:
     return out
 
 
-def _lines(M: ExactMatrix, transposed: bool = False) -> list:
+def nonzero_lines(M: ExactMatrix, transposed: bool = False) -> list:
     """The rows of M (transposed: its columns) as fresh dicts {index: value}
-    of their nonzeros: a scan of the dense array, or copies of kept rows."""
+    of their nonzeros, each in ascending index order: a scan of the dense
+    array, or copies of kept rows.  Apart from the product, every reader
+    of a matrix's nonzeros calls this."""
     if M._kept is not None:
         rows = M._kept[1]
         return _transposed(rows, M.cols) if transposed else [dict(row) for row in rows]
@@ -593,9 +596,8 @@ class SNFResult:
         ops = [op for op in self.ops if op[0] == side]
         if not ops and Y._kept is None:
             return (Y.data.T if columns else Y.data).copy()
-        ring = self.ring
-        p = ring.p if ring.tag == "Fp" else None
-        rows = _lines(Y, columns)
+        ring, p = self.ring, self.ring.p
+        rows = nonzero_lines(Y, columns)
         for _, kind, dst, src, q in (ops if inverse == transpose else reversed(ops)):
             if kind == "swap":
                 rows[dst], rows[src] = rows[src], rows[dst]
@@ -687,7 +689,7 @@ class _Lines:
     reads them."""
 
     def __init__(self, ring: Ring, lines: list, index: list, side: str, ops: list):
-        self.ring, self.p = ring, ring.p if ring.tag == "Fp" else None
+        self.ring, self.p = ring, ring.p
         self.lines, self.index, self.side, self.ops = lines, index, side, ops
 
     def axpy(self, dst: int, src: int, q):
@@ -749,18 +751,12 @@ class _Lines:
         return moved
 
 
-def _sparse(M: ExactMatrix):
-    """(rows, columns) of M as fresh dicts: rows {col: value}, columns
-    {row: value}, nonzeros only, each in ascending index order."""
-    R = _lines(M)
-    return R, _transposed(R, M.cols)
-
-
 def smith_normal_form(M: ExactMatrix) -> SNFResult:
     """Diagonalize M by invertible row/column operations, recording them."""
     ring = M.ring
     rows, cols = M.rows, M.cols
-    R, C = _sparse(M)
+    R = nonzero_lines(M)
+    C = _transposed(R, cols)
     ops = []
     row_side, col_side = _Lines(ring, R, C, "row", ops), _Lines(ring, C, R, "col", ops)
     # dead[i]: row i is zero on the trailing block, and stays zero (row
@@ -834,7 +830,8 @@ def column_hermite(M: ExactMatrix) -> ExactMatrix:
     reduction, which runs on the SNF's line kernel, on the columns.
     """
     ring = M.ring
-    R, C = _sparse(M)
+    R = nonzero_lines(M)
+    C = _transposed(R, M.cols)
     cols = _Lines(ring, C, R, "col", [])
     t = 0
     for r in range(M.rows):
@@ -920,11 +917,6 @@ def solve_with_certificate(M: ExactMatrix, B):
 def solve_matrix(M: ExactMatrix, B: ExactMatrix):
     """X with M @ X == B, or None when a column of B has no solution."""
     return smith_normal_form(M).solve(B)
-
-
-def kernel_basis(M: ExactMatrix) -> ExactMatrix:
-    """Columns form a basis of Ker(M) (over Z: a basis of the full lattice)."""
-    return smith_normal_form(M).kernel()
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,7 @@ import numpy as np
 from .dga import DgAlgebra, DgModule, validate_module
 from .exactlin import (
     ExactMatrix, SNFResult, Subquotient, as_columns, as_vector, complex_cohomology,
-    kernel_basis, matmul_kron, smith_normal_form, solve_matrix, solve_with_certificate,
-    zero_vector,
+    matmul_kron, smith_normal_form, solve_matrix, solve_with_certificate, zero_vector,
 )
 from .hochschild import HochschildCochain, theta
 from .sections import CohomologySections
@@ -168,7 +167,7 @@ class GysinExtension:
 def _annihilator_bases(co: CohomologySections, c_degree: int, c_col: ExactMatrix):
     """Per degree m, a basis of Ann(c) in H^m = kernel of left multiplication."""
     h = co.h()
-    return {m: kernel_basis(h.left_mult(c_degree, c_col, m))
+    return {m: smith_normal_form(h.left_mult(c_degree, c_col, m)).kernel()
             for m in range(h.top + 1) if h.rank(m)}
 
 
@@ -521,7 +520,7 @@ def _presented_map_injective(f: ExactMatrix, dst_rels: ExactMatrix,
                              src_rels: ExactMatrix) -> bool:
     """Injectivity of a map between presented groups given on generators."""
     big = f.hstack(dst_rels) if dst_rels.cols else f
-    kern = kernel_basis(big)
+    kern = smith_normal_form(big).kernel()
     return solve_matrix(src_rels, kern.take_rows(range(f.cols))) is not None
 
 
@@ -544,7 +543,7 @@ def _exactness_at_middle(ext: GysinExtension, n: int, iota: ExactMatrix,
         coords = ext.ann_coords(m, proj)
         if coords is None:
             return False          # projection landed outside Ann(c)
-        pker = kernel_basis(coords)
+        pker = smith_normal_form(coords).kernel()
     span = iota.hstack(rels) if rels.cols else iota
     return solve_matrix(span, pker) is not None
 

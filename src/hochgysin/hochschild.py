@@ -45,8 +45,8 @@ from pathlib import Path
 import numpy as np
 
 from .exactlin import (
-    ExactMatrix, Ring, int_from_json, ints_from_key, kron, matmul_kron, ring_from_name,
-    solve_with_certificate, zero_vector,
+    ExactMatrix, Ring, int_from_json, ints_from_key, kron, matmul_kron, nonzero_lines,
+    ring_from_name, solve_with_certificate, zero_vector,
 )
 from .sections import CohomologySections, HRing, NotACocycleError
 
@@ -295,9 +295,8 @@ def coboundary_matrix(M: TwistedBimodule, arity: int, internal_degree: int,
         """sign * m[u, v] into the cells cell(u, v) + g, g in grid, of the
         (T, S) block, for each nonzero m[u, v] of m = mult_block(*pq)."""
         if pq not in nonzeros:
-            a = h.mult_block(*pq).data
-            u, v = (a != 0).nonzero()
-            nonzeros[pq] = list(zip(u.tolist(), v.tolist(), a[u, v]))
+            lines = nonzero_lines(h.mult_block(*pq))
+            nonzeros[pq] = [(u, v, x) for u, row in enumerate(lines) for v, x in row.items()]
         base = dst.offsets[T][0] * n + src.offsets[S][0]
         for u, v, x in nonzeros[pq]:
             k, x = base + cell(u, v), sign * x

@@ -19,7 +19,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 from .dga import DgAlgebra, cochain_algebra
 from .exactlin import (
-    ExactMatrix, Ring, Subquotient, ZZ, as_vector, kernel_basis, zero_vector,
+    ExactMatrix, Ring, Subquotient, ZZ, as_vector, smith_normal_form, zero_vector,
 )
 from .hochschild import (
     CochainLayout, HochschildCochain, TwistedBimodule, coboundary_matrix,
@@ -137,14 +137,14 @@ def verify_monomorphism(n: int, signed: bool = False, ring: Ring = ZZ) -> dict:
     d2, lay2, lay3 = coboundary_matrix(M, 2, -1)
     d3, lay3b, lay4 = coboundary_matrix(M, 3, -1)
     assert lay3.tuples == lay3b.tuples
-    cocycles = kernel_basis(d3)
+    cocycles = smith_normal_form(d3).kernel()
     hh3 = Subquotient.from_gens_rels(ring, cocycles, d2)
     sym = symmetrize_matrix(h, lay3, signed=signed)
     kills_coboundaries = (sym @ d2).is_zero()
     injective = None
     if kills_coboundaries:
         # injective iff every cocycle that sym kills is a coboundary
-        injective = hh3.classify(cocycles @ kernel_basis(sym @ cocycles)).is_zero()
+        injective = hh3.classify(cocycles @ smith_normal_form(sym @ cocycles).kernel()).is_zero()
     return {
         "n": n,
         "signed": signed,

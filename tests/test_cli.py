@@ -405,6 +405,18 @@ BAD_RANKS = {
 }
 USAGE_CASES.update({f"{cmd}_{name}": ([cmd], make)
                     for cmd in ("cohomology", "theta") for name, make in BAD_RANKS.items()})
+# T^2 cochains with a differential from degree -1, which the shapes check
+# did not look at: validate passed, and gysin read it as the cone's d(-1)
+# and printed a traceback (hstack row mismatch for the row, vstack column
+# mismatch for the 9 x 9 block); validate reports the failed shapes check
+# with exit 1, the others exit 2
+BAD_DIFF_KEYS = {
+    "diff_below_degree_0": _with(_t2_cochains, "diff", "-1", value=[[1] * 9]),
+    "zero_diff_below_degree_0": _with(_t2_cochains, "diff", "-1", value=[[0] * 9] * 9),
+}
+USAGE_CASES.update({f"{argv[0]}_{name}": (argv, make)
+                    for argv in (["cohomology"], ["sections"], ["gysin", "--c", "0:[1]"])
+                    for name, make in BAD_DIFF_KEYS.items()})
 # a complex without facets printed a ValueError traceback and exited 1
 # (empty complex); a bool vertex_count was read as 1 and a vertex 1.5
 # passed, both with exit 0
@@ -424,6 +436,15 @@ def test_validate_reports_ranks_that_do_not_fit(name):
     res = run_cli(["validate"], stdin=BAD_RANKS[name]())
     assert res.returncode == 1 and "Traceback" not in res.stderr
     assert json.loads(res.stdout)["checks"] == [{"name": "shapes", "pass": False}]
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DIFF_KEYS))
+def test_validate_reports_a_differential_outside_the_degrees(name):
+    res = run_cli(["validate"], stdin=BAD_DIFF_KEYS[name]())
+    assert res.returncode == 1 and "Traceback" not in res.stderr
+    report = json.loads(res.stdout)
+    assert report["checks"] == [{"name": "shapes", "pass": False}]
+    assert report["report"]["checks"][0]["witness"] == "diff[-1] outside degree range"
 
 
 @pytest.mark.parametrize("case", list(USAGE_CASES))

@@ -12,7 +12,7 @@ import oracles
 from hochgysin.dga import cochain_algebra
 from hochgysin.exactlin import (
     WORD_MIN_MADDS, ZZ, QQ, GF, ExactMatrix, NotInSpanError, SNFResult, Subquotient,
-    as_vector, column_hermite, kernel_basis, ring_from_name, smith_normal_form, solve,
+    as_vector, column_hermite, ring_from_name, smith_normal_form, solve,
     solve_matrix, solve_with_certificate, vec_is_zero, zero_vector,
 )
 from hochgysin.sections import build_sections
@@ -383,11 +383,11 @@ def test_snf_matches_dense_oracle():
 
 def test_snf_matches_dense_oracle_on_the_monomorphism_probe(monkeypatch):
     # every SNF input of the probe over F5, the 1365x495 coboundary among them
-    from hochgysin import exactlin
-    from hochgysin.torus import verify_monomorphism
+    from hochgysin import exactlin, torus
     inputs, snf = [], exactlin.smith_normal_form
-    monkeypatch.setattr(exactlin, "smith_normal_form", lambda M: inputs.append(M) or snf(M))
-    verify_monomorphism(3, ring=GF(5))
+    for module in (exactlin, torus):
+        monkeypatch.setattr(module, "smith_normal_form", lambda M: inputs.append(M) or snf(M))
+    torus.verify_monomorphism(3, ring=GF(5))
     assert (1365, 495) in [(M.rows, M.cols) for M in inputs]
     for M in inputs:
         assert_same_snf(snf(M), oracles.dense_smith_normal_form(M))
@@ -401,7 +401,7 @@ def hermite_oracle_inputs():
     yield from (pin_matrix(GF(3), rng, k % 3) for k in range(60))
     for ring in (ZZ, QQ):
         a = cochain_algebra(build_torus(3), ring)
-        yield from (kernel_basis(a.d(n)) for n in range(4))
+        yield from (smith_normal_form(a.d(n)).kernel() for n in range(4))
 
 
 def test_column_hermite_matches_dense_oracle():
@@ -518,20 +518,46 @@ def test_word_products_over_the_largest_prime(word_calls):
         assert word_calls.pop() == (2, words), (lo, hi)
 
 
-@pytest.mark.parametrize("ring", WORD_RINGS)
+@pytest.mark.parametrize("ring", WORD_RINGS + [QQ])
 def test_bilinear_block_matches_reference(ring, word_calls):
     from hochgysin.dga import _bilinear_block
     rng = random.Random(71 + ring_seed(ring) % 61)
+    # over Q some coefficients and a third of the matrices hold proper fractions
+    coeffs = [1, -1, 2, -3] + ([Fraction(1, 2), Fraction(-2, 3)] if ring == QQ else [])
+
+    def matrix(rows, cols):
+        if ring == QQ and rng.random() < 1 / 3:
+            return ExactMatrix.from_rows(ring, [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                                 for _ in range(cols)] for _ in range(rows)])
+        return random_matrix(ring, rows, cols, rng)
     for t in (0, 1, 5, 6, 40, 300):
         for a, b in ((0, 3), (3, 0), (1, 1), (2, 5), (4, 9)):
             rl, rr, size = rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 12)
             entries = tuple((rng.randrange(rl), rng.randrange(rr), rng.randrange(size),
-                             ring.normalize(rng.choice([1, -1, 2, -3])))
+                             ring.normalize(rng.choice(coeffs)))
                             for _ in range(t))
-            left, right = random_matrix(ring, rl, a, rng), random_matrix(ring, rr, b, rng)
+            left, right = matrix(rl, a), matrix(rr, b)
             assert_same_entries(_bilinear_block(entries, size, left, right),
                                 oracles.bilinear_block(entries, size, left, right))
-    assert set(word_calls) == {(3, True)}
+    # an empty tensor converts nothing; words for every other one but over Q
+    assert word_calls == [(3, ring != QQ)] * 25
+    # 1 to 5 entries whose values fail the word bound run on objects (over
+    # F_p only a prime near 2**32 has such entries)
+    word_calls.clear()
+    big = GF(4294967291) if ring.tag == "Fp" else ring
+    hi = big.p - 1 if big.p else 2 ** 40
+    for t in range(1, 6):
+        rl, rr, size = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 5)
+        entries = tuple((rng.randrange(rl), rng.randrange(rr), rng.randrange(size),
+                         big.normalize(rng.randint(hi - 9, hi)))
+                        for _ in range(t))
+        left = random_matrix(big, rl, rng.randint(1, 3), rng, hi - 9, hi)
+        right = random_matrix(big, rr, rng.randint(1, 3), rng, -hi, -hi + 9)
+        if big == QQ:
+            left = left.scale(Fraction(1, 3))
+        assert_same_entries(_bilinear_block(entries, size, left, right),
+                            oracles.bilinear_block(entries, size, left, right))
+    assert word_calls == [(3, False)] * 5
 
 
 def test_bilinear_block_word_bound(word_calls):
@@ -616,7 +642,7 @@ def test_solve_kernel_classify_leave_transforms_unbuilt(ring, monkeypatch):
     assert widths(replays) == [("U", 1), ("U", 1)]
     # the kernel is the columns of V past the rank
     replays.clear()
-    kernel_basis(M)
+    smith_normal_form(M).kernel()
     assert widths(replays) == [("V", M.cols - s.rank)]
     # classify is one solve on the SNF of the generator basis
     sq = Subquotient.from_gens_rels(ring, M, M.take_columns([0]))
@@ -718,7 +744,7 @@ def test_unsolvable_changes_hermite_span():
 
 def test_kernel_image_of_zero_matrix():
     M = ExactMatrix.zeros(ZZ, 3, 3)
-    assert kernel_basis(M) == ExactMatrix.identity(ZZ, 3)
+    assert smith_normal_form(M).kernel() == ExactMatrix.identity(ZZ, 3)
     assert column_hermite(M).cols == 0
 
 
@@ -744,7 +770,7 @@ def test_quotient_rejects_rels_outside_span():
 def test_circle_boundary_kernel_image():
     # 3-vertex circle, edges 01, 02, 12; boundary d1: C1 -> C0
     d1 = ExactMatrix.from_rows(ZZ, [[-1, -1, 0], [1, 0, -1], [0, 1, 1]])
-    k = kernel_basis(d1)
+    k = smith_normal_form(d1).kernel()
     im = column_hermite(d1)
     assert k.cols == 1 and im.cols == 2
     assert (d1 @ k).is_zero()
@@ -755,7 +781,7 @@ def test_kernel_members_and_image_span(ring):
     rng = random.Random(5150)
     for trial in range(20):
         M = random_matrix(ring, rng.randint(1, 5), rng.randint(1, 5), rng)
-        K = kernel_basis(M)
+        K = smith_normal_form(M).kernel()
         assert (M @ K).is_zero()
         # every column_hermite column is an actual column combination and back
         B = column_hermite(M)
