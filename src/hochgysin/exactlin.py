@@ -52,6 +52,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import isqrt
 
@@ -575,8 +576,9 @@ class SNFResult:
     (U collects these) or "col" (V), kind "axpy" (line dst -= q * line
     src), "swap" (lines dst and src; q is None) or "scale" (line dst *= q,
     a unit; src == dst).  lmul, rmul, take_rows and take_columns replay
-    them on an operand.  The solves, kernel, image and image_coords read
-    only the rows or columns of the transforms that they need.
+    them on an operand.  The solves, kernel, kernel_coords, image and
+    image_coords read only the rows or columns of the transforms that
+    they need.
     """
 
     ring: Ring
@@ -584,6 +586,11 @@ class SNFResult:
     rank: int
     divisors: list
     ops: list
+
+    @cached_property
+    def _side_ops(self) -> dict:
+        """{side: its operations in order}, split once for every replay."""
+        return {side: [op for op in self.ops if op[0] == side] for side in ("row", "col")}
 
     def _replay(self, Y: ExactMatrix, side: str, inverse: bool, transpose: bool,
                 columns: bool = False) -> np.ndarray:
@@ -593,7 +600,7 @@ class SNFResult:
         value} of their nonzeros while the operations run, so each one
         walks only the nonzeros it reads; kept rows of Y are copied, not
         scanned.  A side that recorded no operation gives Y as it is."""
-        ops = [op for op in self.ops if op[0] == side]
+        ops = self._side_ops[side]
         if not ops and Y._kept is None:
             return (Y.data.T if columns else Y.data).copy()
         ring, p = self.ring, self.ring.p
@@ -670,6 +677,16 @@ class SNFResult:
         """Columns forming a basis of Ker(M) (over Z: of the full lattice):
         the last columns of V."""
         return self.take_columns("V", range(self.rank, self.shape[1]))
+
+    def kernel_coords(self, B: ExactMatrix) -> ExactMatrix:
+        """The coordinates on kernel() of the columns of B: the rows rank..
+        of Vinv @ B.  NotInSpanError when one of the rows ..rank is not
+        zero, that is when some column of B is not in Ker(M): M B is
+        Uinv D (Vinv B), and D's first rank diagonal entries are nonzero."""
+        full = self.lmul("Vinv", B).data
+        if np.count_nonzero(full[:self.rank]):
+            raise NotInSpanError("a column is not in the kernel")
+        return ExactMatrix(self.ring, full[self.rank:].copy())
 
     def image(self) -> ExactMatrix:
         """Columns forming a basis of Im(M): the leading columns of Uinv

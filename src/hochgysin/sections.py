@@ -28,6 +28,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dga import DgAlgebra, dga_from_json, dga_to_json
 from .exactlin import (
     DimensionMismatchError, ExactMatrix, Ring, Subquotient, as_columns, complex_cohomology,
@@ -213,37 +215,50 @@ def compute_cohomology(a: DgAlgebra) -> list[Subquotient]:
 
 def build_sections(a: DgAlgebra, seed=None) -> CohomologySections:
     """Construct the splitting package; TorsionHomologyError over Z with torsion."""
+    co, coords = _frame(a, seed)
+    for n, sx in coords.items():
+        prev = co._d_snf.get(n - 1)
+        co.q[n] = (ExactMatrix.zeros(a.ring, 0, 0) if prev is None
+                   else prev.take_columns("V", range(prev.rank)))
+        if n:
+            co.s[n] = _canonical_s(co, n, sx)
+    if seed is not None:
+        _randomize(co, random.Random(seed))
+    return co
+
+
+def _frame(a: DgAlgebra, seed) -> tuple[CohomologySections, dict]:
+    """The package without its choice of q and of s above degree 0: the
+    SNFs of the differentials, the kernel and image bases, h_rank, pi and
+    s[0] with the unit class normalized.  Returned with {n: SNF of the
+    kernel coordinates of the coboundaries}, from which s is chosen."""
     ring = a.ring
     co = CohomologySections(a, seed)
+    coords = {}
     for n, g in complex_cohomology(ring, range(a.top_degree + 1), a.d).items():
         co.kernel_basis[n] = g.kernel
         co.image_basis[n] = g.image
         co._d_snf[n] = g.snf
-        prev = g.prev
-        co.q[n] = (ExactMatrix.zeros(ring, 0, 0) if prev is None
-                   else prev.take_columns("V", range(prev.rank)))
-        # coboundaries in kernel coordinates
-        z = co.z_rank(n)
-        r = g.snf.rank
-        full = g.snf.lmul("Vinv", co.image_basis[n])
-        if not full.take_rows(range(r)).is_zero():
-            raise AssertionError("image not contained in kernel: d^2 != 0?")
-        x = full.take_rows(range(r, full.rows))
-        sx = smith_normal_form(x)
+        z, r = co.z_rank(n), g.snf.rank
+        sx = coords[n] = smith_normal_form(g.snf.kernel_coords(co.image_basis[n]))
         torsion = [d for d in sx.divisors if not ring.is_unit(d)]
         if torsion:
             raise TorsionHomologyError(n, torsion)
         co.h_rank.append(z - sx.rank)
-        co.s[n] = sx.rmul(co.kernel_basis[n], "Uinv").take_columns(range(sx.rank, z))
         # the kernel coordinates of a cocycle are the last rows of Vinv of
         # SNF(d^n) applied to it; the last rows of U of sx take them to H^n
         co._pi_mat[n] = (sx.take_rows("U", range(sx.rank, z))
                          @ g.snf.take_rows("Vinv", range(r, a.rank(n))))
-
+    co.s[0] = _canonical_s(co, 0, coords[0])
     _normalize_unit(co)
-    if seed is not None:
-        _randomize(co, random.Random(seed))
-    return co
+    return co, coords
+
+
+def _canonical_s(co: CohomologySections, n: int, sx) -> ExactMatrix:
+    """The representatives the pivot rule chooses: the kernel basis of
+    degree n times the last columns of Uinv of sx, the SNF of the
+    coboundaries' kernel coordinates."""
+    return sx.rmul(co.kernel_basis[n], "Uinv").take_columns(range(sx.rank, co.z_rank(n)))
 
 
 def _normalize_unit(co: CohomologySections) -> None:
@@ -268,17 +283,18 @@ def _normalize_unit(co: CohomologySections) -> None:
 def _draws(rng: random.Random, rows: int, cols: int) -> list:
     """rows x cols draws of rng.randint(-2, 2), row by row: the rejection
     sampling that randint runs inside, on getrandbits(3), without its
-    per-call overhead."""
-    getrandbits = rng.getrandbits
-    out = []
-    for _ in range(rows):
-        row = []
-        for _ in range(cols):
-            while (x := getrandbits(3)) >= 5:
-                pass
-            row.append(x - 2)
-        out.append(row)
-    return out
+    per-call overhead.  getrandbits(3) is the top 3 bits of one 32-bit
+    output of the generator, and getrandbits(32 * m) holds the next m
+    outputs, the first in its lowest word; asking for as many words as
+    draws still needed consumes none past the last draw."""
+    need, out = rows * cols, [np.zeros(0, dtype=np.uint32)]
+    while need:
+        big = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        x = np.frombuffer(big, dtype="<u4") >> 29
+        x = x[x < 5]
+        out.append(x)
+        need -= len(x)
+    return (np.concatenate(out).astype(np.int64) - 2).reshape(rows, cols).tolist()
 
 
 def _randomize(co: CohomologySections, rng: random.Random) -> None:
@@ -320,8 +336,7 @@ def sections_from_json(payload: dict) -> CohomologySections:
         seed = payload["seed"]
         if seed is not None:
             int_from_json(seed)
-        co = build_sections(dga_from_json(payload["algebra"]))
-        co.seed = seed
+        co, _ = _frame(dga_from_json(payload["algebra"]), seed)
         a = co.algebra
 
         def mat(key, n, rows, cols):

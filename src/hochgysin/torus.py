@@ -19,7 +19,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 from .dga import DgAlgebra, cochain_algebra
 from .exactlin import (
-    ExactMatrix, Ring, Subquotient, ZZ, as_vector, smith_normal_form, zero_vector,
+    ExactMatrix, Ring, ZZ, as_vector, smith_normal_form, zero_vector,
 )
 from .hochschild import (
     CochainLayout, HochschildCochain, TwistedBimodule, coboundary_matrix,
@@ -128,7 +128,9 @@ def verify_monomorphism(n: int, signed: bool = False, ring: Ring = ZZ) -> dict:
     Computes the internal-degree -1 graded part of HH^3 of the exterior
     algebra with twisted shifted coefficients, checks whether the chosen
     symmetrization variant descends to classes, and if so whether it is
-    injective on them.  The verdicts are reported, not assumed.
+    injective on them.  The verdicts are reported, not assumed.  HH^3 is
+    the cokernel of kernel_coords(delta^2): the coboundaries on the
+    cocycle basis that the SNF of delta^3 gives.
     """
     alg = exterior_algebra(n, ring)
     co = build_sections(alg)
@@ -137,19 +139,22 @@ def verify_monomorphism(n: int, signed: bool = False, ring: Ring = ZZ) -> dict:
     d2, lay2, lay3 = coboundary_matrix(M, 2, -1)
     d3, lay3b, lay4 = coboundary_matrix(M, 3, -1)
     assert lay3.tuples == lay3b.tuples
-    cocycles = smith_normal_form(d3).kernel()
-    hh3 = Subquotient.from_gens_rels(ring, cocycles, d2)
+    s3 = smith_normal_form(d3)
+    cocycles = s3.kernel()
+    hh3 = smith_normal_form(s3.kernel_coords(d2))
     sym = symmetrize_matrix(h, lay3, signed=signed)
     kills_coboundaries = (sym @ d2).is_zero()
     injective = None
     if kills_coboundaries:
-        # injective iff every cocycle that sym kills is a coboundary
-        injective = hh3.classify(cocycles @ smith_normal_form(sym @ cocycles).kernel()).is_zero()
+        # injective iff every cocycle that sym kills is a coboundary; the
+        # kernel's columns are coordinates on the cocycle basis already
+        injective = hh3.solve(smith_normal_form(sym @ cocycles).kernel()) is not None
     return {
         "n": n,
         "signed": signed,
-        "hh3_free_rank": hh3.free_rank,
-        "hh3_torsion": [ring.scalar_to_json(d) for d in hh3.torsion],
+        "hh3_free_rank": cocycles.cols - hh3.rank,
+        "hh3_torsion": [ring.scalar_to_json(d) for d in hh3.divisors
+                        if not ring.is_unit(d)],
         "descends_to_classes": kills_coboundaries,
         "injective_on_classes": injective,
     }

@@ -14,7 +14,11 @@ products, which the package may run in int64 words, on Python ints.
 The Kronecker references build each product with a Kronecker factor,
 kron(X, I) and the like, in full and multiply by it, where the package
 contracts without forming it; coboundary_matrix, written by index
-arithmetic, has coboundary() itself as its reference.  Helpers that only
+arithmetic, has coboundary() itself as its reference.  The monomorphism
+probe, which reads HH^3 off the SNF of delta^3, has the subquotient
+route (a Hermite basis of the cocycles, relations solved onto it) as its
+reference, and the bulk seed draws have the loop of one getrandbits(3)
+call per draw.  Helpers that only
 the tests need (a matrix from its columns, the Euler characteristic, the
 diagonal matrix and the whole transforms of a Smith normal form) live
 here too.
@@ -26,8 +30,12 @@ import numpy as np
 
 from hochgysin import gysin
 from hochgysin.exactlin import (
-    ExactMatrix, SNFResult, ZZ, as_columns, as_vector, kron, smith_normal_form, zero_vector,
+    ExactMatrix, SNFResult, Subquotient, ZZ, as_columns, as_vector, kron, smith_normal_form,
+    zero_vector,
 )
+from hochgysin.hochschild import TwistedBimodule, coboundary_matrix
+from hochgysin.sections import build_sections
+from hochgysin.torus import exterior_algebra, symmetrize_matrix
 
 
 def boundary_matrix(simplices, n, ring=ZZ):
@@ -501,3 +509,47 @@ def kron_trivial_shape_system(ext, beta):
         row0 += eq.rows
         col0 += slack.cols
     return system, rhs, offsets
+
+
+# ---------------------------------------------------------------------------
+# References for the monomorphism probe and the seed draws
+# ---------------------------------------------------------------------------
+
+def monomorphism_via_subquotient(n, signed=False, ring=ZZ):
+    """torus.verify_monomorphism with HH^3 = span(cocycles) / span(delta^2)
+    presented as a Subquotient, and injectivity decided by classifying
+    the cocycles that the symmetrization kills."""
+    h = build_sections(exterior_algebra(n, ring)).h()
+    M = TwistedBimodule(h)
+    d2, _, lay3 = coboundary_matrix(M, 2, -1)
+    d3, _, _ = coboundary_matrix(M, 3, -1)
+    cocycles = smith_normal_form(d3).kernel()
+    hh3 = Subquotient.from_gens_rels(ring, cocycles, d2)
+    sym = symmetrize_matrix(h, lay3, signed=signed)
+    kills_coboundaries = (sym @ d2).is_zero()
+    injective = None
+    if kills_coboundaries:
+        killed = cocycles @ smith_normal_form(sym @ cocycles).kernel()
+        injective = hh3.classify(killed).is_zero()
+    return {
+        "n": n,
+        "signed": signed,
+        "hh3_free_rank": hh3.free_rank,
+        "hh3_torsion": [ring.scalar_to_json(d) for d in hh3.torsion],
+        "descends_to_classes": kills_coboundaries,
+        "injective_on_classes": injective,
+    }
+
+
+def draws_loop(rng, rows, cols):
+    """sections._draws with one getrandbits(3) call per attempt: rows x
+    cols draws of rng.randint(-2, 2), row by row."""
+    out = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            while (x := rng.getrandbits(3)) >= 5:
+                pass
+            row.append(x - 2)
+        out.append(row)
+    return out

@@ -789,6 +789,25 @@ def test_kernel_members_and_image_span(ring):
         assert solve_matrix(B, M) is not None or B.cols == 0 and M.is_zero()
 
 
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)])
+def test_kernel_coords_are_the_trailing_rows_of_vinv(ring):
+    rng = random.Random(6120 + ring_seed(ring) % 97)
+    for trial in range(20):
+        M = random_matrix(ring, rng.randint(1, 5), rng.randint(1, 7), rng, -2, 2)
+        s = smith_normal_form(M)
+        K = s.kernel()
+        B = K @ random_matrix(ring, K.cols, rng.randint(0, 3), rng)
+        full = oracles.dense_lmul(s, "Vinv", B)
+        X = s.kernel_coords(B)
+        assert X == full.take_rows(range(s.rank, full.rows))
+        assert K @ X == B
+        if s.rank:
+            # a column outside Ker(M): one with a nonzero image
+            outside = B.hstack(ExactMatrix.identity(ring, M.cols))
+            with pytest.raises(NotInSpanError):
+                s.kernel_coords(outside)
+
+
 def test_subquotient_classify_coset_arithmetic():
     # Z^2 / <(2,0)> = Z/2 + Z
     gens = ExactMatrix.identity(ZZ, 2)

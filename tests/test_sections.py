@@ -13,6 +13,7 @@ from hochgysin.sections import (
     compute_cohomology, sections_from_json, sections_to_json,
 )
 from hochgysin.simplicial import build_circle, build_sphere, build_torus, make_complex
+import oracles
 from oracles import dga_multiply, h_multiply, homology_groups, q_pair
 
 MASSEY_FIXTURE = Path(__file__).parent.parent / "src" / "hochgysin" / "fixtures" / \
@@ -154,6 +155,21 @@ def test_seeded_draws_are_randint_draws(seed):
         assert _draws(fast, rows, cols) == [[ref.randint(-2, 2) for _ in range(cols)]
                                             for _ in range(rows)]
         assert fast.getstate() == ref.getstate()
+
+
+# empty, small and thin shapes; every tenth seed adds one of 160 x 163
+DRAW_SHAPES = [(0, 3), (0, 0), (3, 0), (1, 1), (2, 5), (7, 4), (1, 40), (33, 2)]
+
+
+def test_bulk_draws_equal_the_one_call_per_draw_loop():
+    # equal draws, and the generator left where the loop leaves it, so no
+    # word past the last draw is taken
+    for seed in range(200):
+        fast, ref = random.Random(seed), random.Random(seed)
+        shapes = DRAW_SHAPES + ([(160, 163)] if seed % 10 == 0 else [])
+        for rows, cols in shapes:
+            assert _draws(fast, rows, cols) == oracles.draws_loop(ref, rows, cols)
+            assert fast.getstate() == ref.getstate()
 
 
 def test_seeded_package_still_satisfies_invariants():

@@ -2,17 +2,20 @@ import random
 
 import pytest
 
+from hochgysin import torus
 from hochgysin.dga import cochain_algebra, validate
-from hochgysin.exactlin import QQ, ZZ, ExactMatrix, as_vector, vec_is_zero
+from hochgysin.exactlin import GF, QQ, ZZ, ExactMatrix, NotInSpanError, as_vector, vec_is_zero
 from hochgysin.hochschild import (
-    CochainLayout, TwistedBimodule, admissible_tuples, coboundary, theta, zero_cochain,
+    CochainLayout, TwistedBimodule, admissible_tuples, coboundary, coboundary_matrix, theta,
+    zero_cochain,
 )
 from hochgysin.sections import build_sections
 from hochgysin.simplicial import build_torus
 from hochgysin.torus import (
     exterior_algebra, symmetrize, symmetrize_matrix, sym3_monomials, torus_theta_trivial,
+    verify_monomorphism,
 )
-from oracles import dga_multiply, exterior_iso
+from oracles import dga_multiply, exterior_iso, monomorphism_via_subquotient
 
 
 def test_exterior_rank_one():
@@ -150,3 +153,31 @@ def test_torus3_theta_trivial_over_z():
 def test_sym3_monomials_count():
     assert len(sym3_monomials(3)) == 10    # C(3+2, 3)
     assert sym3_monomials(2) == [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]
+
+
+PROBE_GRID = [(n, ring, signed) for n in (2, 3) for ring in (ZZ, QQ, GF(2), GF(3), GF(5))
+              for signed in (False, True)] + [(4, ZZ, False)]
+
+
+@pytest.mark.parametrize("n,ring,signed", PROBE_GRID,
+                         ids=lambda v: v.name if hasattr(v, "name") else str(v))
+def test_probe_verdict_equals_the_subquotient_route(n, ring, signed):
+    assert verify_monomorphism(n, signed, ring) == monomorphism_via_subquotient(n, signed, ring)
+
+
+def test_probe_rejects_a_delta2_that_delta3_does_not_kill(monkeypatch):
+    # delta^2 with one column moved off the cocycles: delta^3 delta^2 != 0
+    real = coboundary_matrix
+
+    def tampered(M, arity, degree):
+        d, source, target = real(M, arity, degree)
+        if arity != 2:
+            return d, source, target
+        d3 = real(M, 3, degree)[0].data
+        bad = d.data.copy()
+        bad[d3.any(axis=0).argmax(), 0] += 1
+        assert (d3 @ bad).any()
+        return ExactMatrix(d.ring, bad), source, target
+    monkeypatch.setattr(torus, "coboundary_matrix", tampered)
+    with pytest.raises(NotInSpanError):
+        verify_monomorphism(2)
