@@ -6,9 +6,9 @@ stdin, recognizes what it was given, upgrades it as needed, and emits a
 machine-readable run report on stdout with a human summary on stderr.
 
 Exit codes: 0 all requested checks pass; 1 a mathematical property
-failed; 2 input or usage error.  Reports are byte-stable for fixed
-inputs and seeds: no timestamps, sorted keys.  HOCHGYSIN_SEED sets the
-default section seed.
+failed; 2 input or usage error, or an input too large for the memory.
+Reports are byte-stable for fixed inputs and seeds: no timestamps,
+sorted keys.  HOCHGYSIN_SEED sets the default section seed.
 """
 
 from __future__ import annotations
@@ -458,11 +458,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except USAGE_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        sys.stdout.write(json.dumps(
-            {"command": args.command, "error": str(exc), "exit": 2},
-            sort_keys=True) + "\n")
-        return 2
+        message = str(exc)
+    except MemoryError:   # numpy's _ArrayMemoryError too
+        message = f"{args.command}: out of memory, the input is too large for the available memory"
+    sys.stderr.write(f"error: {message}\n")
+    sys.stdout.write(json.dumps(
+        {"command": args.command, "error": message, "exit": 2}, sort_keys=True) + "\n")
+    return 2
 
 
 if __name__ == "__main__":

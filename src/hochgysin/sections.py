@@ -1,14 +1,14 @@
 """Cohomology of a dg-algebra with a chosen splitting package.
 
-From the Smith normal forms of the differentials, which the package
-keeps, we extract per degree: a basis of cocycles, a basis of
-coboundaries, a basis of cohomology with chosen cocycle representatives
-s, a section q of d onto its image, and the class projection pi.  pi,
-q_of and image_coords take a matrix of columns (a vector is its
-one-column case) and re-verify what they return; image_coords
-back-substitutes through the SNF of d^{n-1}, as its solves do.  The
-decomposition requires H to be projective over the coefficient ring:
-over Z, torsion in any degree is a hard error.
+The package keeps the Smith normal forms of the differentials and no
+basis besides them: the cocycles are the kernel() of SNF(d^n) and the
+coboundaries the image() of SNF(d^{n-1}), replayed where a product needs
+them and not kept.  On them it chooses cocycle representatives s of a
+basis of cohomology, a section q of d on image() coordinates, and the
+class projection pi.  pi and q_of take a matrix of columns (a vector is
+its one-column case) and check it: pi is given cocycles, d q_of(W) = W.
+The decomposition requires H to be projective over the coefficient
+ring: over Z, torsion in any degree is a hard error.
 
 The canonical (seedless) package is fully determined by the fixed pivot
 rule.  A seed perturbs s by coboundaries and q by cocycle-valued
@@ -19,8 +19,8 @@ itself (degree 0 admits no coboundaries, so seeding preserves this).
 
 A serialized package is {"algebra", "seed", "s", "q"}, the choice only.
 Loading rebuilds everything else from the algebra by the same pivot rule
-and checks the stored s and q against it: d s = 0, d q = image_basis and
-pi s = id.
+and checks the stored s and q against it: d s = 0, d q = image() of
+SNF(d^{n-1}) and pi s = id.
 """
 
 from __future__ import annotations
@@ -106,9 +106,7 @@ class CohomologySections:
         self.seed = seed
         self.h_rank: list = []
         self.s: dict = {}              # n -> C^n x h_n
-        self.q: dict = {}              # n -> C^{n-1} x b_n  (image-basis coords)
-        self.image_basis: dict = {}    # n -> C^n x b_n      (basis of B^n)
-        self.kernel_basis: dict = {}   # n -> C^n x z_n
+        self.q: dict = {}              # n -> C^{n-1} x b_n  (image() coords of d^{n-1})
         self._d_snf: dict = {}         # n -> SNF of d^n : C^n -> C^{n+1}
         self._pi_mat: dict = {}        # n -> h_n x C^n (valid on cocycles)
         self._h: HRing | None = None
@@ -126,10 +124,10 @@ class CohomologySections:
         return self.algebra.top_degree
 
     def b_rank(self, n: int) -> int:
-        return self.image_basis[n].cols if n in self.image_basis else 0
+        return self._d_snf[n - 1].rank if n - 1 in self._d_snf else 0
 
     def z_rank(self, n: int) -> int:
-        return self.kernel_basis[n].cols if n in self.kernel_basis else 0
+        return self.algebra.rank(n) - self._d_snf[n].rank if n in self._d_snf else 0
 
     def hr(self, n: int) -> int:
         return self.h_rank[n] if 0 <= n <= self.top else 0
@@ -155,20 +153,17 @@ class CohomologySections:
             return self.s[n]
         return ExactMatrix.zeros(self.ring, self.algebra.rank(n), self.hr(n))
 
-    def image_coords(self, n: int, W):
-        """Coordinates on image_basis[n] of the columns of W (or of one
-        vector); ProductNotACoboundaryError unless each is a coboundary."""
+    def q_of(self, n: int, W):
+        """q applied to the coboundaries in the columns of W (or to one) in
+        C^n, through their image() coordinates; lands in C^{n-1}.
+        ProductNotACoboundaryError unless d of the result is W."""
         Wm = as_columns(self.ring, W)
         prev = self._d_snf.get(n - 1)     # B^0 = 0: no rows divide
         Y, bad = divide_rows(Wm, []) if prev is None else prev.image_coords(Wm)
-        if bad.any() or self.image_basis[n] @ Y != Wm:
+        X = self.q[n] @ Y
+        if bad.any() or self.algebra.d(n - 1) @ X != Wm:
             raise ProductNotACoboundaryError(f"vector in degree {n} is not a coboundary")
-        return shaped_like(W, Y)
-
-    def q_of(self, n: int, W):
-        """q applied to the coboundaries in the columns of W (or to one) in
-        C^n; lands in C^{n-1}."""
-        return shaped_like(W, self.q[n] @ self.image_coords(n, as_columns(self.ring, W)))
+        return shaped_like(W, X)
 
     def ss_block(self, p: int, q: int) -> ExactMatrix:
         """Matrix of (x, y) -> s(x) s(y), C^{p+q} x h_p*h_q."""
@@ -229,18 +224,16 @@ def build_sections(a: DgAlgebra, seed=None) -> CohomologySections:
 
 def _frame(a: DgAlgebra, seed) -> tuple[CohomologySections, dict]:
     """The package without its choice of q and of s above degree 0: the
-    SNFs of the differentials, the kernel and image bases, h_rank, pi and
-    s[0] with the unit class normalized.  Returned with {n: SNF of the
-    kernel coordinates of the coboundaries}, from which s is chosen."""
+    SNFs of the differentials, h_rank, pi and s[0] with the unit class
+    normalized.  Returned with {n: SNF of the kernel coordinates of the
+    coboundaries}, from which s is chosen."""
     ring = a.ring
     co = CohomologySections(a, seed)
     coords = {}
     for n, g in complex_cohomology(ring, range(a.top_degree + 1), a.d).items():
-        co.kernel_basis[n] = g.kernel
-        co.image_basis[n] = g.image
         co._d_snf[n] = g.snf
         z, r = co.z_rank(n), g.snf.rank
-        sx = coords[n] = smith_normal_form(g.snf.kernel_coords(co.image_basis[n]))
+        sx = coords[n] = smith_normal_form(g.snf.kernel_coords(g.image))
         torsion = [d for d in sx.divisors if not ring.is_unit(d)]
         if torsion:
             raise TorsionHomologyError(n, torsion)
@@ -255,10 +248,10 @@ def _frame(a: DgAlgebra, seed) -> tuple[CohomologySections, dict]:
 
 
 def _canonical_s(co: CohomologySections, n: int, sx) -> ExactMatrix:
-    """The representatives the pivot rule chooses: the kernel basis of
-    degree n times the last columns of Uinv of sx, the SNF of the
-    coboundaries' kernel coordinates."""
-    return sx.rmul(co.kernel_basis[n], "Uinv").take_columns(range(sx.rank, co.z_rank(n)))
+    """The pivot rule's representatives: kernel() of SNF(d^n) times the last columns
+    of Uinv of sx, the SNF of the coboundaries' kernel coordinates, as V of [0; them]."""
+    snf, cols = co._d_snf[n], sx.take_columns("Uinv", range(sx.rank, co.z_rank(n)))
+    return snf.lmul("V", ExactMatrix.zeros(co.ring, snf.rank, cols.cols).vstack(cols))
 
 
 def _normalize_unit(co: CohomologySections) -> None:
@@ -298,17 +291,18 @@ def _draws(rng: random.Random, rows: int, cols: int) -> list:
 
 
 def _randomize(co: CohomologySections, rng: random.Random) -> None:
-    """Perturb s by coboundaries and q by cocycle-valued corrections."""
+    """Perturb s by coboundaries image() r, written d q r since d q = image(),
+    and q by cocycle-valued corrections kernel() r2, both of SNF(d^{n-1})."""
     ring = co.ring
     for n in range(co.top + 1):
         b, h = co.b_rank(n), co.hr(n)
         if b and h:
             r = ExactMatrix.from_rows(ring, _draws(rng, b, h))
-            co.s[n] = co.s[n] + co.image_basis[n] @ r
+            co.s[n] = co.s[n] + co.algebra.d(n - 1) @ (co.q[n] @ r)
         z_prev = co.z_rank(n - 1)
         if b and z_prev:
             r2 = ExactMatrix.from_rows(ring, _draws(rng, z_prev, b))
-            co.q[n] = co.q[n] + co.kernel_basis[n - 1] @ r2
+            co.q[n] = co.q[n] + co._d_snf[n - 1].kernel() @ r2
     co._qpair_cache.clear()
     co._ss_cache.clear()
     co._h = None
@@ -362,7 +356,7 @@ def _check_package(co: CohomologySections) -> None:
     for n in range(co.top + 1):
         if not (a.d(n) @ co.s_matrix(n)).is_zero():
             raise NotACocycleError(f"loaded s[{n}] columns are not cocycles")
-        if co.b_rank(n) and a.d(n - 1) @ co.q[n] != co.image_basis[n]:
+        if co.b_rank(n) and a.d(n - 1) @ co.q[n] != co._d_snf[n - 1].image():
             raise ProductNotACoboundaryError(f"loaded q[{n}] is not a section of d")
         ps = co.pi_matrix(n) @ co.s_matrix(n)
         if ps != ExactMatrix.identity(co.ring, co.hr(n)):

@@ -130,7 +130,8 @@ def verify_monomorphism(n: int, signed: bool = False, ring: Ring = ZZ) -> dict:
     symmetrization variant descends to classes, and if so whether it is
     injective on them.  The verdicts are reported, not assumed.  HH^3 is
     the cokernel of kernel_coords(delta^2): the coboundaries on the
-    cocycle basis that the SNF of delta^3 gives.
+    cocycle basis kernel() that the SNF of delta^3 gives, which is never
+    built: sym on it is the columns rank.. of sym @ V, a replay.
     """
     alg = exterior_algebra(n, ring)
     co = build_sections(alg)
@@ -140,19 +141,21 @@ def verify_monomorphism(n: int, signed: bool = False, ring: Ring = ZZ) -> dict:
     d3, lay3b, lay4 = coboundary_matrix(M, 3, -1)
     assert lay3.tuples == lay3b.tuples
     s3 = smith_normal_form(d3)
-    cocycles = s3.kernel()
-    hh3 = smith_normal_form(s3.kernel_coords(d2))
+    b3 = s3.kernel_coords(d2)
+    hh3 = smith_normal_form(b3)
     sym = symmetrize_matrix(h, lay3, signed=signed)
-    kills_coboundaries = (sym @ d2).is_zero()
+    sym_z = s3.rmul(sym, "V").take_columns(range(s3.rank, s3.shape[1]))
+    # delta^2 = kernel() @ b3, so sym kills the coboundaries iff sym_z kills b3
+    kills_coboundaries = (sym_z @ b3).is_zero()
     injective = None
     if kills_coboundaries:
         # injective iff every cocycle that sym kills is a coboundary; the
         # kernel's columns are coordinates on the cocycle basis already
-        injective = hh3.solve(smith_normal_form(sym @ cocycles).kernel()) is not None
+        injective = hh3.solve(smith_normal_form(sym_z).kernel()) is not None
     return {
         "n": n,
         "signed": signed,
-        "hh3_free_rank": cocycles.cols - hh3.rank,
+        "hh3_free_rank": b3.rows - hh3.rank,
         "hh3_torsion": [ring.scalar_to_json(d) for d in hh3.divisors
                         if not ring.is_unit(d)],
         "descends_to_classes": kills_coboundaries,

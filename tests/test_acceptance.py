@@ -73,7 +73,7 @@ def test_criterion_02_technical_lemma_decomposition():
             if co.pi_matrix(n) @ co.s_matrix(n) != \
                     ExactMatrix.identity(ZZ, co.hr(n)):
                 bad.append((name, n, "pi s != id"))
-            if co.b_rank(n) and a.d(n - 1) @ co.q[n] != co.image_basis[n]:
+            if co.b_rank(n) and a.d(n - 1) @ co.q[n] != co._d_snf[n - 1].image():
                 bad.append((name, n, "d q != id on image"))
     report(2, not bad, f"decomposition identities on all fixtures; bad={bad}")
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from hochgysin import cli
 from clirun import run_in_process as run_cli, run_subprocess
 
 FIXTURE = Path(__file__).parent.parent / "src" / "hochgysin" / "fixtures" / \
@@ -453,6 +454,21 @@ def test_usage_errors_exit_2_without_traceback(case):
     res = run_cli(argv, stdin=stdin() if stdin else None)
     assert res.returncode == 2, (res.stdout, res.stderr)
     assert "error" in json.loads(res.stdout)
+    assert "Traceback" not in res.stderr
+
+
+def test_out_of_memory_exits_2_with_a_report(monkeypatch):
+    # numpy's _ArrayMemoryError is a MemoryError: an input too large for
+    # the memory is an input error, reported without a traceback
+    def too_large(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli, "build_sections", too_large)
+    res = run_cli(["sections"], stdin=_circle_cochains())
+    assert res.returncode == 2
+    report = json.loads(res.stdout)
+    assert report["command"] == "sections" and report["exit"] == 2
+    assert "memory" in report["error"]
+    assert res.stderr.count("\n") == 1 and "sections" in res.stderr
     assert "Traceback" not in res.stderr
 
 

@@ -159,7 +159,7 @@ def densified(monkeypatch) -> list:
 def test_monomorphism_probe_never_densifies_its_arity3_coboundary(ring, monkeypatch):
     seen = densified(monkeypatch)
     assert verify_monomorphism(3, ring=ring)["injective_on_classes"] is True
-    assert (1365, 495) not in seen
+    assert seen == []
 
 
 def test_trivialize_densifies_no_coboundary_matrix(monkeypatch):

@@ -9,8 +9,8 @@ from hochgysin.dga import cochain_algebra, load_dga
 from hochgysin.exactlin import GF, QQ, ZZ, ExactMatrix, as_vector, solve, vec_is_zero
 from hochgysin.hochschild import cochain_to_json, theta
 from hochgysin.sections import (
-    NotACocycleError, SectionsFormatError, TorsionHomologyError, _draws, build_sections,
-    compute_cohomology, sections_from_json, sections_to_json,
+    NotACocycleError, ProductNotACoboundaryError, SectionsFormatError, TorsionHomologyError,
+    _draws, build_sections, compute_cohomology, sections_from_json, sections_to_json,
 )
 from hochgysin.simplicial import build_circle, build_sphere, build_torus, make_complex
 import oracles
@@ -67,11 +67,12 @@ def test_technical_lemma_decomposition(ring):
         co = build_sections(a)
         for n in range(a.top_degree + 1):
             assert a.rank(n) == co.hr(n) + co.b_rank(n + 1) + co.b_rank(n), (name, n)
+            assert co.z_rank(n) == co.hr(n) + co.b_rank(n), (name, n)
             # d s = 0, pi s = id, d q = id on the image basis
             assert (a.d(n) @ co.s_matrix(n)).is_zero()
             assert co.pi_matrix(n) @ co.s_matrix(n) == ExactMatrix.identity(ring, co.hr(n))
             if co.b_rank(n):
-                assert a.d(n - 1) @ co.q[n] == co.image_basis[n]
+                assert a.d(n - 1) @ co.q[n] == co._d_snf[n - 1].image()
 
 
 def test_unit_normalization():
@@ -116,13 +117,52 @@ def test_pi_rejects_non_cocycle():
         co.pi(0, v)
 
 
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(3)], ids=lambda r: r.name)
+def test_q_of_returns_a_preimage_under_d(ring):
+    a = cochain_algebra(build_torus(2), ring)
+    rng = random.Random(5)
+    for co in (build_sections(a), build_sections(a, seed=8)):
+        for n in (1, 2):
+            x = ExactMatrix.from_rows(ring, [[rng.randint(-3, 3) for _ in range(4)]
+                                             for _ in range(a.rank(n - 1))])
+            W = a.d(n - 1) @ x
+            assert a.d(n - 1) @ co.q_of(n, W) == W
+            assert list(a.d(n - 1).matvec(co.q_of(n, W.column(0)))) == list(W.column(0))
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(3)], ids=lambda r: r.name)
+def test_q_of_refuses_the_representative_of_a_class(ring):
+    a = cochain_algebra(build_torus(2), ring)
+    co = build_sections(a)
+    for n in (1, 2):
+        with pytest.raises(ProductNotACoboundaryError):
+            co.q_of(n, co.s_matrix(n).column(0))
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(3)], ids=lambda r: r.name)
+def test_q_of_refuses_a_q_that_is_not_a_section(ring):
+    # a check on the image coordinates alone passes a wrong column of q:
+    # only d of the returned preimage shows it
+    a = cochain_algebra(build_torus(2), ring)
+    for n in (1, 2):
+        co = build_sections(a)
+        W = co._d_snf[n - 1].image().take_columns([0])
+        assert a.d(n - 1) @ co.q_of(n, W) == W
+        j = next(j for j in range(a.rank(n - 1)) if not vec_is_zero(a.d(n - 1).column(j)))
+        co.q[n].data[j, 0] = ring.normalize(co.q[n].data[j, 0] + 1)
+        co._qpair_cache.clear()
+        co._ss_cache.clear()
+        with pytest.raises(ProductNotACoboundaryError):
+            co.q_of(n, W)
+
+
 def test_random_cocycle_decomposes():
     a = cochain_algebra(build_torus(2), ZZ)
     co = build_sections(a)
     rng = random.Random(23)
     for n in (0, 1, 2):
         # random cocycle = kernel combination
-        z = co.kernel_basis[n]
+        z = co._d_snf[n].kernel()
         v = z.matvec(as_vector(ZZ, [rng.randint(-3, 3) for _ in range(z.cols)]))
         resid = v - co.s_matrix(n).matvec(co.pi(n, v))
         if n == 0:
@@ -181,7 +221,7 @@ def test_seeded_package_still_satisfies_invariants():
             assert co.pi_matrix(n) @ co.s_matrix(n) == \
                 ExactMatrix.identity(ZZ, co.hr(n))
             if co.b_rank(n):
-                assert a.d(n - 1) @ co.q[n] == co.image_basis[n]
+                assert a.d(n - 1) @ co.q[n] == co._d_snf[n - 1].image()
         assert list(co.s_matrix(0).column(0)) == list(a.unit)
 
 
@@ -254,8 +294,8 @@ def test_sections_roundtrip():
             assert co2.s_matrix(n) == co.s_matrix(n)
             assert co2.q[n] == co.q[n]
             assert co2.pi_matrix(n) == co.pi_matrix(n)
-            assert co2.image_basis[n] == co.image_basis[n]
-            assert co2.kernel_basis[n] == co.kernel_basis[n]
+            assert n == 0 or co2._d_snf[n - 1].image() == co._d_snf[n - 1].image()
+            assert co2._d_snf[n].kernel() == co._d_snf[n].kernel()
             assert co2._d_snf[n].ops == co._d_snf[n].ops
         assert co2.h().mult.keys() == co.h().mult.keys()
         assert all(co2.h().mult[k] == co.h().mult[k] for k in co.h().mult)
