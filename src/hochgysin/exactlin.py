@@ -10,8 +10,9 @@ and class maps take a matrix of columns, a vector being its one-column
 case (as_columns/shaped_like); one back-substitution serves all of
 them.  No floating point is used anywhere: scalars are Python ints
 (reduced mod p over F_p), over Q a ``fractions.Fraction`` only when not
-integral, so zeros and units cost integer arithmetic; the only division
-is ``Fraction(b) / a`` in Ring.
+integral, so zeros and units cost integer arithmetic.  Division happens
+only in Ring: over Q an exact quotient of two ints is their int
+quotient, and a Fraction is built only for a proper value.
 
 Matrices are stored densely as 2-D numpy arrays of dtype=object, except
 one built from its nonzeros (ExactMatrix.from_nonzeros), which keeps its
@@ -127,7 +128,8 @@ class Ring:
 
     def normalize(self, x):
         if type(x) is not int:
-            x = Fraction(x)
+            if type(x) is not Fraction:
+                x = Fraction(x)
             if x.denominator != 1:
                 if self.tag != "Q":
                     raise ValueError(f"{x} is not an integer")
@@ -142,13 +144,17 @@ class Ring:
         return x != 0
 
     def inv(self, x):
+        """Inverse of a unit: over Q the int 1 or -1 is its own inverse
+        and any other int n gives Fraction(1, n)."""
         x = self.normalize(x)
         if self.tag == "Z":
             if x in (1, -1):
                 return x
             raise ZeroDivisionError(f"{x} is not a unit in Z")
         if self.tag == "Q":
-            return self.normalize(Fraction(1) / x)
+            if type(x) is not int:
+                return self.normalize(Fraction(1) / x)
+            return x if x == 1 or x == -1 else Fraction(1, x)
         return pow(x, self.p - 2, self.p)
 
     def divides(self, a, b) -> bool:
@@ -162,14 +168,18 @@ class Ring:
 
     def quo(self, b, a):
         """Euclidean quotient of b by a != 0: floor division over Z, b / a
-        over a field, so that b - quo(b, a) * a is smaller than a or zero."""
+        over a field, so that b - quo(b, a) * a is smaller than a or zero.
+        Over Q the quotient of two ints is an int when a divides b, and a
+        Fraction only when it is proper."""
         if self.tag == "Z":
             return b // a
         a, b = self.normalize(a), self.normalize(b)
         if a == 0:
             raise ZeroDivisionError("division by zero")
         if self.tag == "Q":
-            return self.normalize(Fraction(b) / a)
+            if type(a) is not int or type(b) is not int:
+                return self.normalize(Fraction(b) / a)
+            return b // a if b % a == 0 else Fraction(b, a)
         return (b * self.inv(a)) % self.p
 
     def canonical_unit(self, x):

@@ -70,6 +70,20 @@ def homology_groups(k, ring=ZZ):
     return out
 
 
+def cone_homology_groups(cone):
+    """{n: (free rank, [torsion orders])} of H^n(cone), from the SNFs of
+    the cone differentials D^n and D^(n-1) only."""
+    module, ring = cone.module, cone.algebra.ring
+    out = {}
+    for n in module.degrees:
+        rank_d = smith_normal_form(module.d(n)).rank
+        s_prev = smith_normal_form(module.d(n - 1)) if (n - 1) in module.diff else None
+        rank_prev, divisors = (s_prev.rank, s_prev.divisors) if s_prev else (0, [])
+        out[n] = (module.rank(n) - rank_d - rank_prev,
+                  [d for d in divisors if not ring.is_unit(d)])
+    return out
+
+
 def homology_ranks(k, ring=ZZ):
     return [r for r, _ in homology_groups(k, ring)]
 

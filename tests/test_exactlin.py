@@ -880,6 +880,33 @@ def test_integral_rationals_are_ints():
     assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction
     assert type(QQ.inv(Fraction(1, 2))) is int
     assert type(QQ.quo(4, 2)) is int
+    for x in (0, 3, -3, Fraction(1, 2), Fraction(4, 2)):
+        with pytest.raises(ZeroDivisionError):
+            QQ.quo(x, 0)
+        with pytest.raises(ZeroDivisionError):
+            QQ.quo(x, Fraction(0))
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            QQ.inv(zero)
+
+
+def test_integral_quotients_build_no_fraction(monkeypatch):
+    # over Q an exact quotient of ints, a unit's inverse and the normal form
+    # of an integral Fraction stay on ints; only a proper value is a Fraction
+    two = Fraction(4, 2)
+    made = []
+    new = Fraction.__new__
+
+    def spy(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(spy))
+    for got, want in ((QQ.quo(6, 3), 2), (QQ.quo(-6, 3), -2), (QQ.inv(1), 1),
+                      (QQ.inv(-1), -1), (QQ.normalize(two), 2)):
+        assert got == want and type(got) is int
+    assert made == []
+    half = QQ.quo(1, 2)
+    assert made == [(1, 2)] and type(half) is Fraction and half == Fraction(1, 2)
 
 
 def test_ring_names_are_strict():

@@ -1,11 +1,15 @@
-"""Property tests of the Smith normal form on random sparse inputs, and
-of the product on entries near the int64 bound.
+"""Property tests of the Smith normal form on random sparse inputs, of
+the product on entries near the int64 bound, and of the scalar division
+over Q against Fraction arithmetic.
 
 hypothesis runs derandomized with a bounded example count, so the suite
 stays deterministic; the dense kernels in tests/oracles.py supplies the
 rank that the sparse kernel must reach and the products on Python ints.
 """
 
+from fractions import Fraction
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
@@ -75,3 +79,27 @@ def test_products_near_the_word_bound(AB):
     assert got == ref and all(type(x) is int for x in got.data.flat)
     bound = A.cols * max(abs(x) for x in A.data.flat) * max(abs(x) for x in B.data.flat)
     assert (as_words(A.ring, A.cols, A.data, B.data) is None) == (bound >= 2 ** 63)
+
+
+# ints of any size and sign, Fractions of both signs, integral ones among them
+rationals = (st.integers() | st.integers(-30, 30)
+             | st.fractions(-30, 30, max_denominator=12) | st.integers(-30, 30).map(Fraction))
+
+
+def assert_canonical(got, ref):
+    """got is the value ref, an int exactly when ref is integral."""
+    assert got == ref and type(got) is (int if ref.denominator == 1 else Fraction)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(rationals, rationals)
+def test_rational_scalars_match_fraction_arithmetic(b, a):
+    assert_canonical(QQ.normalize(b), Fraction(b))
+    if a == 0:
+        with pytest.raises(ZeroDivisionError):
+            QQ.quo(b, a)
+        with pytest.raises(ZeroDivisionError):
+            QQ.inv(a)
+        return
+    assert_canonical(QQ.quo(b, a), Fraction(b) / Fraction(a))
+    assert_canonical(QQ.inv(a), 1 / Fraction(a))

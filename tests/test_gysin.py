@@ -8,7 +8,7 @@ import pytest
 
 from hochgysin.dga import cochain_algebra, load_dga, validate_module
 from hochgysin.exactlin import (
-    GF, QQ, ZZ, ExactMatrix, as_vector, ring_from_name, smith_normal_form, zero_vector,
+    GF, QQ, ZZ, ExactMatrix, as_vector, ring_from_name, zero_vector,
 )
 from hochgysin.gysin import (
     beta_from_theta, check_extension_exactness, cone_cohomology, gysin_extension,
@@ -19,7 +19,7 @@ from hochgysin.hochschild import (
 )
 from hochgysin.sections import build_sections
 from hochgysin.simplicial import build_circle, build_sphere, build_torus, product
-from oracles import cochain_value, h_multiply
+from oracles import cochain_value, cone_homology_groups as cone_homology_oracle, h_multiply
 
 FIXTURE = Path(__file__).parent.parent / "src" / "hochgysin" / "fixtures" / \
     "massey_fixture.dga.json"
@@ -41,22 +41,6 @@ def sphere2():
 def heis():
     a = load_dga(FIXTURE)
     return a, build_sections(a)
-
-
-def cone_homology_oracle(cone):
-    """Invariant factors of H^n(cone) straight from SNF of the D matrices."""
-    out = {}
-    module = cone.module
-    for n in module.degrees:
-        rank_d = smith_normal_form(module.d(n)).rank
-        s_prev = smith_normal_form(module.d(n - 1)) if (n - 1) in module.diff \
-            else None
-        rank_prev = s_prev.rank if s_prev else 0
-        free = module.rank(n) - rank_d - rank_prev
-        torsion = [d for d in (s_prev.divisors if s_prev else [])
-                   if not ZZ.is_unit(d)]
-        out[n] = (free, torsion)
-    return out
 
 
 def test_cone_zero_class_block_diagonal(sphere2):
@@ -374,6 +358,36 @@ def test_formal_case_over_q_splits_for_every_class(factors, seed):
             ext = gysin_extension(a, n, c, co)
             assert verify_theorem_th(a, n, c, co, th=th, ext=ext)[0], (n, c)
             assert split_extension(ext)[0] is not None, (n, c)
+
+
+@pytest.fixture(scope="module", params=[QQ, ZZ], ids=["Q", "Z"])
+def torus3(request):
+    """T^3 with its canonical sections and the trivialization of theta."""
+    a = cochain_algebra(build_torus(3), request.param)
+    co = build_sections(a)
+    th = theta(co)
+    w, _ = trivialize(th, TwistedBimodule(co.h()))
+    assert w is not None
+    return a, co, th, w
+
+
+@pytest.mark.parametrize("c_degree, c, free_ranks", [
+    (1, [1, 0, 0], {0: 1, 1: 3, 2: 3, 3: 1}),
+    (2, [1, 2, 0], {0: 1, 1: 3, 2: 4, 3: 3, 4: 1}),
+], ids=["c1", "c2"])
+def test_torus3_extension_is_exact_and_splits(torus3, c_degree, c, free_ranks):
+    # the paper's two cases at T^3: a formal base over Q and the torus over Z;
+    # theta is trivial, so the extension of c is exact and splits
+    a, co, th, w = torus3
+    ext = gysin_extension(a, c_degree, c, co)
+    exactness = check_extension_exactness(ext)
+    assert all(all(flags.values()) and len(flags) == 3 for flags in exactness.values())
+    assert verify_theorem_th(a, c_degree, c, co, th=th, ext=ext)[0]
+    assert split_extension(ext, theta_witness=w)[0] is not None
+    groups = {n: (ext.cone_h.group(n).free_rank, ext.cone_h.group(n).torsion)
+              for n in ext.cone.module.degrees}
+    assert groups == {n: (free, []) for n, free in free_ranks.items()}
+    assert groups == cone_homology_oracle(ext.cone)
 
 
 def test_action_well_defined_across_seed(torus2):
